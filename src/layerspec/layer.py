@@ -34,8 +34,7 @@ def rho_m(chart, n_probe=400):
         np.geomspace(lo, chart.s_max, n_probe // 2),
         np.linspace(lo, chart.s_max, n_probe // 2),
     ])
-    kwargs = {"stride": chart.theta_stride_for(512)} if hasattr(chart, "theta_stride_for") else {}
-    g = chart.grid(np.sort(s), **kwargs)
+    g = chart.grid(np.sort(s), stride=chart.theta_stride_for(512))
     sup = float(np.max(np.maximum(np.abs(g.k1), np.abs(g.k2))))
     sup *= _SUP_SAFETY
     if sup <= _PLANAR_SUP:
@@ -101,10 +100,6 @@ class LayerSpec:
         return TransverseMode(n=n, kappa=self.kappa(n), a=self.a)
 
 
-def transverse_mode(layer, n):
-    return layer.transverse_mode(n)
-
-
 def c_bounds(layer):
     """Metric sandwich constants C_- g <= G_surface-block <= C_+ g."""
     if not layer.omega1_ok:
@@ -135,15 +130,9 @@ class LayerMetricSample:
 
 
 def _chart_point(chart, s, theta):
-    """Single-point chart sample; fans snap theta to the nearest ray."""
-    if hasattr(chart, "theta_stride_for"):
-        idx = int(np.argmin(np.abs(
-            (chart.theta_nodes - theta + np.pi) % (2 * np.pi) - np.pi
-        )))
-        g = chart.grid(np.array([s]))
-        return g, 0, idx
-    g = chart.grid(np.array([s]), theta=np.array([float(theta)]))
-    return g, 0, 0
+    """Single-point chart sample at the ray nearest to theta."""
+    idx = int(np.argmin(np.abs((chart.theta_nodes - theta + np.pi) % (2 * np.pi) - np.pi)))
+    return chart.grid(np.array([s])), 0, idx
 
 
 def det_factor(layer, s, theta, u):
@@ -203,8 +192,7 @@ def collision_scan(layer, n_s=48, n_theta=24, n_u=5):
     a = layer.a
     lo = min(1e-2, chart.s_max * 1e-3)
     s = np.geomspace(lo, chart.s_max * 0.98, n_s)
-    kwargs = {"stride": chart.theta_stride_for(n_theta)} if hasattr(chart, "theta_stride_for") else {}
-    g = chart.grid(s, **kwargs)
+    g = chart.grid(s, stride=chart.theta_stride_for(n_theta))
     normal = np.cross(g.dp_ds, g.dp_dtheta)
     norms = np.linalg.norm(normal, axis=-1, keepdims=True)
     normal = normal / np.where(norms > 0, norms, 1.0)

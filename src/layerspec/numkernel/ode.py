@@ -56,10 +56,6 @@ class OdeTrajectory:
                 out[:, hit] = self.states[pos[hit]].T
         return out
 
-    def component(self, i, s):
-        out = self.eval(s)
-        return out[i]
-
 
 def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=None, events=None):
     """Integrate ``y' = rhs(s, y)`` over ``span`` with local tolerance ``tol``.

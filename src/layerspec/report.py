@@ -40,8 +40,6 @@ def _jsonify(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 

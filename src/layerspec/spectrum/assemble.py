@@ -30,7 +30,7 @@ class PartialWaveOperator:
 
 
 def _profile_columns(chart, s_values, u):
-    g = chart.grid(np.asarray(s_values, dtype=float), theta=np.array([0.0]))
+    g = chart.grid(np.asarray(s_values, dtype=float), stride=chart.theta_nodes.size)
     ks = g.ii_ss[:, :1]
     kth = g.ii_tt[:, :1] / g.r[:, :1] ** 2
     r = g.r[:, :1]

@@ -1,13 +1,26 @@
-"""Geodesic polar chart data model.
+"""Geodesic polar chart data model and the protocol every chart meets.
 
 A chart exposes, at sampled (s, theta), the metric factor r (Jacobian of the
 exponential map), the curvatures, the embedded points with their tangents,
 and the second fundamental form in the (s, theta) basis.  The surface metric
 in these coordinates is always diag(1, r^2).
 
+Every chart (PlaneChart, RevolutionChart, FanChart) has
+
+    s_max               validity radius; grids are sampled on [0, s_max]
+    pole                embedded pole point, shape (3,)
+    theta_nodes         the uniform angular ring on [0, 2pi)
+    s_kinks             radii where the curvatures jump (panels break there)
+    rotation_invariant  True when no chart quantity depends on theta
+    truncated           True when s_max was cut short (conjugate point)
+    provenance          short label of how the chart was built
+    grid(s_nodes, stride=1)     ChartGrid on s_nodes x theta_nodes[::stride]
+    theta_stride_for(max_rays)  stride thinning the ring to about max_rays
+                                rays; 1 where the ring is exact and cheap
+
 Charts are immutable after construction and all evaluations are reentrant.
-Consumers receive a :class:`ChartGrid` bundle; theta-independent charts
-return arrays with a singleton theta axis and set ``rotation_invariant``.
+Every chart returns its whole (strided) ring, also when it is
+theta-independent; consumers average over the ring they receive.
 """
 
 from dataclasses import dataclass
@@ -76,9 +89,13 @@ class PlaneChart:
         self.pole = np.array([pole[0], pole[1], 0.0])
         self.theta_nodes = uniform_theta(n_theta)
 
-    def grid(self, s_nodes, theta=None):
+    def theta_stride_for(self, max_rays):
+        """The closed-form ring is exact and cheap; it is never thinned."""
+        return 1
+
+    def grid(self, s_nodes, stride=1):
         s = np.asarray(s_nodes, dtype=float).reshape(-1, 1)
-        th = self.theta_nodes if theta is None else np.atleast_1d(theta)
+        th = self.theta_nodes[::stride]
         ct, st = np.cos(th), np.sin(th)
         zeros = np.zeros((s.size, th.size))
         p = self.pole + np.stack(

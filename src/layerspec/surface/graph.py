@@ -26,6 +26,9 @@ from ..errors import InvalidInputError
 from ..numkernel import integrate_ode
 from .charts import ChartGrid, uniform_theta
 
+# relative step of the centered dM/ds difference along each ray
+_DM_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class GraphSurface:
@@ -112,7 +115,7 @@ class FanChart:
             stride *= 2
         return stride
 
-    def grid(self, s_nodes, dM_step=1e-5, stride=1):
+    def grid(self, s_nodes, stride=1):
         surf = self.surface
         # dM/dtheta comes from the full ring (Fourier), then stride;
         # differentiating a subsampled ring would alias badly on distorted fans
@@ -144,8 +147,8 @@ class FanChart:
 
         # dM/ds by a centered step along each ray (clipped near the ends),
         # dM/dtheta spectrally on the ring
-        h = np.minimum(dM_step * (1.0 + s), 0.45 * np.maximum(s, dM_step))
-        h = np.minimum(h, 0.45 * np.maximum(self.s_max - s, dM_step))
+        h = np.minimum(_DM_STEP * (1.0 + s), 0.45 * np.maximum(s, _DM_STEP))
+        h = np.minimum(h, 0.45 * np.maximum(self.s_max - s, _DM_STEP))
         s_plus, s_minus = np.clip(s + h, 0, self.s_max), np.clip(s - h, 0, self.s_max)
         _, xp, yp, *_ = self._raw(s_plus, stride=stride)
         _, xm, ym, *_ = self._raw(s_minus, stride=stride)

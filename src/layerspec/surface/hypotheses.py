@@ -13,6 +13,7 @@ from ..errors import InvalidInputError
 from ..numkernel import gauss_legendre, panelize
 from .totals import (
     TotalCurvatureEstimate,
+    resolved_prefix,
     total_abs_gauss,
     total_gauss,
     total_grad_mean_sq,
@@ -69,11 +70,11 @@ def asymptotic_flatness_verdict(chart, radii=None, samples_per_annulus=120):
     """
     if radii is None:
         radii = chart.s_max * np.array([0.125, 0.25, 0.5, 0.96])
-    kwargs = {"stride": chart.theta_stride_for(256)} if hasattr(chart, "theta_stride_for") else {}
+    stride = chart.theta_stride_for(256)
     sup_K, sup_M = [], []
     edges = np.concatenate([[radii[0] * 0.5], radii])
     for lo, hi in zip(edges[:-1], edges[1:]):
-        g = chart.grid(np.linspace(lo, hi, samples_per_annulus), **kwargs)
+        g = chart.grid(np.linspace(lo, hi, samples_per_annulus), stride=stride)
         sup_K.append(float(np.abs(g.K).max()))
         sup_M.append(float(np.abs(g.M).max()))
     v_K, v_M = _decay_verdict(np.asarray(sup_K)), _decay_verdict(np.asarray(sup_M))
@@ -105,10 +106,7 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
     notes = []
     if hasattr(chart, "radial_gauss_partials"):
         # drop radii beyond the fan's angular-resolution trust range
-        full, half = chart.radial_gauss_partials(probe_radii)
-        scale = max(float(np.max(np.abs(full))), 1.0)
-        ok = np.abs(full - half) <= 1e-3 * scale
-        n_ok = int(np.argmin(ok)) if not ok.all() else ok.size
+        n_ok = resolved_prefix(*chart.radial_gauss_partials(probe_radii))
         if 4 <= n_ok < probe_radii.size:
             notes.append(
                 f"probe radii beyond s = {probe_radii[n_ok - 1]:g} dropped: "
@@ -133,14 +131,13 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
     if sigma0 != "pass":
         notes.append(f"sup|K| verdict {v_K}, sup|M| verdict {v_M}")
 
-    is_fan = hasattr(chart, "theta_stride_for")
-    stride = chart.theta_stride_for(768) if is_fan else 1
+    stride = chart.theta_stride_for(768)
 
     # K-integrability: when K has one sign on the chart (every catalog graph
     # does), |K| integrals equal |K integrals| and can use the exact per-ray
     # radial antiderivative, which is far more resolution-tolerant.
     sign_definite = False
-    if is_fan:
+    if hasattr(chart, "radial_gauss_partials"):
         g_probe = chart.grid(probe_radii, stride=stride)
         sign_definite = g_probe.K.max() <= 1e-12 or g_probe.K.min() >= -1e-12
     if sign_definite:
@@ -155,17 +152,17 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
         est1 = total_abs_gauss(chart, probe_radii, stride=stride)
     sigma1 = _integral_verdict(est1)
 
+    # keep only radii where the grad-M ring integral is stride-converged
+    # (closed-form rings give equal values, so only fans are ever capped)
     sigma2_radii = probe_radii
-    if is_fan:
-        # keep only radii where the grad-M ring integral is stride-converged
-        ring = lambda g: 2.0 * np.pi * (g.grad_M_sq * g.r).mean(axis=1)
-        v1 = ring(chart.grid(probe_radii, stride=stride))
-        v2 = ring(chart.grid(probe_radii, stride=2 * stride))
-        ok = np.abs(v1 - v2) <= 0.02 * np.maximum(np.abs(v1), _ZERO_FLOOR)
-        n_ok = int(np.argmin(ok)) if not ok.all() else ok.size
-        if 4 <= n_ok < probe_radii.size:
-            sigma2_radii = probe_radii[:n_ok]
-            notes.append(f"grad-M probe capped at s = {sigma2_radii[-1]:g} by fan resolution")
+    ring = lambda g: 2.0 * np.pi * (g.grad_M_sq * g.r).mean(axis=1)
+    v1 = ring(chart.grid(probe_radii, stride=stride))
+    v2 = ring(chart.grid(probe_radii, stride=2 * stride))
+    ok = np.abs(v1 - v2) <= 0.02 * np.maximum(np.abs(v1), _ZERO_FLOOR)
+    n_ok = int(np.argmin(ok)) if not ok.all() else ok.size
+    if 4 <= n_ok < probe_radii.size:
+        sigma2_radii = probe_radii[:n_ok]
+        notes.append(f"grad-M probe capped at s = {sigma2_radii[-1]:g} by fan resolution")
     est2 = total_grad_mean_sq(chart, sigma2_radii, stride=stride)
     sigma2 = _integral_verdict(est2)
 

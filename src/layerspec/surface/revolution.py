@@ -235,8 +235,12 @@ class RevolutionChart:
         self.theta_nodes = uniform_theta(n_theta)
         self.pole = np.zeros(3)
 
-    def grid(self, s_nodes, theta=None):
-        th = np.atleast_1d(self.theta_nodes if theta is None else theta)
+    def theta_stride_for(self, max_rays):
+        """The closed-form ring is exact and cheap; it is never thinned."""
+        return 1
+
+    def grid(self, s_nodes, stride=1):
+        th = self.theta_nodes[::stride]
         ps = self.profile.eval(np.asarray(s_nodes, dtype=float))
         col = lambda v: v[:, None]  # profile fields broadcast over theta
         ct, st = np.cos(th), np.sin(th)

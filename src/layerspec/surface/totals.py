@@ -97,15 +97,14 @@ def _split_panels(panels):
 
 
 def _ring_values(chart, s_nodes, integrand, stride):
-    kwargs = {"stride": stride} if hasattr(chart, "theta_stride_for") else {}
-    grid = chart.grid(s_nodes, **kwargs)
+    grid = chart.grid(s_nodes, stride=stride)
     ring = integrand(grid)
     return 2.0 * np.pi * ring.mean(axis=1)
 
 
 def _segment_integral(chart, lo, hi, integrand, points_per_panel, stride, rel_tol=1e-7, max_depth=8):
     """Integral of (ring integral of F) ds over [lo, hi], panel-adaptive."""
-    kinks = tuple(getattr(chart, "s_kinks", ()))
+    kinks = tuple(chart.s_kinks)
     panels = panelize(lo, hi, breakpoints=kinks, first=max((hi - lo) / 8.0, 1e-8))
     prev = None
     for _ in range(max_depth):
@@ -126,7 +125,7 @@ def _disk_partials(chart, schedule, integrand, points_per_panel=16, stride=None)
     if schedule[-1] > chart.s_max * (1 + 1e-12):
         raise InvalidInputError("schedule exceeds chart validity range")
     if stride is None:
-        stride = chart.theta_stride_for(256) if hasattr(chart, "theta_stride_for") else 1
+        stride = chart.theta_stride_for(256)
     partials = []
     total = 0.0
     lo = 0.0
@@ -135,6 +134,17 @@ def _disk_partials(chart, schedule, integrand, points_per_panel=16, stride=None)
         partials.append(total)
         lo = hi
     return np.asarray(partials)
+
+
+def resolved_prefix(full, half):
+    """Count of leading radii whose full- and half-ring integrals agree.
+
+    Agreement is to 0.1% of the largest full-ring value (at least 1); the
+    radii after the first disagreement are not angularly resolved.
+    """
+    scale = max(float(np.max(np.abs(full))), 1.0)
+    ok = np.abs(full - half) <= 1e-3 * scale
+    return int(np.argmin(ok)) if not ok.all() else ok.size
 
 
 def total_gauss(chart, schedule, points_per_panel=16):
@@ -153,11 +163,7 @@ def total_gauss(chart, schedule, points_per_panel=16):
     schedule = np.asarray(schedule, dtype=float)
     if hasattr(chart, "radial_gauss_partials"):
         full, half = chart.radial_gauss_partials(schedule)
-        scale = max(np.max(np.abs(full)), 1.0)
-        trusted = np.abs(full - half) <= 1e-3 * scale
-        n_ok = int(np.argmin(trusted)) if not trusted.all() else trusted.size
-        if n_ok < 3:
-            n_ok = min(3, trusted.size)
+        n_ok = max(resolved_prefix(full, half), min(3, full.size))
         est = analyze_truncations(schedule[:n_ok], full[:n_ok])
         res_err = float(np.max(np.abs(full[:n_ok] - half[:n_ok])))
         return TotalCurvatureEstimate(

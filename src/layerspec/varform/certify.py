@@ -73,49 +73,27 @@ def _total_gauss_value(layer):
     return total_gauss(layer.chart, schedule)
 
 
-def _sweep_gj(layer, s0, budget, rows, family="goldstone_jaffe"):
+def _sweep_sigma(layer, s0, budget, rows, family, make_trial):
+    """Sweep the mollifier width sigma of a (layer, s0, sigma) trial family."""
     best = None
     count = 0
     for sigma in _SIGMA_GRID:
         if count >= budget:
             break
+        params = {"sigma": sigma, "s0": s0}
         try:
-            trial = gj_trial(layer, s0, sigma)
+            trial = make_trial(layer, s0=s0, sigma=sigma)
             if trial.support[1] >= layer.chart.s_max:
-                rows.append((family, {"sigma": sigma, "s0": s0}, None, None, "support exceeds chart"))
-                break
-            fe = evaluate_form(layer, trial)
-        except TruncationError as exc:
-            rows.append((family, {"sigma": sigma, "s0": s0}, None, None, str(exc)))
-            break
-        count += 1
-        rows.append((family, {"sigma": sigma, "s0": s0}, fe.q_tilde, fe.error, ""))
-        if best is None or fe.q_tilde < best[0].q_tilde:
-            best = (fe, {"sigma": sigma, "s0": s0})
-        if _is_certified(fe):
-            return best, count, True
-    return best, count, False
-
-
-def _sweep_thin(layer, s0, budget, rows):
-    best = None
-    count = 0
-    for sigma in _SIGMA_GRID:
-        if count >= budget:
-            break
-        try:
-            trial = thin_trial(layer, s0=s0, sigma=sigma)
-            if trial.support[1] >= layer.chart.s_max:
-                rows.append(("thin", {"sigma": sigma, "s0": s0}, None, None, "support exceeds chart"))
+                rows.append((family, params, None, None, "support exceeds chart"))
                 break
             fe = evaluate_form(layer, trial)
         except (TruncationError, CapabilityError) as exc:
-            rows.append(("thin", {"sigma": sigma, "s0": s0}, None, None, str(exc)))
+            rows.append((family, params, None, None, str(exc)))
             break
         count += 1
-        rows.append(("thin", {"sigma": sigma, "s0": s0}, fe.q_tilde, fe.error, ""))
+        rows.append((family, params, fe.q_tilde, fe.error, ""))
         if best is None or fe.q_tilde < best[0].q_tilde:
-            best = (fe, {"sigma": sigma, "s0": s0})
+            best = (fe, params)
         if _is_certified(fe):
             return best, count, True
     return best, count, False
@@ -232,7 +210,7 @@ def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric
         if family == "goldstone_jaffe":
             if k_tot is not None and k_tot <= _K_TOT_ZERO:
                 applicable += 1
-                result, _, certified = _sweep_gj(layer, s0, budget, rows)
+                result, _, certified = _sweep_sigma(layer, s0, budget, rows, family, gj_trial)
             else:
                 notes.append("goldstone_jaffe skipped: total Gauss curvature is positive")
         elif family == "deformed":
@@ -243,7 +221,7 @@ def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric
                 notes.append("deformed skipped: total Gauss curvature is not zero")
         elif family == "thin":
             applicable += 1
-            result, _, certified = _sweep_thin(layer, s0, budget, rows)
+            result, _, certified = _sweep_sigma(layer, s0, budget, rows, family, thin_trial)
         elif family == "symmetric_log":
             if layer.chart.rotation_invariant:
                 applicable += 1

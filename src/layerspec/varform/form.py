@@ -13,8 +13,8 @@ leave behind.
 Error estimates come from nested refinement.  Every radial panel is
 integrated by a coarse and a fine radial/transverse rule pair, and panels on
 which the pair disagrees (relative to the accumulated Q1, shifted Q2 and
-norm) are bisected until it agrees; on fan charts the angular ring is also
-re-run at half resolution.  The reported error is the sum of the remaining
+norm) are bisected until it agrees; when the chart or the trial depends on
+theta, the angular ring is also re-run at half resolution.  The reported error is the sum of the remaining
 per-panel gaps plus the half-ring shift.
 """
 
@@ -91,7 +91,7 @@ def _s_panels(layer, trial):
     hi = min(hi, layer.chart.s_max)
     if lo >= hi:
         raise TruncationError("trial support does not intersect the chart")
-    breaks = tuple(sorted(set(trial.s_breakpoints) | set(getattr(layer.chart, "s_kinks", ()))))
+    breaks = tuple(sorted(set(trial.s_breakpoints) | set(layer.chart.s_kinks)))
     return panelize(lo, hi, breakpoints=breaks, first=max((hi - lo) / 64.0, 1e-9))
 
 
@@ -101,8 +101,7 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
     Each row is integrated over theta and u but not over s, shape (4, Ns).
     """
     chart = layer.chart
-    kwargs = {"stride": stride} if hasattr(chart, "theta_stride_for") else {}
-    grid = chart.grid(s_nodes, **kwargs)
+    grid = chart.grid(s_nodes, stride=stride)
 
     axisym = chart.rotation_invariant and trial.theta_invariant
     if axisym:
@@ -176,7 +175,7 @@ def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS, theta
     if not layer.omega1_ok:
         raise InvalidInputError("form evaluation requires the layer width check to pass")
     chart = layer.chart
-    stride = chart.theta_stride_for(theta_rays) if hasattr(chart, "theta_stride_for") else 1
+    stride = chart.theta_stride_for(theta_rays)
 
     n_u_pair = (n_u, n_u + 8)
     adapt = adaptive_gauss(
@@ -186,7 +185,7 @@ def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS, theta
     )
     q1_f, q2_f, norm_f, q2s_f = map(float, adapt.value)
     err = adapt.gap[_Q1] + adapt.gap[_Q2S]
-    if hasattr(chart, "theta_stride_for") and not (chart.rotation_invariant and trial.theta_invariant):
+    if not (chart.rotation_invariant and trial.theta_invariant):
         quad_h = gauss_legendre(points_per_panel, adapt.panels)
         half = quad_h.integrate_samples(_evaluate(layer, trial, quad_h.nodes, n_u, stride * 2))
         err += abs(half[_Q1] - q1_f) + abs(half[_Q2S] - q2s_f)
@@ -221,12 +220,12 @@ def surface_pairing(layer, radial, weight, points_per_panel=18, theta_rays=384):
     chart = layer.chart
     lo, hi = radial.support
     hi = min(hi, chart.s_max)
-    panels = panelize(lo, hi, breakpoints=tuple(radial.breakpoints) + tuple(getattr(chart, "s_kinks", ())),
+    panels = panelize(lo, hi, breakpoints=tuple(radial.breakpoints) + tuple(chart.s_kinks),
                       first=max((hi - lo) / 64.0, 1e-9))
-    kwargs = {"stride": chart.theta_stride_for(theta_rays)} if hasattr(chart, "theta_stride_for") else {}
+    stride = chart.theta_stride_for(theta_rays)
 
     def density(nodes, level):
-        g = chart.grid(nodes, **kwargs)
+        g = chart.grid(nodes, stride=stride)
         return 2.0 * np.pi * (weight(g) * g.r).mean(axis=1) * radial.value(nodes) ** 2
 
     orders = (points_per_panel, points_per_panel + 6)
@@ -253,8 +252,7 @@ def bump_mean_curvature_pairing(layer, bump, points_per_panel=18, theta_rays=384
     chart = layer.chart
     panels = panelize(bump.lo, bump.hi, first=(bump.hi - bump.lo) / 8.0)
     quad = gauss_legendre(points_per_panel, panels)
-    kwargs = {"stride": chart.theta_stride_for(theta_rays)} if hasattr(chart, "theta_stride_for") else {}
-    g = chart.grid(quad.nodes, **kwargs)
+    g = chart.grid(quad.nodes, stride=chart.theta_stride_for(theta_rays))
     j = bump.values(g)[0]
     ring = 2.0 * np.pi * (j * g.M * g.r).mean(axis=1)
     return float(quad.integrate_samples(ring))

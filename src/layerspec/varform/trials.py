@@ -260,10 +260,10 @@ def default_bump(layer, s0, n_scan=8):
     """
     candidates = [(0.5 * s0, 0.75 * s0)]
     candidates += [(s0 * k / (n_scan + 2), s0 * (k + 2) / (n_scan + 2)) for k in range(1, n_scan)]
-    kwargs = {"stride": layer.chart.theta_stride_for(256)} if hasattr(layer.chart, "theta_stride_for") else {}
+    stride = layer.chart.theta_stride_for(256)
     grids = {}
     for lo, hi in candidates:
-        g = layer.chart.grid(np.linspace(lo, hi, 40), **kwargs)
+        g = layer.chart.grid(np.linspace(lo, hi, 40), stride=stride)
         grids[(lo, hi)] = g
         if g.M.max() < -1e-12 or g.M.min() > 1e-12:
             return RadialBump(lo=lo, hi=hi)

@@ -1,0 +1,66 @@
+"""The sampling protocol every polar chart meets: grid(s, stride) and
+theta_stride_for(max_rays)."""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from layerspec.catalog import build_chart
+from layerspec.layer import LayerSpec, det_factor, layer_metric
+from layerspec.surface import ChartGrid
+
+_S = np.array([0.3, 1.0, 2.5, 6.0])
+_FIELDS = [f.name for f in fields(ChartGrid) if f.name not in ("s", "theta")]
+
+
+@pytest.fixture(scope="module")
+def charts():
+    return {
+        "plane": build_chart("plane", {"s_max": 10.0}),
+        "hyperboloid": build_chart("hyperboloid", {"s_max": 10.0}),
+        "fan": build_chart("hyperbolic-paraboloid", {"s_max": 10.0, "theta_samples": 64}),
+    }
+
+
+@pytest.mark.parametrize("name", ["plane", "hyperboloid", "fan"])
+@pytest.mark.parametrize("stride", [1, 2, 4])
+def test_strided_grid_samples_the_strided_ring(charts, name, stride):
+    chart = charts[name]
+    g = chart.grid(_S, stride=stride)
+    assert np.array_equal(g.theta, chart.theta_nodes[::stride])
+    shape = (_S.size, chart.theta_nodes[::stride].size)
+    for field in _FIELDS:
+        assert getattr(g, field).shape[:2] == shape, field
+
+
+def test_fan_strided_fields_equal_full_grid_columns(charts):
+    chart = charts["fan"]
+    stride = chart.theta_stride_for(24)
+    assert stride == 2
+    full = chart.grid(_S)
+    strided = chart.grid(_S, stride=stride)
+    for field in _FIELDS:
+        assert np.array_equal(getattr(strided, field), getattr(full, field)[:, ::stride]), field
+
+
+@pytest.mark.parametrize("name", ["plane", "hyperboloid"])
+def test_closed_form_rings_are_never_thinned(charts, name):
+    for max_rays in (1, 24, 256, 10**6):
+        assert charts[name].theta_stride_for(max_rays) == 1
+
+
+def test_single_column_grid_is_the_theta_zero_column(charts):
+    chart = charts["hyperboloid"]
+    one = chart.grid(_S, stride=chart.theta_nodes.size)
+    full = chart.grid(_S)
+    assert np.array_equal(one.theta, [0.0])
+    for field in _FIELDS:
+        assert np.array_equal(getattr(one, field), getattr(full, field)[:, :1]), field
+
+
+def test_point_samples_on_revolution_layer_do_not_depend_on_theta(charts):
+    layer = LayerSpec(charts["hyperboloid"], a=0.3)
+    for s, u in ((0.5, 0.1), (3.0, -0.2)):
+        assert layer_metric(layer, s, 0.0, u) == layer_metric(layer, s, 0.77, u)
+        assert det_factor(layer, s, 0.0, u) == det_factor(layer, s, 0.77, u)
