@@ -3,7 +3,10 @@
 Thin contract wrapper around an embedded Runge-Kutta pair (Dormand-Prince
 5(4) via :func:`scipy.integrate.solve_ivp`) that returns a trajectory object
 with dense evaluation, and converts solver stalls into a typed error that
-records the last abscissa reached.
+records the last abscissa reached.  Dense evaluation reads the stored RK
+interpolants directly and can be restricted to some state rows (``rows=``),
+so a caller that needs a few components of a large batched system pays only
+for those.
 """
 
 from dataclasses import dataclass, field
@@ -34,8 +37,14 @@ class OdeTrajectory:
     def s_end(self):
         return float(self.abscissae[-1])
 
-    def eval(self, s):
-        """Evaluate the dense solution; returns shape (dim,) or (dim, m)."""
+    def eval(self, s, rows=None):
+        """Evaluate the dense solution; returns shape (n,) or (n, m).
+
+        ``rows`` selects state components (default: all ``dim``), and only
+        those rows of each stored interpolant are evaluated, so ``n`` is
+        ``len(rows)``.  Points are sorted once and grouped by step; a point
+        on a step boundary takes the lower step, as scipy's OdeSolution does.
+        """
         s = np.asarray(s, dtype=float)
         lo, hi = self.abscissae[0], self.abscissae[-1]
         if np.any(s < lo - 1e-12 * max(1.0, abs(lo))) or np.any(
@@ -44,17 +53,32 @@ class OdeTrajectory:
             raise InvalidInputError(
                 f"dense evaluation outside [{lo:.6g}, {hi:.6g}] requested"
             )
-        out = self._sol(np.clip(s, lo, hi))
+        pts = np.atleast_1d(np.clip(s, lo, hi))
+        rows = np.arange(self.states.shape[1]) if rows is None else np.asarray(rows)
+        pieces = self._sol.interpolants
+        # column-major, as scipy's OdeSolution returns it: each point's
+        # column is written in one piece, and callers' reductions keep their
+        # summation order
+        out = np.empty((rows.size, pts.size), order="F")
+
+        order = np.argsort(pts)
+        seg = np.searchsorted(self._sol.ts, pts[order], side="left") - 1
+        np.clip(seg, 0, len(pieces) - 1, out=seg)
+        cuts = np.flatnonzero(np.diff(seg)) + 1
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, pts.size]):
+            piece = pieces[seg[a]]
+            idx = order[a:b]
+            x = (pts[idx] - piece.t_old) / piece.h
+            powers = np.cumprod(np.tile(x, (piece.Q.shape[1], 1)), axis=0)
+            out[:, idx] = piece.h * np.dot(piece.Q[rows], powers) + piece.y_old[rows, None]
+
         # reproduce stored samples exactly where s coincides with a node
-        pos = np.searchsorted(self.abscissae, np.atleast_1d(s))
-        pos = np.clip(pos, 0, self.abscissae.size - 1)
-        hit = self.abscissae[pos] == np.atleast_1d(s)
+        req = np.atleast_1d(s)
+        pos = np.clip(np.searchsorted(self.abscissae, req), 0, self.abscissae.size - 1)
+        hit = self.abscissae[pos] == req
         if hit.any():
-            if s.ndim == 0:
-                out = self.states[pos[0]].copy()
-            else:
-                out[:, hit] = self.states[pos[hit]].T
-        return out
+            out[:, hit] = self.states[pos[hit]][:, rows].T
+        return out[:, 0] if s.ndim == 0 else out
 
 
 def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=None, events=None):

@@ -12,9 +12,12 @@ The angular tangent comes from the polar-chart identity d_theta p =
 r e_theta, with e_theta = n x e_s the unit normal-cross-ray direction, so
 the surface block in the (s, theta) basis is diag(1, r^2) by construction
 and the second fundamental form is the graph Hessian / W applied to
-(e_s, r e_theta).  Only dM/dtheta still uses Fourier differentiation on the
-uniform theta ring; the s-derivative of the mean curvature uses a short
-centered difference along each ray.
+(e_s, r e_theta).  The mean-curvature derivatives come from the same frame:
+M is a function of the plane point (x, y), so its gradient there, taken by
+a short centered difference, gives dM/ds = grad M . (dx/ds, dy/ds) and
+dM/dtheta = grad M . (dx/dtheta, dy/dtheta) on each ray independently.  A
+strided grid therefore evaluates the dense ODE solution on its own rays
+only.
 """
 
 import warnings
@@ -26,7 +29,8 @@ from ..errors import InvalidInputError
 from ..numkernel import integrate_ode
 from .charts import ChartGrid, uniform_theta
 
-# relative step of the centered dM/ds difference along each ray
+# relative step (scaled by 1 + |(x, y)|) of the centered grad M difference
+# in the plane
 _DM_STEP = 1e-5
 
 
@@ -55,16 +59,6 @@ def graph_curvatures(surf, x, y):
     return K, M, M + disc, M - disc
 
 
-def _fourier_derivative(values, axis=-1):
-    """d/dtheta on a uniform periodic ring by FFT."""
-    n = values.shape[axis]
-    k = np.fft.rfftfreq(n, d=1.0 / n) * 1j
-    spec = np.fft.rfft(values, axis=axis)
-    shape = [1] * values.ndim
-    shape[axis] = spec.shape[axis]
-    return np.fft.irfft(spec * k.reshape(shape), n=n, axis=axis)
-
-
 class FanChart:
     """Geodesic polar chart of a graph surface from a fan of shot geodesics."""
 
@@ -85,15 +79,19 @@ class FanChart:
     def n_theta(self):
         return self.theta_nodes.size
 
-    def _raw(self, s_nodes, stride=1):
+    def _raw(self, s_nodes, stride=1, blocks=range(6)):
+        """State blocks (x, y, vx, vy, r, r') on rays theta_nodes[::stride].
+
+        Only the requested rows of the dense solution are evaluated; each
+        block comes back with shape (Ns, ceil(n_theta / stride)).
+        """
         s = np.atleast_1d(np.asarray(s_nodes, dtype=float))
         if np.any(s < 0) or np.any(s > self.s_max * (1 + 1e-12)):
             raise InvalidInputError("fan chart evaluated outside [0, s_max]")
         nt = self.n_theta
-        vals = self._traj.eval(np.clip(s, 0.0, self.s_max))  # (6*nt, Ns)
-        vals = vals.reshape(6, nt, s.size)[:, ::stride, :]
-        x, y, vx, vy, r, rd = (vals[i].T for i in range(6))  # each (Ns, nt/stride)
-        return s, x, y, vx, vy, r, rd
+        rows = (np.asarray(blocks)[:, None] * nt + np.arange(0, nt, stride)).ravel()
+        vals = self._traj.eval(np.clip(s, 0.0, self.s_max), rows=rows)
+        return s, *(v.T for v in vals.reshape(len(blocks), -1, s.size))
 
     def radial_gauss_partials(self, radii):
         """Disk integrals of K dSigma using the exact per-ray antiderivative.
@@ -103,7 +101,7 @@ class FanChart:
         full-resolution trapezoid value and the half-resolution (every other
         ray) value; their gap measures the angular resolution error.
         """
-        _, _, _, _, _, _, rd = self._raw(radii)
+        _, rd = self._raw(radii, blocks=[5])
         full = 2.0 * np.pi * (1.0 - rd.mean(axis=1))
         half = 2.0 * np.pi * (1.0 - rd[:, ::2].mean(axis=1))
         return full, half
@@ -117,13 +115,9 @@ class FanChart:
 
     def grid(self, s_nodes, stride=1):
         surf = self.surface
-        # dM/dtheta comes from the full ring (Fourier), then stride;
-        # differentiating a subsampled ring would alias badly on distorted fans
-        s, *full = self._raw(s_nodes, stride=1)
-        M_full = graph_curvatures(surf, full[0], full[1])[1]
-        dM_dt = _fourier_derivative(M_full, axis=1)[:, ::stride]
-        x, y, vx, vy, r, rd = (np.ascontiguousarray(v[:, ::stride]) for v in full)
-        del full, M_full
+        # C order, so that ring averages downstream sum in a fixed order
+        s, *state = self._raw(s_nodes, stride=stride)
+        x, y, vx, vy, r, rd = (np.ascontiguousarray(v) for v in state)
 
         fx, fy = surf.fx(x, y), surf.fy(x, y)
         K, M, k1, k2 = graph_curvatures(surf, x, y)
@@ -145,16 +139,14 @@ class FanChart:
         ii_st = hess(sx, sy, tx, ty)
         ii_tt = hess(tx, ty, tx, ty)
 
-        # dM/ds by a centered step along each ray (clipped near the ends),
-        # dM/dtheta spectrally on the ring
-        h = np.minimum(_DM_STEP * (1.0 + s), 0.45 * np.maximum(s, _DM_STEP))
-        h = np.minimum(h, 0.45 * np.maximum(self.s_max - s, _DM_STEP))
-        s_plus, s_minus = np.clip(s + h, 0, self.s_max), np.clip(s - h, 0, self.s_max)
-        _, xp, yp, *_ = self._raw(s_plus, stride=stride)
-        _, xm, ym, *_ = self._raw(s_minus, stride=stride)
-        Mp = graph_curvatures(surf, xp, yp)[1]
-        Mm = graph_curvatures(surf, xm, ym)[1]
-        dM_ds = (Mp - Mm) / (s_plus - s_minus)[:, None]
+        # grad M in the plane by centered differences, then along the ray
+        # velocity and along d_theta p
+        h = _DM_STEP * (1.0 + np.hypot(x, y))
+        mean = lambda u, v: graph_curvatures(surf, u, v)[1]
+        dM_dx = (mean(x + h, y) - mean(x - h, y)) / (2.0 * h)
+        dM_dy = (mean(x, y + h) - mean(x, y - h)) / (2.0 * h)
+        dM_ds = dM_dx * vx + dM_dy * vy
+        dM_dt = dM_dx * tx + dM_dy * ty
 
         return ChartGrid(
             s=s, theta=self.theta_nodes[::stride], r=r, dr_ds=rd, K=K, M=M, k1=k1, k2=k2,

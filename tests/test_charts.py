@@ -44,6 +44,22 @@ def test_fan_strided_fields_equal_full_grid_columns(charts):
         assert np.array_equal(getattr(strided, field), getattr(full, field)[:, ::stride]), field
 
 
+@pytest.mark.parametrize("stride", [1, 3, 4, 64])
+def test_fan_grid_evaluates_the_dense_solution_once_on_its_own_rays(charts, stride, monkeypatch):
+    chart = charts["fan"]
+    traj = chart._traj
+    sizes = []
+
+    def counted(s, rows=None, _eval=traj.eval):
+        out = _eval(s, rows=rows)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(traj, "eval", counted)
+    chart.grid(_S, stride=stride)
+    assert sizes == [6 * -(-chart.n_theta // stride) * _S.size]
+
+
 @pytest.mark.parametrize("name", ["plane", "hyperboloid"])
 def test_closed_form_rings_are_never_thinned(charts, name):
     for max_rays in (1, 24, 256, 10**6):

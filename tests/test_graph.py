@@ -142,6 +142,34 @@ def test_jacobi_consistency_cross_check():
         assert rel.max() <= 1e-6, (name, rel.max())
 
 
+@pytest.fixture(scope="module")
+def monkey_fans():
+    return {n: build_chart("monkey-saddle", {"s_max": 40.0, "theta_samples": n}) for n in (128, 3072)}
+
+
+def test_mean_curvature_derivatives_do_not_depend_on_ray_count(monkey_fans):
+    # dM/ds and dM/dtheta are per-ray quantities: a coarse fan must give the
+    # values of the fine fan on the rays they share, also far out where
+    # neighbouring rays have separated
+    s = np.array([5.0, 20.0, 35.0])
+    coarse = monkey_fans[128].grid(s)
+    fine = monkey_fans[3072].grid(s, stride=3072 // 128)
+    assert np.allclose(coarse.theta, fine.theta, rtol=0, atol=1e-15)
+    for field in ("dM_dtheta", "dM_ds"):
+        a, b = getattr(coarse, field), getattr(fine, field)
+        rel = np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1)
+        assert rel.max() <= 1e-8, (field, rel)
+
+
+def test_dM_ds_matches_a_difference_of_M_along_each_ray(monkey_fans):
+    chart, h = monkey_fans[128], 1e-5
+    s = np.array([5.0, 20.0, 35.0])
+    along = (chart.grid(s + h).M - chart.grid(s - h).M) / (2.0 * h)
+    dM_ds = chart.grid(s).dM_ds
+    rel = np.abs(along - dM_ds).max(axis=1) / np.abs(dM_ds).max(axis=1)
+    assert rel.max() <= 1e-6, rel
+
+
 def test_conjugate_point_truncates_fan():
     # Gaussian bump offset from the pole: rays passing over it are lensed
     # and refocus behind it, where the metric factor crosses zero

@@ -68,3 +68,40 @@ def test_bad_arguments():
     traj = integrate_ode(lambda s, y: y, [1.0], (0.0, 1.0), tol=1e-8)
     with pytest.raises(InvalidInputError):
         traj.eval(2.0)
+
+
+def _linear_trajectory(dim):
+    # y' = A y + sin(s): a 2-state oscillator and a coupled 12-state system
+    rng = np.random.default_rng(dim)
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]]) if dim == 2 else 0.3 * rng.normal(size=(dim, dim))
+    return integrate_ode(lambda s, y: a @ y + np.sin(s), rng.normal(size=dim), (0.0, 5.0), tol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 12])
+def test_row_selected_eval_equals_full_eval_rows(dim):
+    traj = _linear_trajectory(dim)
+    rng = np.random.default_rng(100 + dim)
+    # unsorted, with repeats, and with points exactly on the stored abscissae
+    s = np.concatenate([rng.uniform(0.0, 5.0, 40), traj.abscissae[::2], traj.abscissae[[1, 1]], [2.5, 2.5]])
+    rng.shuffle(s)
+    rows = rng.permutation(dim)[: dim // 2 + 1]
+
+    full = traj.eval(s)
+    part = traj.eval(s, rows=rows)
+    assert full.shape == (dim, s.size) and part.shape == (rows.size, s.size)
+    assert np.all(np.abs(part - full[rows]) <= 1e-15 * np.abs(full[rows]))
+
+    on_node = np.isin(s, traj.abscissae)
+    stored = traj.states[np.searchsorted(traj.abscissae, s[on_node])]
+    assert np.array_equal(full[:, on_node], stored.T)
+    assert np.array_equal(part[:, on_node], stored[:, rows].T)
+    # off the nodes, the evaluator is scipy's dense output, reordered
+    assert np.array_equal(full[:, ~on_node], traj._sol(s)[:, ~on_node])
+
+    one = traj.eval(s[0], rows=rows)
+    assert one.shape == (rows.size,)
+    assert np.all(np.abs(one - part[:, 0]) <= 1e-15 * np.abs(part[:, 0]))
+    with pytest.raises(InvalidInputError):
+        traj.eval(np.array([1.0, 5.5]), rows=rows)
+    with pytest.raises(InvalidInputError):
+        traj.eval(-0.5, rows=rows)
