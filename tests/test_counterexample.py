@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from layerspec.errors import InvalidInputError
+from layerspec.numkernel import eigensolve
 from layerspec.spectrum import (
     counterexample_full,
     counterexample_radial,
@@ -39,6 +40,24 @@ def test_spherical_shell_is_flat_interval():
     assert val == pytest.approx(KAP2, rel=1e-4)
     # independent of the shell radius at fixed width
     assert abs(val - spherical_shell_ground(2.0, 0.3)) <= 1e-6 * KAP2
+
+
+def test_interval_solves_do_not_restart(monkeypatch):
+    # the shift is a lower bound of the weighted pencil, so each of the
+    # three refinement levels converges in a single Lanczos run
+    runs = []
+    lanczos = eigensolve._lanczos_shift_invert
+
+    def counted(A, B, sigma, *args):
+        out = lanczos(A, B, sigma, *args)
+        runs.append((sigma, out[0][0]))
+        return out
+
+    monkeypatch.setattr(eigensolve, "_lanczos_shift_invert", counted)
+    spherical_shell_ground(1.0, 0.3)
+    assert len(runs) == 3
+    for sigma, lam in runs:
+        assert sigma < lam
 
 
 def test_refinement_order_on_shell():

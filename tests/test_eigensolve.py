@@ -3,8 +3,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from layerspec.catalog import build_chart
 from layerspec.errors import InvalidInputError
+from layerspec.layer import LayerSpec
 from layerspec.numkernel import SparseSymmetricPair, lowest_eigenpairs
+from layerspec.spectrum import assemble_partial_wave, build_mesh
 
 
 def fd_dirichlet_pair(n, h):
@@ -72,13 +75,20 @@ def test_deterministic_across_runs():
     assert a == b  # bitwise identical
 
 
-def test_cg_fallback_matches_factorization():
-    n, h = 80, 1.0 / 81
-    pair = fd_dirichlet_pair(n, h)
-    lam_lu = lowest_eigenpairs(pair, 2, shift=0.0)
-    lam_cg = lowest_eigenpairs(pair, 2, shift=0.0, use_factorization=False)
-    for p, q in zip(lam_lu, lam_cg):
-        assert p.value == pytest.approx(q.value, rel=1e-9)
+def test_shift_inside_spectrum_of_a_2d_pencil():
+    # plane partial wave on a coarse strip: a 2-d FD pattern with a
+    # non-uniform diagonal mass; the shift between the first two
+    # eigenvalues makes A - sigma B indefinite, so the symmetric-mode LU
+    # must still pivot
+    layer = LayerSpec(build_chart("plane", {"s_max": 20.0}), a=0.3)
+    pair = assemble_partial_wave(layer, 0, build_mesh(6.0, 0.3, n_s=24, n_u=16)).pair
+    assert np.unique(pair.mass.diagonal()).size > 1
+    ref = sla.eigh(pair.stiffness.toarray(), pair.mass.toarray(), eigvals_only=True)[:3]
+    sigma = 0.5 * (ref[0] + ref[1])
+    got = [p.value for p in lowest_eigenpairs(pair, 3, shift=sigma)]
+    assert np.max(np.abs(np.asarray(got) / ref - 1.0)) <= 1e-10
+    again = [p.value for p in lowest_eigenpairs(pair, 3, shift=sigma)]
+    assert got == again  # bitwise identical
 
 
 def test_invalid_inputs():
