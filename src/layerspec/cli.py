@@ -70,7 +70,7 @@ def cmd_describe(config, writer, force):
     name, chart = _build(config, "describe")
     entry = None if name == "plane" else catalog_entry(name)
     ss = np.geomspace(chart.s_max / 256.0, chart.s_max * 0.98, 48)
-    g = chart.grid(ss)
+    g = chart.grid(ss, stride=chart.theta_nodes.size)  # the theta = 0 column
     rho = rho_m(chart)
     writer.add("surface", {
         "name": name,
@@ -130,11 +130,11 @@ def cmd_totals(config, writer, force):
     est_m = total_mean_sq(chart, schedule)
     writer.add("total_gauss", _estimate_payload(est_k))
     writer.add("total_mean_sq", _estimate_payload(est_m))
-    if hasattr(chart, "surface"):  # graph fans: independent Cartesian route
+    if chart.provenance == "graph-shot":  # independent Cartesian route
         plane_radii = np.geomspace(2.0, max(4.0, np.sqrt(chart.s_max)), 5)
         cart = total_gauss_cartesian(chart.surface, plane_radii)
         writer.add("total_gauss_cartesian", _estimate_payload(cart))
-    if hasattr(chart, "profile"):
+    elif chart.provenance == "revolution":
         writer.add("gauss_bonnet_residual",
                    measured(gauss_bonnet_residual(chart.profile), 0.0))
     rows = []

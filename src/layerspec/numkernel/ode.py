@@ -1,20 +1,75 @@
 """Adaptive ODE integration with dense output.
 
-Thin contract wrapper around an embedded Runge-Kutta pair (Dormand-Prince
-5(4) via :func:`scipy.integrate.solve_ivp`) that returns a trajectory object
-with dense evaluation, and converts solver stalls into a typed error that
-records the last abscissa reached.  Dense evaluation reads the stored RK
-interpolants directly and can be restricted to some state rows (``rows=``),
-so a caller that needs a few components of a large batched system pays only
-for those.
+An in-house Dormand-Prince 5(4) stepper (Dormand & Prince 1980; Hairer,
+Nørsett & Wanner, *Solving ODEs I*, §II.4-5) with Shampine's quartic dense
+output.  It performs the arithmetic of scipy's ``solve_ivp(method="RK45")``
+expression for expression (initial step selection, step-size control, dense
+coefficients and event location), so trajectories are bitwise those of
+scipy.  Only the tests import scipy's integrators, to check exactly that;
+``scipy.optimize.brentq`` is imported only when an event brackets a root.
+The trajectory object offers dense evaluation, and solver stalls become a
+typed error that records the last abscissa reached.  Dense evaluation reads
+the stored per-step interpolants and can be restricted to some state rows
+(``rows=``), so a caller that needs a few components of a large batched
+system pays only for those.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..errors import IntegrationFailureError, InvalidInputError
+
+_EPS = np.finfo(float).eps
+_SAFETY = 0.9  # multiplies steps predicted from the asymptotic error
+_MIN_FACTOR = 0.2  # largest decrease of a step size
+_MAX_FACTOR = 10  # largest increase of a step size
+_ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+# Dormand-Prince 5(4) tableau; _E is the difference of the embedded weights
+# (with the FSAL stage), _P the quartic dense output with Shampine's optimum c6
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+
+# accepted step abscissae and one interpolant per step
+_DenseSteps = namedtuple("_DenseSteps", "ts interpolants")
+
+
+class _Step:
+    """Quartic interpolant of one accepted step: y_old + h Q [x, x², x³, x⁴]."""
+
+    __slots__ = ("t_old", "h", "Q", "y_old")
+
+    def __init__(self, t_old, t, y_old, Q):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.Q = Q
+        self.y_old = y_old
+
+    def __call__(self, t):
+        """State at the scalar ``t`` (event location)."""
+        x = (t - self.t_old) / self.h
+        return self.h * np.dot(self.Q, np.cumprod(np.tile(x, self.Q.shape[1]))) + self.y_old
 
 
 @dataclass
@@ -29,7 +84,6 @@ class OdeTrajectory:
 
     abscissae: np.ndarray
     states: np.ndarray
-    interpolation_order: int
     events: list = field(default_factory=list)
     _sol: object = None
 
@@ -81,6 +135,96 @@ class OdeTrajectory:
         return out[:, 0] if s.ndim == 0 else out
 
 
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol):
+    """First step size from two RHS values (Hairer, Nørsett & Wanner, §II.4)."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length, max_step)
+
+
+def _advance(fun, t, y, f, h_abs, K, t_bound, max_step, rtol, atol):
+    """Take one accepted DP5(4) step from ``(t, y)`` with ``f = rhs(t, y)``.
+
+    Returns ``(t_new, y_new, f_new, h_abs_next)`` with the stages in ``K``,
+    or None when the step size falls below ten ulps of ``t``.
+    """
+    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    if h_abs > max_step:
+        h_abs = max_step
+    elif h_abs < min_step:
+        h_abs = min_step
+    rejected = False
+    while h_abs >= min_step:
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+        h_abs = np.abs(h)
+
+        K[0] = f
+        for s in range(1, 6):
+            K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+        y_new = y + h * np.dot(K[:-1].T, _B)
+        f_new = fun(t + h, y_new)
+        K[-1] = f_new
+
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _rms(np.dot(K.T, _E) * h / scale)
+        if error_norm < 1:
+            if error_norm == 0:
+                factor = _MAX_FACTOR
+            else:
+                factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            if rejected:
+                factor = min(1, factor)
+            return t_new, y_new, f_new, h_abs * factor
+        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        rejected = True
+    return None
+
+
+def _event_roots(events, directions, terminal, g, g_new, step, t_old, t):
+    """Events whose function changes sign over one step, as solve_ivp finds them.
+
+    Returns ``(indices, roots, stop)``.  A root is located by Brent's method
+    on the step's interpolant; when a terminal event fires, roots are sorted
+    and cut after the first terminal one, where integration stops.
+    """
+    g, g_new = np.asarray(g), np.asarray(g_new)
+    up = (g <= 0) & (g_new >= 0)
+    down = (g >= 0) & (g_new <= 0)
+    active = np.nonzero(
+        up & (directions > 0) | down & (directions < 0) | (up | down) & (directions == 0)
+    )[0]
+    if active.size == 0:
+        return active, (), False
+
+    from scipy.optimize import brentq
+
+    roots = np.asarray([
+        brentq(lambda s: events[i](s, step(s)), t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+        for i in active
+    ])
+    if not terminal[active].any():
+        return active, roots, False
+    order = np.argsort(roots)
+    active, roots = active[order], roots[order]
+    last = np.nonzero(terminal[active])[0][0]
+    return active[: last + 1], roots[: last + 1], True
+
+
 def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=None, events=None):
     """Integrate ``y' = rhs(s, y)`` over ``span`` with local tolerance ``tol``.
 
@@ -93,11 +237,15 @@ def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=Non
     span : tuple
         ``(s0, s1)`` with ``s1 > s0``.
     tol : float
-        Relative and absolute local error target (> 0).
+        Relative and absolute local error target (> 0); the relative target
+        is at least 100 machine epsilons.
+    max_step, first_step : float, optional
+        Largest step, and the first step (chosen from the RHS by default).
     events : list of callables, optional
-        Scalar event functions ``g(s, y)``; attributes ``terminal`` and
-        ``direction`` are honoured as in scipy.  Event hits are recorded on
-        the returned trajectory as ``(s_event, y_event)`` per event function.
+        Scalar event functions ``g(s, y)``; a ``terminal`` flag and a
+        ``direction`` attribute are honoured as in scipy's ``solve_ivp``.
+        The first hit of each event function is recorded on the returned
+        trajectory as ``(s_event, y_event)``, or None.
 
     Raises
     ------
@@ -110,36 +258,79 @@ def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=Non
     s0, s1 = float(span[0]), float(span[1])
     if not s1 > s0:
         raise InvalidInputError("span must satisfy s1 > s0")
-    y0 = np.atleast_1d(np.asarray(initial, dtype=float))
+    if not max_step > 0:
+        raise InvalidInputError("max_step must be > 0")
+    if first_step is not None and not 0 < first_step <= s1 - s0:
+        raise InvalidInputError("first_step must lie in (0, s1 - s0]")
+    y = np.atleast_1d(np.asarray(initial, dtype=float))
+    if not np.isfinite(y).all():
+        raise InvalidInputError("initial state must be finite")
+    rtol, atol = max(tol, 100 * _EPS), tol
 
-    sol = solve_ivp(
-        rhs,
-        (s0, s1),
-        y0,
-        method="RK45",
-        dense_output=True,
-        rtol=tol,
-        atol=tol,
-        max_step=max_step,
-        first_step=first_step,
-        events=events,
-    )
-    if sol.status == -1:
-        last = sol.t[-1] if sol.t.size else s0
-        raise IntegrationFailureError(sol.message, last_s=last)
+    def fun(s, state):
+        return np.asarray(rhs(s, state), dtype=float)
 
-    hits = []
-    if events is not None:
-        for k in range(len(events)):
-            if sol.t_events[k].size:
-                hits.append((float(sol.t_events[k][0]), sol.y_events[k][0].copy()))
-            else:
-                hits.append(None)
+    f = fun(s0, y)
+    if first_step is None:
+        h_abs = _initial_step(fun, s0, y, f, s1, max_step, rtol, atol)
+    else:
+        h_abs = first_step
+    K = np.empty((_C.size + 1, y.size))
 
+    events = list(events or ())
+    directions = np.array([getattr(ev, "direction", 0) for ev in events], dtype=float)
+    terminal = np.array([bool(getattr(ev, "terminal", False)) for ev in events], dtype=bool)
+    g = [ev(s0, y) for ev in events]
+    hits = [None] * len(events)
+
+    t = s0
+    ts, steps = [t], []
+    # each state is written once into an array grown by doubling, and each
+    # interpolant's y_old is a view of its row, so no list of rows is kept or
+    # copied at the end; freeing the outgrown arrays also lets
+    # malloc keep later multi-MB temporaries on its heap instead of mapping
+    # fresh pages (monkey-saddle totals: 5k page faults after the build, 50k
+    # with a list of rows)
+    states = np.empty((16, y.size))
+    states[0] = y
+    stop = False
+    while t < s1 and not stop:
+        taken = _advance(fun, t, y, f, h_abs, K, s1, max_step, rtol, atol)
+        if taken is None:
+            raise IntegrationFailureError(_TOO_SMALL_STEP, last_s=t)
+        t_old = t
+        t, y, f, h_abs = taken
+        step = _Step(t_old, t, states[len(ts) - 1], K.T.dot(_P))
+        steps.append(step)
+
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            fired, roots, stop = _event_roots(events, directions, terminal, g, g_new, step, t_old, t)
+            for i, root in zip(fired, roots):
+                if hits[i] is None:
+                    hits[i] = (float(root), step(root))
+            if stop:
+                t = roots[-1]
+                y = step(t)
+            g = g_new
+
+        if len(ts) > 1 and ts[-1] == t:  # a terminal root on the previous node
+            steps.pop()
+        else:
+            if len(ts) == len(states):
+                grown = np.empty((2 * len(states), y.size))
+                grown[: len(ts)] = states
+                states = grown
+                for step, row in zip(steps, states):
+                    step.y_old = row
+            states[len(ts)] = y
+            ts.append(t)
+
+    states = states[: len(ts)]
+    abscissae = np.array(ts)
     return OdeTrajectory(
-        abscissae=sol.t.copy(),
-        states=sol.y.T.copy(),
-        interpolation_order=4,
+        abscissae=abscissae,
+        states=states,
         events=hits,
-        _sol=sol.sol,
+        _sol=_DenseSteps(abscissae, steps),
     )

@@ -13,7 +13,8 @@ Every chart (PlaneChart, RevolutionChart, FanChart) has
     s_kinks             radii where the curvatures jump (panels break there)
     rotation_invariant  True when no chart quantity depends on theta
     truncated           True when s_max was cut short (conjugate point)
-    provenance          short label of how the chart was built
+    provenance          how the chart was built: "analytic", "revolution"
+                        (carries .profile) or "graph-shot" (carries .surface)
     grid(s_nodes, stride=1)     ChartGrid on s_nodes x theta_nodes[::stride]
     theta_stride_for(max_rays)  stride thinning the ring to about max_rays
                                 rays; 1 where the ring is exact and cheap

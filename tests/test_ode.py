@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import layerspec.surface.graph as graph
+from layerspec.catalog import build_chart
 from layerspec.errors import IntegrationFailureError, InvalidInputError
 from layerspec.numkernel import integrate_ode
 
@@ -70,16 +73,21 @@ def test_bad_arguments():
         traj.eval(2.0)
 
 
-def _linear_trajectory(dim):
+def _linear_problem(dim):
     # y' = A y + sin(s): a 2-state oscillator and a coupled 12-state system
     rng = np.random.default_rng(dim)
     a = np.array([[0.0, 1.0], [-1.0, 0.0]]) if dim == 2 else 0.3 * rng.normal(size=(dim, dim))
-    return integrate_ode(lambda s, y: a @ y + np.sin(s), rng.normal(size=dim), (0.0, 5.0), tol=1e-9)
+    return (lambda s, y: a @ y + np.sin(s)), rng.normal(size=dim)
+
+
+def _reference(rhs, initial, span, tol, **options):
+    return solve_ivp(rhs, span, initial, method="RK45", dense_output=True, rtol=tol, atol=tol, **options)
 
 
 @pytest.mark.parametrize("dim", [2, 12])
 def test_row_selected_eval_equals_full_eval_rows(dim):
-    traj = _linear_trajectory(dim)
+    rhs, initial = _linear_problem(dim)
+    traj = integrate_ode(rhs, initial, (0.0, 5.0), tol=1e-9)
     rng = np.random.default_rng(100 + dim)
     # unsorted, with repeats, and with points exactly on the stored abscissae
     s = np.concatenate([rng.uniform(0.0, 5.0, 40), traj.abscissae[::2], traj.abscissae[[1, 1]], [2.5, 2.5]])
@@ -96,7 +104,8 @@ def test_row_selected_eval_equals_full_eval_rows(dim):
     assert np.array_equal(full[:, on_node], stored.T)
     assert np.array_equal(part[:, on_node], stored[:, rows].T)
     # off the nodes, the evaluator is scipy's dense output, reordered
-    assert np.array_equal(full[:, ~on_node], traj._sol(s)[:, ~on_node])
+    ref = _reference(rhs, initial, (0.0, 5.0), 1e-9)
+    assert np.array_equal(full[:, ~on_node], ref.sol(s)[:, ~on_node])
 
     one = traj.eval(s[0], rows=rows)
     assert one.shape == (rows.size,)
@@ -105,3 +114,104 @@ def test_row_selected_eval_equals_full_eval_rows(dim):
         traj.eval(np.array([1.0, 5.5]), rows=rows)
     with pytest.raises(InvalidInputError):
         traj.eval(-0.5, rows=rows)
+
+
+# Bitwise parity with scipy's RK45: the in-house stepper must take the same
+# steps, store the same states and interpolants, and find the same events.
+
+
+def _assert_matches_scipy(rhs, initial, span, tol, **options):
+    traj = integrate_ode(rhs, initial, span, tol=tol, **options)
+    ref = _reference(rhs, np.asarray(initial, dtype=float), span, tol, **options)
+    assert np.array_equal(traj.abscissae, ref.t)
+    assert np.array_equal(traj.states, ref.y.T)
+    s = np.linspace(span[0], traj.s_end, 301)
+    off = ~np.isin(s, traj.abscissae)
+    assert off.sum() > 250
+    assert np.array_equal(traj.eval(s)[:, off], ref.sol(s)[:, off])
+    for k, hit in enumerate(traj.events):
+        if ref.t_events[k].size == 0:
+            assert hit is None
+        else:
+            assert hit[0] == ref.t_events[k][0]
+            assert np.array_equal(hit[1], ref.y_events[k][0])
+    return traj
+
+
+@pytest.mark.parametrize("dim", [2, 12])
+def test_matches_scipy_rk45_bitwise(dim):
+    rhs, initial = _linear_problem(dim)
+    _assert_matches_scipy(rhs, initial, (0.0, 5.0), 1e-9)
+
+
+def test_matches_scipy_with_max_step_and_first_step():
+    rhs, initial = _linear_problem(12)
+    traj = _assert_matches_scipy(rhs, initial, (0.0, 5.0), 1e-7, max_step=0.05, first_step=1e-4)
+    assert traj.abscissae[1] == 1e-4
+    assert np.diff(traj.abscissae).max() <= 0.05 * (1 + 1e-12)
+
+
+def test_terminal_event_with_direction_matches_scipy():
+    rhs = lambda s, y: np.array([y[1], -y[0]])
+    falling = lambda s, y: y[0]
+    falling.terminal = True
+    falling.direction = -1
+    slowing = lambda s, y: y[1] - 0.5  # not terminal: recorded, integration goes on
+    slowing.direction = -1
+    traj = _assert_matches_scipy(rhs, [0.5, 1.0], (0.0, 10.0), 1e-10, events=[slowing, falling])
+    # y = 0.5 cos s + sin s falls through zero at s = pi - atan(1/2)
+    assert traj.s_end == traj.events[1][0] == pytest.approx(np.pi - np.arctan(0.5), abs=1e-9)
+    assert traj.events[0] is not None and traj.events[0][0] < traj.s_end
+
+
+def _captured_fan_problem(monkeypatch, make_chart):
+    """The (rhs, initial, span, tol, events) that a fan chart integrates."""
+    calls = []
+
+    def spy(rhs, initial, span, tol, events=None):
+        calls.append((rhs, initial, span, tol, events))
+        return integrate_ode(rhs, initial, span, tol=tol, events=events)
+
+    monkeypatch.setattr(graph, "integrate_ode", spy)
+    chart = make_chart()
+    assert len(calls) == 1
+    return chart, calls[0]
+
+
+def test_monkey_saddle_fan_matches_scipy(monkeypatch):
+    chart, (rhs, initial, span, tol, events) = _captured_fan_problem(
+        monkeypatch, lambda: build_chart("monkey-saddle", {"theta_samples": 64, "s_max": 40.0})
+    )
+    assert initial.size == 6 * 64 and not chart.truncated
+    _assert_matches_scipy(rhs, initial, span, tol, events=events)
+
+
+def test_truncating_fan_matches_scipy(monkeypatch):
+    # a tall Gaussian bump seen from off its top: rays meet a conjugate point
+    bump = lambda x, y: 2.0 * np.exp(-(x**2 + y**2))
+    surf = graph.GraphSurface(
+        f=bump,
+        fx=lambda x, y: -2.0 * x * bump(x, y),
+        fy=lambda x, y: -2.0 * y * bump(x, y),
+        fxx=lambda x, y: (4.0 * x**2 - 2.0) * bump(x, y),
+        fxy=lambda x, y: 4.0 * x * y * bump(x, y),
+        fyy=lambda x, y: (4.0 * y**2 - 2.0) * bump(x, y),
+        pole=(0.3, 0.0),
+    )
+    with pytest.warns(RuntimeWarning, match="conjugate point"):
+        chart, (rhs, initial, span, tol, events) = _captured_fan_problem(
+            monkeypatch, lambda: graph.geodesic_fan(surf, theta_samples=16, s_max=8.0)
+        )
+    assert chart.truncated
+    traj = _assert_matches_scipy(rhs, initial, span, tol, events=events)
+    assert traj.s_end == traj.events[0][0] < span[1]
+
+
+def test_blowup_failure_matches_scipy():
+    rhs = lambda s, y: y**2
+    ref = _reference(rhs, [1.0], (0.0, 2.0), 1e-10)
+    assert ref.status == -1
+    with pytest.raises(IntegrationFailureError) as exc:
+        integrate_ode(rhs, [1.0], (0.0, 2.0), tol=1e-10)
+    assert exc.value.last_s == ref.t[-1]
+    assert str(exc.value).startswith(ref.message)
