@@ -221,11 +221,11 @@ def cmd_counterexample(config, writer, force):
     writer.add("counterexample", {
         "R": exact(rep.R),
         "a": exact(rep.a),
-        "eps1": measured(rep.eps1, abs(rep.eps1 - rep.eps1_mesh) * 1e-3 + 1e-8),
+        "eps1": measured(rep.eps1, rep.eps1_error),
         "eps1_mesh": exact(rep.eps1_mesh),
         "analytic_bracket": list(rep.bracket),
         "kappa1_sq": exact(rep.kappa1_sq),
-        "shell_ground": measured(rep.shell_ground, abs(rep.shell_ground - rep.kappa1_sq)),
+        "shell_ground": measured(rep.shell_ground, rep.shell_error),
         "cap_neumann_ground": measured(
             float(rep.cap_neumann.eigenvalues[0]),
             abs(float(rep.cap_neumann.eigenvalues[0]) - rep.cap_neumann.threshold_mesh),

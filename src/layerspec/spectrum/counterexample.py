@@ -61,16 +61,31 @@ def _interval_levels(R, a, n, levels, kind):
     return [_interval_ground(R, a, n * 2**lev, **problem) for lev in range(levels)]
 
 
+class Extrapolated(float):
+    """A Richardson-extrapolated value that carries its last step.
+
+    ``step`` is |value - finest level|, the correction the extrapolation
+    made: the error bar of the value.
+    """
+
+    def __new__(cls, value, step):
+        obj = super().__new__(cls, value)
+        obj.step = float(step)
+        return obj
+
+
 def _richardson(values, order=2.0):
     lam_h, lam_h2 = values[-2], values[-1]
-    return lam_h2 + (lam_h2 - lam_h) / (2.0**order - 1.0)
+    value = lam_h2 + (lam_h2 - lam_h) / (2.0**order - 1.0)
+    return Extrapolated(value, abs(value - lam_h2))
 
 
 def counterexample_radial(R, a, n=1600, levels=3):
     """eps_1: ground state of -d^2/dr^2 - 1/(4 r^2) on (R-a, R+a).
 
     Second-order finite differences with Richardson extrapolation over
-    halved meshes.
+    halved meshes; the result carries its last extrapolation step as
+    ``.step``.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
@@ -82,7 +97,8 @@ def spherical_shell_ground(R, a, n=1600, levels=3):
 
     Computed from the l = 0 radial reduction with the rho^2 weight; the
     substitution f = g/rho removes the curvature term exactly, so the limit
-    is the flat interval value (pi/(2a))^2 independently of R.
+    is the flat interval value (pi/(2a))^2 independently of R.  The result
+    carries its last extrapolation step as ``.step``.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
@@ -102,10 +118,12 @@ class CounterexampleReport:
     R: float
     a: float
     eps1: float
+    eps1_error: float  # last Richardson step of eps1
     eps1_mesh: float  # same interval operator on the 2-d solve's u grid
     bracket: tuple
     kappa1_sq: float
     shell_ground: float
+    shell_error: float  # last Richardson step of shell_ground
     cap_neumann: object  # SpectrumResult of the Neumann-cut hemisphere segment
     spectra: tuple  # SpectrumResult per truncation radius
 
@@ -137,7 +155,8 @@ def counterexample_full(R, a, S, n_s_per_R=50, n_u=32, k=2):
 
     The curvature jump at the junction is face-aligned on every mesh.
     Reports the analytic bracket for eps_1, the extrapolated interval value,
-    the shell and cap grounds, and the truncated spectra.
+    the shell and cap grounds, and the truncated spectra.  The interval
+    values' errors are their last Richardson steps.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
@@ -156,9 +175,10 @@ def counterexample_full(R, a, S, n_s_per_R=50, n_u=32, k=2):
     # bias; the honest floor to compare them against is the same interval
     # operator discretized on that grid
     eps1_mesh = _interval_ground(R, a, n_u, **_INTERVAL_PROBLEMS["radial"])
+    shell = spherical_shell_ground(R, a)
     return CounterexampleReport(
-        R=R, a=a, eps1=eps1, eps1_mesh=eps1_mesh, bracket=bracket, kappa1_sq=kap2,
-        shell_ground=spherical_shell_ground(R, a),
+        R=R, a=a, eps1=float(eps1), eps1_error=eps1.step, eps1_mesh=eps1_mesh,
+        bracket=bracket, kappa1_sq=kap2, shell_ground=float(shell), shell_error=shell.step,
         cap_neumann=cap_neumann_ground(R, a),
         spectra=tuple(spectra),
     )

@@ -2,11 +2,16 @@
 
 The chart is realized by shooting arc-length geodesics of the induced
 metric from the pole in a fan of launch angles, co-integrating the Jacobi
-equation along each ray for the metric factor r(s, theta).  All rays are
-integrated together as one batched ODE system.  Curvatures at arbitrary
-fan points are evaluated from the closed graph (Weingarten) formulas, with
-the upward normal (-f_x, -f_y, 1)/W, which makes the mean curvature of an
-upward paraboloid positive.
+equation along each ray for the metric factor r(s, theta).  The rays come
+in two fixed levels, each integrated as one batched ODE system: the coarse
+level theta_nodes[::k], with k the power-of-two stride that thins the ring
+to about 768 rays (k = 1, a single level, on fans of up to 1535 rays), is
+shot at build; the fine level of all other rays is shot the first time a
+read needs one of them, and kept.  Which rays share a batch depends only on
+k, never on the order of reads.  Curvatures at arbitrary fan points are
+evaluated from the closed graph (Weingarten) formulas, with the upward
+normal (-f_x, -f_y, 1)/W, which makes the mean curvature of an upward
+paraboloid positive.
 
 The angular tangent comes from the polar-chart identity d_theta p =
 r e_theta, with e_theta = n x e_s the unit normal-cross-ray direction, so
@@ -25,13 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, TruncationError
 from ..numkernel import integrate_ode
 from .charts import ChartGrid, uniform_theta
 
 # relative step (scaled by 1 + |(x, y)|) of the centered grad M difference
 # in the plane
 _DM_STEP = 1e-5
+
+# the coarse ray level thins the ring to about this many rays: no grid
+# consumer reads more, and only full-ring reads need the fine level
+_COARSE_RAYS = 768
 
 
 @dataclass(frozen=True)
@@ -48,15 +57,36 @@ class GraphSurface:
     name: str = "graph"
 
 
+def _derivatives(surf, x, y):
+    """(fx, fy, fxx, fxy, fyy, 1 + |grad f|^2) at (x, y)."""
+    fx, fy = surf.fx(x, y), surf.fy(x, y)
+    return fx, fy, surf.fxx(x, y), surf.fxy(x, y), surf.fyy(x, y), 1.0 + fx**2 + fy**2
+
+
+def _mean(fx, fy, fxx, fxy, fyy, w2):
+    return ((1.0 + fy**2) * fxx - 2.0 * fx * fy * fxy + (1.0 + fx**2) * fyy) / (2.0 * w2**1.5)
+
+
+def graph_mean_curvature(surf, x, y):
+    """M of a graph at (x, y), upward normal convention."""
+    return _mean(*_derivatives(surf, x, y))
+
+
 def graph_curvatures(surf, x, y):
     """(K, M, k1, k2) of a graph at (x, y), upward normal convention."""
-    fx, fy = surf.fx(x, y), surf.fy(x, y)
-    fxx, fxy, fyy = surf.fxx(x, y), surf.fxy(x, y), surf.fyy(x, y)
-    w2 = 1.0 + fx**2 + fy**2
+    fx, fy, fxx, fxy, fyy, w2 = _derivatives(surf, x, y)
     K = (fxx * fyy - fxy**2) / w2**2
-    M = ((1.0 + fy**2) * fxx - 2.0 * fx * fy * fxy + (1.0 + fx**2) * fyy) / (2.0 * w2**1.5)
+    M = _mean(fx, fy, fxx, fxy, fyy, w2)
     disc = np.sqrt(np.maximum(M**2 - K, 0.0))
     return K, M, M + disc, M - disc
+
+
+def _thinning_stride(n_rays, max_rays):
+    """Power-of-two stride bringing a ring of n_rays near max_rays."""
+    stride = 1
+    while n_rays // (2 * stride) >= max_rays:
+        stride *= 2
+    return stride
 
 
 class FanChart:
@@ -66,10 +96,14 @@ class FanChart:
     rotation_invariant = False
     s_kinks = ()
 
-    def __init__(self, surf, trajectory, theta_nodes, s_max, truncated):
+    def __init__(self, surf, theta_nodes, coarse_stride, coarse, shoot_fine, fine, s_max,
+                 truncated):
         self.surface = surf
-        self._traj = trajectory
         self.theta_nodes = theta_nodes
+        self._k = coarse_stride
+        self._traj = coarse  # rays theta_nodes[::k]
+        self._shoot_fine = shoot_fine  # () -> trajectory of the other rays
+        self._fine_traj = fine  # None until a read needs the fine level
         self.s_max = float(s_max)
         self.truncated = truncated
         x0, y0 = surf.pole
@@ -79,39 +113,69 @@ class FanChart:
     def n_theta(self):
         return self.theta_nodes.size
 
+    def _fine(self):
+        """The fine ray level, shot on first use.
+
+        A conjugate point on it inside s_max is an error: the chart has
+        already been read up to s_max and cannot shrink.
+        """
+        if self._fine_traj is None:
+            self._fine_traj = self._shoot_fine()
+        if self._fine_traj.s_end < self.s_max:
+            raise TruncationError(
+                f"conjugate point on the fan's fine rays at s = {self._fine_traj.s_end:.6g}, "
+                f"inside the chart's s_max = {self.s_max:.6g}"
+            )
+        return self._fine_traj
+
     def _raw(self, s_nodes, stride=1, blocks=range(6)):
         """State blocks (x, y, vx, vy, r, r') on rays theta_nodes[::stride].
 
-        Only the requested rows of the dense solution are evaluated; each
-        block comes back with shape (Ns, ceil(n_theta / stride)).
+        Each ray is read from its level (coarse if its index is a multiple
+        of k, else fine), and only the requested rows of each level's dense
+        solution are evaluated; each block comes back in ring order with
+        shape (Ns, ceil(n_theta / stride)).
         """
         s = np.atleast_1d(np.asarray(s_nodes, dtype=float))
         if np.any(s < 0) or np.any(s > self.s_max * (1 + 1e-12)):
             raise InvalidInputError("fan chart evaluated outside [0, s_max]")
-        nt = self.n_theta
-        rows = (np.asarray(blocks)[:, None] * nt + np.arange(0, nt, stride)).ravel()
-        vals = self._traj.eval(np.clip(s, 0.0, self.s_max), rows=rows)
-        return s, *(v.T for v in vals.reshape(len(blocks), -1, s.size))
+        s_eval = np.clip(s, 0.0, self.s_max)
+        blocks = np.asarray(blocks)
+        k, nt = self._k, self.n_theta
+        rays = np.arange(0, nt, stride)
+        coarse = rays % k == 0
 
-    def radial_gauss_partials(self, radii):
+        def read(traj, rows, n_level):
+            rows = (blocks[:, None] * n_level + rows).ravel()
+            return traj.eval(s_eval, rows=rows).T.reshape(s.size, blocks.size, -1)
+
+        n_coarse = -(-nt // k)
+        if coarse.all():
+            vals = read(self._traj, rays // k, n_coarse)
+        else:
+            fine = rays[~coarse]
+            vals = np.empty((s.size, blocks.size, rays.size))
+            vals[..., coarse] = read(self._traj, rays[coarse] // k, n_coarse)
+            vals[..., ~coarse] = read(self._fine(), fine - fine // k - 1, nt - n_coarse)
+        return s, *(vals[:, b] for b in range(blocks.size))
+
+    def radial_gauss_partials(self, radii, stride=1):
         """Disk integrals of K dSigma using the exact per-ray antiderivative.
 
         Along every ray the Jacobi equation gives int_0^S K r ds = 1 - r'(S)
         exactly, so only the theta ring integral is numerical.  Returns the
-        full-resolution trapezoid value and the half-resolution (every other
-        ray) value; their gap measures the angular resolution error.
+        trapezoid value on the rays theta_nodes[::stride] and the value on
+        every other one of them; their gap measures the angular resolution
+        error.
         """
-        _, rd = self._raw(radii, blocks=[5])
+        _, rd = self._raw(radii, stride=stride, blocks=[5])
         full = 2.0 * np.pi * (1.0 - rd.mean(axis=1))
         half = 2.0 * np.pi * (1.0 - rd[:, ::2].mean(axis=1))
         return full, half
 
     def theta_stride_for(self, max_rays):
         """Power-of-two stride bringing the ray count near max_rays."""
-        stride = 1
-        while self.n_theta // (2 * stride) >= max_rays:
-            stride *= 2
-        return stride
+        return _thinning_stride(self.n_theta, max_rays)
 
     def grid(self, s_nodes, stride=1):
         surf = self.surface
@@ -142,7 +206,7 @@ class FanChart:
         # grad M in the plane by centered differences, then along the ray
         # velocity and along d_theta p
         h = _DM_STEP * (1.0 + np.hypot(x, y))
-        mean = lambda u, v: graph_curvatures(surf, u, v)[1]
+        mean = lambda u, v: graph_mean_curvature(surf, u, v)
         dM_dx = (mean(x + h, y) - mean(x - h, y)) / (2.0 * h)
         dM_dy = (mean(x, y + h) - mean(x, y - h)) / (2.0 * h)
         dM_ds = dM_dx * vx + dM_dy * vy
@@ -173,20 +237,19 @@ def _pole_frame(surf):
     return e1, e2
 
 
-def geodesic_fan(surf, theta_samples=96, s_max=50.0, tol=1e-10):
-    """Shoot a fan of unit-speed geodesics and return the polar chart.
+def _conjugate_radius(traj):
+    """Radius of the first zero of any ray's metric factor, or None."""
+    return traj.events[0][0] if traj.events and traj.events[0] is not None else None
 
-    Co-integrates r'' = -K r along every ray.  If any ray's metric factor
-    reaches zero before ``s_max`` (conjugate point, injectivity loss
-    suspected), the whole chart is truncated just below the first hit and
-    flagged; a warning is emitted.
+
+def _shoot(surf, dirs, s_max, tol):
+    """Integrate the rays launched along ``dirs`` (n, 2) as one ODE system.
+
+    Co-integrates r'' = -K r along every ray and stops at the first zero of
+    any ray's metric factor.
     """
-    theta = uniform_theta(theta_samples)
-    e1, e2 = _pole_frame(surf)
     x0, y0 = surf.pole
-    dirs = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)  # (nt, 2)
-    nt = theta.size
-
+    nt = dirs.shape[0]
     y_init = np.concatenate([
         np.full(nt, x0), np.full(nt, y0),
         dirs[:, 0], dirs[:, 1],
@@ -195,10 +258,9 @@ def geodesic_fan(surf, theta_samples=96, s_max=50.0, tol=1e-10):
 
     def rhs(s, ys):
         x, y, vx, vy, r, rd = ys.reshape(6, nt)
-        fx, fy = surf.fx(x, y), surf.fy(x, y)
-        fxx, fxy, fyy = surf.fxx(x, y), surf.fxy(x, y), surf.fyy(x, y)
-        acc = -(fxx * vx**2 + 2.0 * fxy * vx * vy + fyy * vy**2) / (1.0 + fx**2 + fy**2)
-        K = graph_curvatures(surf, x, y)[0]
+        fx, fy, fxx, fxy, fyy, w2 = _derivatives(surf, x, y)
+        acc = -(fxx * vx**2 + 2.0 * fxy * vx * vy + fyy * vy**2) / w2
+        K = (fxx * fyy - fxy**2) / w2**2
         return np.concatenate([vx, vy, acc * fx, acc * fy, rd, -K * r])
 
     def min_r(s, ys):
@@ -207,10 +269,36 @@ def geodesic_fan(surf, theta_samples=96, s_max=50.0, tol=1e-10):
     min_r.terminal = True
     min_r.direction = -1
 
-    traj = integrate_ode(rhs, y_init, (0.0, s_max), tol=tol, events=[min_r])
-    truncated = traj.events and traj.events[0] is not None
+    return integrate_ode(rhs, y_init, (0.0, s_max), tol=tol, events=[min_r])
+
+
+def geodesic_fan(surf, theta_samples=96, s_max=50.0, tol=1e-10):
+    """Shoot a fan of unit-speed geodesics and return the polar chart.
+
+    Co-integrates r'' = -K r along every ray.  The coarse ray level is shot
+    here, the fine level when first read (see the module docstring).  If a
+    coarse ray's metric factor reaches zero before ``s_max`` (conjugate
+    point, injectivity loss suspected), the fine level is shot here too and
+    the whole chart is truncated just below the earlier of the two levels'
+    first hits and flagged; a warning is emitted.  A fine-level hit found
+    only later raises TruncationError on that read.
+    """
+    theta = uniform_theta(theta_samples)
+    e1, e2 = _pole_frame(surf)
+    dirs = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)  # (nt, 2)
+    k = _thinning_stride(theta.size, _COARSE_RAYS)
+    on_coarse = np.arange(theta.size) % k == 0
+
+    coarse = _shoot(surf, dirs[on_coarse], s_max, tol)
+    shoot_fine = lambda: _shoot(surf, dirs[~on_coarse], s_max, tol)
+    fine = None
+    s_hit = _conjugate_radius(coarse)
+    if s_hit is not None and k > 1:
+        fine = shoot_fine()
+        s_fine = _conjugate_radius(fine)
+        s_hit = s_hit if s_fine is None else min(s_hit, s_fine)
+    truncated = s_hit is not None
     if truncated:
-        s_hit = traj.events[0][0]
         warnings.warn(
             f"conjugate point on the fan at s = {s_hit:.6g}; chart truncated "
             "(injectivity loss suspected)",
@@ -219,4 +307,4 @@ def geodesic_fan(surf, theta_samples=96, s_max=50.0, tol=1e-10):
         s_valid = s_hit * (1.0 - 1e-9)
     else:
         s_valid = s_max
-    return FanChart(surf, traj, theta, s_valid, bool(truncated))
+    return FanChart(surf, theta, k, coarse, shoot_fine, fine, s_valid, truncated)

@@ -147,12 +147,13 @@ def resolved_prefix(full, half):
     return int(np.argmin(ok)) if not ok.all() else ok.size
 
 
-def total_gauss(chart, schedule, points_per_panel=16):
+def total_gauss(chart, schedule, points_per_panel=16, stride=1):
     """Total Gauss curvature: integral of K over the surface.
 
     Returns the truncation sequence over disks of the scheduled radii with a
     geometric tail extrapolation; a non-convergent signed sequence comes back
-    flagged as a principal-value estimate.
+    flagged as a principal-value estimate.  The ring integrals use the rays
+    theta_nodes[::stride].
 
     Fan charts integrate each ray through the exact radial antiderivative of
     K r and keep only the leading schedule radii on which the angular ring
@@ -162,7 +163,7 @@ def total_gauss(chart, schedule, points_per_panel=16):
     """
     schedule = np.asarray(schedule, dtype=float)
     if hasattr(chart, "radial_gauss_partials"):
-        full, half = chart.radial_gauss_partials(schedule)
+        full, half = chart.radial_gauss_partials(schedule, stride=stride)
         n_ok = max(resolved_prefix(full, half), min(3, full.size))
         est = analyze_truncations(schedule[:n_ok], full[:n_ok])
         res_err = float(np.max(np.abs(full[:n_ok] - half[:n_ok])))
@@ -171,7 +172,7 @@ def total_gauss(chart, schedule, points_per_panel=16):
             tail=est.tail, error_bound=max(est.error_bound, res_err),
             divergent=est.divergent, principal_value=est.principal_value,
         )
-    partials = _disk_partials(chart, schedule, lambda g: g.K * g.r, points_per_panel)
+    partials = _disk_partials(chart, schedule, lambda g: g.K * g.r, points_per_panel, stride)
     return analyze_truncations(schedule, partials)
 
 

@@ -314,7 +314,8 @@ def deformed_trial(layer, sigma, s0, eps, bump=None):
 def thin_trial(layer, sigma, s0):
     """(1 + M u) psi_sigma: the thin-layer trial; needs dM available."""
     base = gj_trial(layer, s0, sigma)
-    grid_probe = layer.chart.grid(np.array([min(s0, layer.chart.s_max / 2)]))
+    chart = layer.chart
+    grid_probe = chart.grid(np.array([min(s0, chart.s_max / 2)]), stride=chart.theta_nodes.size)
     if not np.all(np.isfinite(grid_probe.dM_ds)):
         raise CapabilityError("chart does not expose the mean-curvature gradient")
     radial = base.radial
@@ -332,7 +333,7 @@ def thin_trial(layer, sigma, s0):
         family="thin", params={"sigma": sigma, "s0": s0},
         terms=(base.terms[0], term_m), support=base.support,
         s_breakpoints=base.s_breakpoints,
-        theta_invariant=layer.chart.rotation_invariant, radial=radial,
+        theta_invariant=chart.rotation_invariant, radial=radial,
     )
 
 

@@ -42,6 +42,15 @@ def test_spherical_shell_is_flat_interval():
     assert abs(val - spherical_shell_ground(2.0, 0.3)) <= 1e-6 * KAP2
 
 
+@pytest.mark.parametrize("a", [0.28, 0.29, 0.3, 0.31, 0.32])
+def test_shell_ground_within_its_richardson_step_of_the_threshold(a):
+    # the error bar is the last extrapolation step, measured, not the
+    # distance to the value it is checked against
+    val = spherical_shell_ground(1.0, a)
+    assert 0.0 < val.step <= 1e-5
+    assert abs(val - (np.pi / (2.0 * a)) ** 2) <= val.step
+
+
 def test_interval_solves_do_not_restart(monkeypatch):
     # the shift is a lower bound of the weighted pencil, so each of the
     # three refinement levels converges in a single Lanczos run
@@ -88,3 +97,5 @@ def test_full_pipeline_no_spectrum_below_eps1():
     cap = rep.cap_neumann
     assert cap.eigenvalues[0] == pytest.approx(cap.threshold_mesh, rel=1e-3)
     assert rep.shell_ground == pytest.approx(rep.kappa1_sq, rel=1e-6)
+    assert abs(rep.shell_ground - rep.kappa1_sq) <= rep.shell_error
+    assert rep.eps1_error == counterexample_radial(1.0, 0.3).step > 0.0
