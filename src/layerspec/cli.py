@@ -66,6 +66,11 @@ def _estimate_payload(est):
     }
 
 
+def _eigen_error(value, residual):
+    """An eigenvalue's reported error: its relative residual times max(1, |value|)."""
+    return float(residual) * max(1.0, abs(float(value)))
+
+
 def cmd_describe(config, writer, force):
     name, chart = _build(config, "describe")
     entry = None if name == "plane" else catalog_entry(name)
@@ -159,7 +164,6 @@ def cmd_certify(config, writer, force):
         "params": cert.params,
         "q_tilde": measured(cert.q_tilde, cert.error),
         "norm_sq": exact(cert.norm_sq),
-        "margin": exact(cert.margin),
         "kappa1_sq": exact(layer.kappa1_sq),
         "rho_m": measured(layer.rho_m, 0.05 * layer.rho_m if np.isfinite(layer.rho_m) else 0.0),
         "c_bounds": list(c_bounds(layer)),
@@ -190,7 +194,7 @@ def cmd_spectrum(config, writer, force):
         )
         payload.append({
             "m": m,
-            "eigenvalues": [measured(float(v), float(r) * max(1.0, abs(float(v))))
+            "eigenvalues": [measured(float(v), _eigen_error(v, r))
                             for v, r in zip(res.eigenvalues, res.residuals)],
             "threshold": exact(res.threshold),
             "threshold_mesh": exact(res.threshold_mesh),
@@ -230,9 +234,11 @@ def cmd_counterexample(config, writer, force):
             float(rep.cap_neumann.eigenvalues[0]),
             abs(float(rep.cap_neumann.eigenvalues[0]) - rep.cap_neumann.threshold_mesh),
         ),
-        "no_eigenvalue_below_eps1": bool(
-            all(res.eigenvalues[0] >= rep.eps1_mesh - 1e-3 for res in rep.spectra)
-        ),
+        # lambda_0 may sit below eps1_mesh by no more than its own reported error
+        "no_eigenvalue_below_eps1": bool(all(
+            res.eigenvalues[0] >= rep.eps1_mesh - _eigen_error(res.eigenvalues[0], res.residuals[0])
+            for res in rep.spectra
+        )),
         "note": "Dirichlet truncation gives upper bounds; absence evidence only",
     })
     rows = []

@@ -96,9 +96,6 @@ class RunConfig:
             raise ConfigError(f"unknown config key {name!r}")
         return None if key.default is _UNSET else key.default
 
-    def is_set(self, name):
-        return name in self.values
-
     def surface_params(self):
         """The explicitly set surface.* construction parameters."""
         rename = {"surface.z0": "z0", "surface.x0": "x0", "surface.y0": "y0",

@@ -16,6 +16,7 @@ from .totals import (
     TotalCurvatureEstimate,
     analyze_truncations,
     gauss_bonnet_residual,
+    ring_integral,
     total_abs_gauss,
     total_gauss,
     total_gauss_cartesian,
@@ -44,6 +45,7 @@ __all__ = [
     "TotalCurvatureEstimate",
     "analyze_truncations",
     "gauss_bonnet_residual",
+    "ring_integral",
     "total_abs_gauss",
     "total_gauss",
     "total_gauss_cartesian",

@@ -5,14 +5,13 @@ estimates, never as proofs.  A verdict is "pass", "fail", or "undecided"
 when the evidence is non-monotone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..errors import InvalidInputError
 from ..numkernel import gauss_legendre, panelize
 from .totals import (
-    TotalCurvatureEstimate,
     resolved_prefix,
     total_abs_gauss,
     total_gauss,
@@ -104,7 +103,8 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
         raise InvalidInputError("probe radii exceed chart validity range")
 
     notes = []
-    if hasattr(chart, "radial_gauss_partials"):
+    fan = chart.provenance == "graph-shot"
+    if fan:
         # drop radii beyond the fan's angular-resolution trust range
         n_ok = resolved_prefix(*chart.radial_gauss_partials(probe_radii))
         if 4 <= n_ok < probe_radii.size:
@@ -137,17 +137,13 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
     # does), |K| integrals equal |K integrals| and can use the exact per-ray
     # radial antiderivative, which is far more resolution-tolerant.
     sign_definite = False
-    if hasattr(chart, "radial_gauss_partials"):
+    if fan:
         g_probe = chart.grid(probe_radii, stride=stride)
         sign_definite = g_probe.K.max() <= 1e-12 or g_probe.K.min() >= -1e-12
     if sign_definite:
         est1 = total_gauss(chart, probe_radii)
-        est1 = TotalCurvatureEstimate(
-            value=abs(est1.value), truncations=est1.truncations,
-            partials=np.abs(est1.partials), tail=abs(est1.tail),
-            error_bound=est1.error_bound, divergent=est1.divergent,
-            principal_value=est1.principal_value,
-        )
+        est1 = replace(est1, value=abs(est1.value), partials=np.abs(est1.partials),
+                       tail=abs(est1.tail))
     else:
         est1 = total_abs_gauss(chart, probe_radii, stride=stride)
     sigma1 = _integral_verdict(est1)

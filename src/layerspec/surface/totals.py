@@ -4,19 +4,25 @@ The integrals over the whole surface are improper; they are evaluated on an
 increasing truncation schedule with geometric tail extrapolation when the
 increments decay geometrically, and flagged as divergent or principal-value
 estimates otherwise.  Error bounds are never smaller than the last observed
-increment.  Radial quadrature refines its panels adaptively, which matters
-for oscillatory meridian curvatures.
+increment.  Every radial integral of a ring average goes through
+:func:`ring_integral`, which bisects only the panels on which a nested Gauss
+pair disagrees (oscillatory meridian curvatures need that); the remaining
+gap between the pair, summed over the annuli, is added to the error bound.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import InvalidInputError, NoLimitError
-from ..numkernel import gauss_legendre, panelize
+from ..numkernel import adaptive_gauss, gauss_legendre, panelize
 
 _DECAY_RATIO = 0.9
 _ABS_FLOOR = 1e-11
+# points per panel of the coarse and fine radial rule of ring_integral, and
+# the fraction of the accumulated integral at which a panel has converged
+_RING_ORDERS = (16, 22)
+_RING_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -88,52 +94,42 @@ def analyze_truncations(radii, partials, floor=_ABS_FLOOR):
     return estimate(partials[-1], 0.0, max(abs(d[-1]), abs(d[-2])), principal=True)
 
 
-def _split_panels(panels):
-    mids = 0.5 * (panels[1:] + panels[:-1])
-    out = np.empty(panels.size * 2 - 1)
-    out[0::2] = panels
-    out[1::2] = mids
-    return out
+def ring_integral(chart, weight, panels, stride=None):
+    """Integral over the panels of 2 pi mean_theta(weight(g) r) ds, panel-adaptive.
+
+    ``weight`` maps a ChartGrid on ``chart.grid(nodes, stride)`` to an array
+    of its shape; the ring average over theta_nodes[::stride] (by default the
+    stride thinning the ring to about 256 rays) times 2 pi r is the density
+    integrated by :func:`adaptive_gauss` on the given panels.  Its ``gap``
+    bounds the quadrature error of its ``value``.
+    """
+    if stride is None:
+        stride = chart.theta_stride_for(256)
+
+    def density(nodes, level):
+        g = chart.grid(nodes, stride=stride)
+        return 2.0 * np.pi * (weight(g) * g.r).mean(axis=1)
+
+    return adaptive_gauss(density, panels, _RING_ORDERS, _RING_REL_TOL)
 
 
-def _ring_values(chart, s_nodes, integrand, stride):
-    grid = chart.grid(s_nodes, stride=stride)
-    ring = integrand(grid)
-    return 2.0 * np.pi * ring.mean(axis=1)
+def _disk_estimate(chart, schedule, weight, stride=None):
+    """Truncation analysis of the integrals of weight over the scheduled disks.
 
-
-def _segment_integral(chart, lo, hi, integrand, points_per_panel, stride, rel_tol=1e-7, max_depth=8):
-    """Integral of (ring integral of F) ds over [lo, hi], panel-adaptive."""
-    kinks = tuple(chart.s_kinks)
-    panels = panelize(lo, hi, breakpoints=kinks, first=max((hi - lo) / 8.0, 1e-8))
-    prev = None
-    for _ in range(max_depth):
-        quad = gauss_legendre(points_per_panel, panels)
-        val = float(quad.integrate_samples(_ring_values(chart, quad.nodes, integrand, stride), axis=0))
-        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        panels = _split_panels(panels)
-    return val
-
-
-def _disk_partials(chart, schedule, integrand, points_per_panel=16, stride=None):
-    """Cumulative integrals over geodesic disks of the scheduled radii."""
+    Each annulus between consecutive radii is one ring integral; the partials
+    are their running sums, and the summed quadrature gap enters the bound.
+    """
     schedule = np.asarray(schedule, dtype=float)
     if schedule.ndim != 1 or schedule.size < 3 or not np.all(np.diff(schedule) > 0):
         raise InvalidInputError("truncation schedule must be increasing with >= 3 entries")
     if schedule[-1] > chart.s_max * (1 + 1e-12):
         raise InvalidInputError("schedule exceeds chart validity range")
-    if stride is None:
-        stride = chart.theta_stride_for(256)
-    partials = []
-    total = 0.0
-    lo = 0.0
-    for hi in schedule:
-        total += _segment_integral(chart, lo, hi, integrand, points_per_panel, stride)
-        partials.append(total)
-        lo = hi
-    return np.asarray(partials)
+    parts = [
+        ring_integral(chart, weight, panelize(lo, hi, chart.s_kinks, first=(hi - lo) / 8.0), stride)
+        for lo, hi in zip(np.r_[0.0, schedule[:-1]], schedule)
+    ]
+    est = analyze_truncations(schedule, np.cumsum([p.value[0] for p in parts]))
+    return replace(est, error_bound=est.error_bound + sum(float(p.gap[0]) for p in parts))
 
 
 def resolved_prefix(full, half):
@@ -147,7 +143,7 @@ def resolved_prefix(full, half):
     return int(np.argmin(ok)) if not ok.all() else ok.size
 
 
-def total_gauss(chart, schedule, points_per_panel=16, stride=1):
+def total_gauss(chart, schedule, stride=1):
     """Total Gauss curvature: integral of K over the surface.
 
     Returns the truncation sequence over disks of the scheduled radii with a
@@ -162,36 +158,28 @@ def total_gauss(chart, schedule, points_per_panel=16, stride=1):
     extrapolation with angular aliasing.
     """
     schedule = np.asarray(schedule, dtype=float)
-    if hasattr(chart, "radial_gauss_partials"):
+    if chart.provenance == "graph-shot":
         full, half = chart.radial_gauss_partials(schedule, stride=stride)
         n_ok = max(resolved_prefix(full, half), min(3, full.size))
         est = analyze_truncations(schedule[:n_ok], full[:n_ok])
         res_err = float(np.max(np.abs(full[:n_ok] - half[:n_ok])))
-        return TotalCurvatureEstimate(
-            value=est.value, truncations=est.truncations, partials=est.partials,
-            tail=est.tail, error_bound=max(est.error_bound, res_err),
-            divergent=est.divergent, principal_value=est.principal_value,
-        )
-    partials = _disk_partials(chart, schedule, lambda g: g.K * g.r, points_per_panel, stride)
-    return analyze_truncations(schedule, partials)
+        return replace(est, error_bound=max(est.error_bound, res_err))
+    return _disk_estimate(chart, schedule, lambda g: g.K, stride)
 
 
-def total_mean_sq(chart, schedule, points_per_panel=16, stride=None):
+def total_mean_sq(chart, schedule, stride=None):
     """Total squared mean curvature: integral of M^2 (may be infinite)."""
-    partials = _disk_partials(chart, schedule, lambda g: g.M**2 * g.r, points_per_panel, stride)
-    return analyze_truncations(schedule, partials)
+    return _disk_estimate(chart, schedule, lambda g: g.M**2, stride)
 
 
-def total_abs_gauss(chart, schedule, points_per_panel=16, stride=None):
+def total_abs_gauss(chart, schedule, stride=None):
     """Integral of |K|, the integrability check behind the K-summability box."""
-    partials = _disk_partials(chart, schedule, lambda g: np.abs(g.K) * g.r, points_per_panel, stride)
-    return analyze_truncations(schedule, partials)
+    return _disk_estimate(chart, schedule, lambda g: np.abs(g.K), stride)
 
 
-def total_grad_mean_sq(chart, schedule, points_per_panel=16, stride=None):
+def total_grad_mean_sq(chart, schedule, stride=None):
     """Integral of |grad_g M|^2, the square-integrability check for grad M."""
-    partials = _disk_partials(chart, schedule, lambda g: g.grad_M_sq * g.r, points_per_panel, stride)
-    return analyze_truncations(schedule, partials)
+    return _disk_estimate(chart, schedule, lambda g: g.grad_M_sq, stride)
 
 
 def total_gauss_cartesian(surf, plane_radii, n_phi=128):

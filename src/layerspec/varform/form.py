@@ -24,6 +24,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, TruncationError
 from ..numkernel import adaptive_gauss, gauss_legendre, panelize
+from ..surface import ring_integral
 
 _U_POINTS = 24
 _S_POINTS = 14
@@ -209,27 +210,21 @@ def bilinear_shifted(layer, t1, t2, **kw):
     return value, 0.25 * (plus.error + minus.error)
 
 
-def surface_pairing(layer, radial, weight, points_per_panel=18, theta_rays=384):
+def surface_pairing(layer, radial, weight):
     """(phi, W phi)_g = int phi^2 W r ds dtheta for a radial factor phi.
 
     The weight is a callable on the chart grid (e.g. lambda g: g.K); this is
     the independent surface-quadrature side of the transverse identities.
-    Radial panels are bisected like the form's, with a rule pair of
-    ``points_per_panel`` and ``points_per_panel + 6`` nodes.
+    It is one :func:`ring_integral` over the support of phi, with panels
+    breaking at phi's and the chart's kinks.
     """
     chart = layer.chart
     lo, hi = radial.support
     hi = min(hi, chart.s_max)
     panels = panelize(lo, hi, breakpoints=tuple(radial.breakpoints) + tuple(chart.s_kinks),
                       first=max((hi - lo) / 64.0, 1e-9))
-    stride = chart.theta_stride_for(theta_rays)
-
-    def density(nodes, level):
-        g = chart.grid(nodes, stride=stride)
-        return 2.0 * np.pi * (weight(g) * g.r).mean(axis=1) * radial.value(nodes) ** 2
-
-    orders = (points_per_panel, points_per_panel + 6)
-    return float(adaptive_gauss(density, panels, orders, _PANEL_REL_TOL).value[0])
+    pairing = ring_integral(chart, lambda g: weight(g) * radial.value(g.s)[:, None] ** 2, panels)
+    return float(pairing.value[0])
 
 
 def mixed_term(layer, sigma, s0, bump=None, **kw):
@@ -247,12 +242,8 @@ def mixed_term(layer, sigma, s0, bump=None, **kw):
     return value
 
 
-def bump_mean_curvature_pairing(layer, bump, points_per_panel=18, theta_rays=384):
+def bump_mean_curvature_pairing(layer, bump):
     """(j, M)_g for a bump: the surface-quadrature oracle side."""
-    chart = layer.chart
     panels = panelize(bump.lo, bump.hi, first=(bump.hi - bump.lo) / 8.0)
-    quad = gauss_legendre(points_per_panel, panels)
-    g = chart.grid(quad.nodes, stride=chart.theta_stride_for(theta_rays))
-    j = bump.values(g)[0]
-    ring = 2.0 * np.pi * (j * g.M * g.r).mean(axis=1)
-    return float(quad.integrate_samples(ring))
+    pairing = ring_integral(layer.chart, lambda g: bump.values(g)[0] * g.M, panels)
+    return float(pairing.value[0])

@@ -19,7 +19,7 @@ Families:
   b = (n, n^2, n^3); revolution charts only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from ..errors import (
     TruncationError,
 )
 from ..numkernel import bessel_k, gauss_legendre, geometric_panels, panelize
+from ..surface import ring_integral
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class TrialFunction:
     s_breakpoints: tuple
     theta_invariant: bool
     radial: RadialFactor = None
-    pieces: tuple = field(default=None)  # (coefficient, TrialFunction) views
 
     def scaled(self, c):
         terms = tuple(
@@ -398,16 +398,14 @@ def symmetric_log_trial(layer, n, eps):
     )
 
 
-def log_pairing(layer, n, points=14):
+def log_pairing(layer, n):
     """(phi_n, M phi_n/s)_g by surface quadrature over the ramp support."""
     (b1, b2, b3), value, _ = _log_ramp(n)
     if b3 > layer.chart.s_max * (1 + 1e-12):
         raise TruncationError("pairing support exceeds chart validity")
-    quad = gauss_legendre(points, panelize(b1, b3, breakpoints=(b2,), first=(b2 - b1) / 6))
-    g = layer.chart.grid(quad.nodes)
-    ring = 2.0 * np.pi * (g.M * g.r).mean(axis=1)
-    phi2_over_s = value(quad.nodes) ** 2 / quad.nodes
-    return float(quad.integrate_samples(ring * phi2_over_s))
+    panels = panelize(b1, b3, breakpoints=(b2,), first=(b2 - b1) / 6)
+    pairing = ring_integral(layer.chart, lambda g: g.M * (value(g.s) ** 2 / g.s)[:, None], panels)
+    return float(pairing.value[0])
 
 
 def epsilon_choice(layer, n):

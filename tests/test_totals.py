@@ -3,9 +3,12 @@ import pytest
 
 from layerspec.catalog import build_chart, graph_surface
 from layerspec.errors import InvalidInputError
+from layerspec.numkernel import panelize
 from layerspec.surface import (
+    FanChart,
     PlaneChart,
     gauss_bonnet_residual,
+    ring_integral,
     total_gauss,
     total_gauss_cartesian,
     total_mean_sq,
@@ -59,6 +62,43 @@ def test_sine_meridian_total_matches_closed_form():
     chart = build_chart("sine-meridian", {"s_max": 60.0})
     est = total_gauss(chart, np.array([3.75, 7.5, 15.0, 30.0, 60.0]))
     assert est.value == pytest.approx(TWO_PI * (1 - np.cos(np.sqrt(np.pi / 2))), rel=0.01)
+
+
+def test_sine_meridian_error_bar_covers_closed_form_on_the_certify_schedule():
+    # the schedule certify uses for its sign test; the outer annuli hold
+    # sin(s^2)/s^2 oscillations the radial panels cannot all resolve, so the
+    # bar must carry the remaining quadrature gap
+    chart = build_chart("sine-meridian", {"s_max": 250.0})
+    est = total_gauss(chart, 250.0 * np.geomspace(1.0 / 32.0, 1.0, 6))
+    exact = TWO_PI * (1 - np.cos(np.sqrt(np.pi / 2)))
+    assert abs(est.value - exact) <= est.error_bound
+
+
+def test_ring_integral_of_the_plane_area_is_exact_with_a_vanishing_gap():
+    chart = PlaneChart(s_max=10.0)
+    part = ring_integral(chart, lambda g: np.ones_like(g.r), panelize(2.0, 10.0, first=1.0))
+    assert part.value[0] == pytest.approx(np.pi * (10.0**2 - 2.0**2), rel=1e-14)
+    assert part.gap[0] <= 1e-12
+    assert part.depth == 0
+
+
+def test_monkey_saddle_mean_sq_grid_calls(monkeypatch):
+    # one adaptive ring integral per annulus of the default totals schedule:
+    # every annulus converges on its initial panels (a coarse and a fine
+    # grid call each), on rings of 384 of the 3072 rays
+    chart = build_chart("monkey-saddle", {})
+    sizes = []
+    grid = FanChart.grid
+
+    def spy(self, s_nodes, stride=1):
+        g = grid(self, s_nodes, stride=stride)
+        sizes.append(g.r.size)
+        return g
+
+    monkeypatch.setattr(FanChart, "grid", spy)
+    total_mean_sq(chart, chart.s_max * np.geomspace(1.0 / 64.0, 1.0, 8))
+    assert len(sizes) == 16
+    assert max(sizes) <= 33792
 
 
 def test_mean_sq_divergence_detected():
