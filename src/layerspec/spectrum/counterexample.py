@@ -156,13 +156,20 @@ def counterexample_full(R, a, S, n_s_per_R=50, n_u=32, k=2):
     The curvature jump at the junction is face-aligned on every mesh.
     Reports the analytic bracket for eps_1, the extrapolated interval value,
     the shell and cap grounds, and the truncated spectra.  The interval
-    values' errors are their last Richardson steps.
+    values' errors are their last Richardson steps.  Each truncation is
+    solved with ``eps1_mesh``, eps_1 measured on the strip's own u grid, as
+    the ``floor`` of its shift: the eigenvalues are expected above it, and
+    a shift just below them converges in few Lanczos steps.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
     eps1 = counterexample_radial(R, a)
     kap2 = (np.pi / (2.0 * a)) ** 2
     bracket = (kap2 - 1.0 / (4.0 * (R - a) ** 2), kap2 - 1.0 / (4.0 * (R + a) ** 2))
+    # the truncated 2-d eigenvalues inherit the transverse grid's O(h_u^2)
+    # bias; the honest floor to compare them against is the same interval
+    # operator discretized on that grid
+    eps1_mesh = _interval_ground(R, a, n_u, **_INTERVAL_PROBLEMS["radial"])
     junction = np.pi * R / 2.0
     spectra = []
     for mult in (1, 2, 4):
@@ -170,11 +177,7 @@ def counterexample_full(R, a, S, n_s_per_R=50, n_u=32, k=2):
         layer = capped_layer(R, a, S_here)
         mesh = build_mesh(S_here, a, int(n_s_per_R * S_here / R), n_u, align_face=junction)
         op = assemble_partial_wave(layer, 0, mesh)
-        spectra.append(solve_spectrum(op, k))
-    # the truncated 2-d eigenvalues inherit the transverse grid's O(h_u^2)
-    # bias; the honest floor to compare them against is the same interval
-    # operator discretized on that grid
-    eps1_mesh = _interval_ground(R, a, n_u, **_INTERVAL_PROBLEMS["radial"])
+        spectra.append(solve_spectrum(op, k, floor=eps1_mesh))
     shell = spherical_shell_ground(R, a)
     return CounterexampleReport(
         R=R, a=a, eps1=float(eps1), eps1_error=eps1.step, eps1_mesh=eps1_mesh,

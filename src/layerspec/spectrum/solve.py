@@ -52,15 +52,19 @@ class SpectrumResult:
         return float(np.log2(num / den))
 
 
-def solve_spectrum(op, k, tol=1e-9):
+def solve_spectrum(op, k, tol=1e-9, floor=None):
     """k lowest eigenvalues of a partial-wave operator with threshold flags.
 
-    The shift starts safely inside (0, threshold) and walks down whenever an
-    eigenvalue lands at or below it, so the smallest eigenvalues are never
-    shadowed by the shift choice.
+    The shift starts at 0.9 times the mesh threshold, or, given a ``floor``
+    below the mesh threshold that the eigenvalues are expected to lie above
+    (the counterexample passes its measured eps_1 on the same u grid), just
+    under it at floor - 0.05 (threshold - floor).  Either way it walks down
+    whenever an eigenvalue lands at or below it, so the smallest eigenvalues
+    are never shadowed by the shift choice and one under the floor is still
+    found.
     """
     thr_mesh = mesh_threshold(op.mesh)
-    sigma = 0.9 * thr_mesh
+    sigma = 0.9 * thr_mesh if floor is None else floor - 0.05 * (thr_mesh - floor)
     for _ in range(8):
         pairs = lowest_eigenpairs(op.pair, k, shift=sigma, tol=tol)
         # anything at or below the shift means it may shadow deeper states:

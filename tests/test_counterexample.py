@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from layerspec.cli import _eigen_error
 from layerspec.errors import InvalidInputError
 from layerspec.numkernel import eigensolve
+from layerspec.spectrum import solve as spectrum_solve
 from layerspec.spectrum import (
     counterexample_full,
     counterexample_radial,
@@ -69,6 +71,24 @@ def test_interval_solves_do_not_restart(monkeypatch):
         assert sigma < lam
 
 
+def test_interval_solves_stop_early(lu_solves):
+    # a shift under the ground state converges each run well before the
+    # 48-step cap
+    counterexample_radial(1.0, 0.3)
+    spherical_shell_ground(1.0, 0.3)
+    assert len(lu_solves) == 6
+    assert max(lu_solves) <= 16
+
+
+def test_full_pipeline_lu_work(lu_solves):
+    # 11 eigensolves, one factorization each; fixed 48-step runs made 511
+    # solves, early stopping and the eps1_mesh floor of the strip shifts
+    # leave 122
+    counterexample_full(1.0, 0.29, S=10, n_s_per_R=50, n_u=32)
+    assert len(lu_solves) == 11
+    assert sum(lu_solves) <= 150
+
+
 def test_refinement_order_on_shell():
     order = radial_order_estimate(1.0, 0.3, kind="shell")
     assert 1.7 <= order <= 2.3
@@ -81,14 +101,30 @@ def test_bad_geometry_rejected():
         spherical_shell_ground(0.2, 0.3)
 
 
-def test_full_pipeline_no_spectrum_below_eps1():
+def test_full_pipeline_no_spectrum_below_eps1(monkeypatch):
+    solves = []  # (shift, lambda_0) of every eigensolve behind solve_spectrum
+    lowest = spectrum_solve.lowest_eigenpairs
+
+    def recorded(pair, k, shift, **kw):
+        pairs = lowest(pair, k, shift=shift, **kw)
+        solves.append((shift, pairs[0].value))
+        return pairs
+
+    monkeypatch.setattr(spectrum_solve, "lowest_eigenpairs", recorded)
     rep = counterexample_full(1.0, 0.3, S=10.0, n_s_per_R=40, n_u=32, k=2)
     assert rep.bracket[0] < rep.eps1 < rep.bracket[1]
     # truncated spectra: monotone in S, never below the mesh-consistent eps1
+    # by more than lambda_0's own reported error
     lams = [res.eigenvalues[0] for res in rep.spectra]
     assert lams[0] >= lams[1] >= lams[2]
     for res in rep.spectra:
-        assert res.eigenvalues[0] >= rep.eps1_mesh - 1e-3
+        assert res.eigenvalues[0] >= rep.eps1_mesh - _eigen_error(res.eigenvalues[0], res.residuals[0])
+    # one eigensolve per truncation and one for the cap: each strip's
+    # lambda_0 lies above the shift under eps1_mesh it was solved at, so the
+    # shift never walked down
+    assert len(solves) == 4
+    for res, (shift, lam0) in zip(rep.spectra, solves):
+        assert shift < rep.eps1_mesh < lam0 == res.eigenvalues[0]
     # the S-limit approaches the cylinder bottom from above
     assert lams[2] - rep.eps1_mesh <= 0.05 * (rep.kappa1_sq - rep.eps1)
 

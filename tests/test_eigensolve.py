@@ -7,7 +7,7 @@ from layerspec.catalog import build_chart
 from layerspec.errors import InvalidInputError
 from layerspec.layer import LayerSpec
 from layerspec.numkernel import SparseSymmetricPair, lowest_eigenpairs
-from layerspec.spectrum import assemble_partial_wave, build_mesh
+from layerspec.spectrum import assemble_partial_wave, build_mesh, mesh_threshold
 
 
 def fd_dirichlet_pair(n, h):
@@ -61,7 +61,6 @@ def test_random_pairs_match_dense_oracle(seed, n, k):
 
 
 def test_residuals_and_normalization():
-    A, B, pair = random_pair(3, 100)  # placeholder to appease linters
     A, B, pair = random_pair(80, 5)
     for p in lowest_eigenpairs(pair, 3, shift="auto", tol=1e-9):
         assert p.residual <= 1e-9
@@ -89,6 +88,28 @@ def test_shift_inside_spectrum_of_a_2d_pencil():
     assert np.max(np.abs(np.asarray(got) / ref - 1.0)) <= 1e-10
     again = [p.value for p in lowest_eigenpairs(pair, 3, shift=sigma)]
     assert got == again  # bitwise identical
+
+
+def test_early_stop_on_a_clustered_strip_matches_dense_oracle(lu_solves):
+    # plane partial wave on a long strip: the lowest eigenvalues
+    # kappa_1^2 + (j pi / S)^2 crowd together, the hardest case for a run
+    # that stops once its k wanted Ritz pairs pass the residual bound
+    layer = LayerSpec(build_chart("plane", {"s_max": 40.0}), a=0.3)
+    mesh = build_mesh(30.0, 0.3, n_s=96, n_u=16)
+    pair = assemble_partial_wave(layer, 0, mesh).pair
+    ref = sla.eigh(pair.stiffness.toarray(), pair.mass.toarray(), eigvals_only=True,
+                   subset_by_index=[0, 3])
+    sigma = 0.9 * mesh_threshold(mesh)
+    # the four lowest lie within a tenth of their distance to the shift
+    assert ref[3] - ref[0] < 0.1 * (ref[0] - sigma)
+
+    got = lowest_eigenpairs(pair, 3, shift=sigma, tol=1e-9)
+    assert len(lu_solves) == 1 and lu_solves[0] < 48  # one run, stopped before its cap
+    assert np.max(np.abs(np.asarray([p.value for p in got]) / ref[:3] - 1.0)) <= 1e-10
+    assert all(p.residual <= 1e-9 for p in got)
+    again = lowest_eigenpairs(pair, 3, shift=sigma, tol=1e-9)
+    assert [p.value for p in got] == [p.value for p in again]  # bitwise identical
+    assert all(np.array_equal(p.vector, q.vector) for p, q in zip(got, again))
 
 
 def test_invalid_inputs():

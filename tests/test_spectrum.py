@@ -64,6 +64,19 @@ def test_hyperboloid_bound_state_stable_gap(hyperboloid_layer):
     assert res.below_threshold[0]
 
 
+def test_floor_above_a_bound_state_still_finds_it(hyperboloid_layer):
+    # a floor between lambda_0 and the threshold puts the first shift above
+    # the bound state, which is still found and reported
+    op = assemble_partial_wave(hyperboloid_layer, 0, build_mesh(60.0, 0.3, n_s=300, n_u=16))
+    ref = solve_spectrum(op, 1)
+    assert ref.below_threshold[0]
+    floor = 0.5 * (ref.eigenvalues[0] + ref.threshold_mesh)
+    assert floor - 0.05 * (ref.threshold_mesh - floor) > ref.eigenvalues[0]
+    res = solve_spectrum(op, 1, floor=floor)
+    assert res.eigenvalues[0] == pytest.approx(ref.eigenvalues[0], rel=1e-12)
+    assert res.below_threshold[0]
+
+
 def test_domain_monotonicity(hyperboloid_layer):
     lams = []
     for S in (30.0, 60.0, 120.0):
