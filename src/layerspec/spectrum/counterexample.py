@@ -106,8 +106,14 @@ def spherical_shell_ground(R, a, n=1600, levels=3):
 
 
 def radial_order_estimate(R, a, n=400, levels=3, kind="shell"):
-    """Observed convergence order of the interval solver on halved meshes."""
-    vals = _interval_levels(R, a, n, levels, "shell" if kind == "shell" else "radial")
+    """Observed convergence order of the interval solver on halved meshes.
+
+    ``kind`` picks the interval problem: "shell" or "radial".
+    """
+    if kind not in _INTERVAL_PROBLEMS:
+        raise InvalidInputError(f"unknown interval problem {kind!r}; expected one of "
+                                f"{sorted(_INTERVAL_PROBLEMS)}")
+    vals = _interval_levels(R, a, n, levels, kind)
     num = vals[0] - vals[1]
     den = vals[1] - vals[2]
     return float(np.log2(num / den))

@@ -61,6 +61,26 @@ def _integral_verdict(estimate):
     return "pass"
 
 
+def _sigma0_probe(chart, radii, samples_per_annulus, stride, safety):
+    """sup|K|, sup|M| per annulus (times ``safety``), their decay verdicts
+    and the combined verdict: fail if either fails, pass if both pass."""
+    sup_K, sup_M = [], []
+    edges = np.concatenate([[radii[0] * 0.5], radii])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        g = chart.grid(np.linspace(lo, hi, samples_per_annulus), stride=stride)
+        sup_K.append(safety * float(np.abs(g.K).max()))
+        sup_M.append(safety * float(np.abs(g.M).max()))
+    sup_K, sup_M = np.asarray(sup_K), np.asarray(sup_M)
+    v_K, v_M = _decay_verdict(sup_K), _decay_verdict(sup_M)
+    if "fail" in (v_K, v_M):
+        verdict = "fail"
+    elif v_K == v_M == "pass":
+        verdict = "pass"
+    else:
+        verdict = "undecided"
+    return verdict, sup_K, sup_M, v_K, v_M
+
+
 def asymptotic_flatness_verdict(chart, radii=None, samples_per_annulus=120):
     """Quick decay verdict for sup|K|, sup|M| on a few annuli.
 
@@ -70,18 +90,7 @@ def asymptotic_flatness_verdict(chart, radii=None, samples_per_annulus=120):
     if radii is None:
         radii = chart.s_max * np.array([0.125, 0.25, 0.5, 0.96])
     stride = chart.theta_stride_for(256)
-    sup_K, sup_M = [], []
-    edges = np.concatenate([[radii[0] * 0.5], radii])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        g = chart.grid(np.linspace(lo, hi, samples_per_annulus), stride=stride)
-        sup_K.append(float(np.abs(g.K).max()))
-        sup_M.append(float(np.abs(g.M).max()))
-    v_K, v_M = _decay_verdict(np.asarray(sup_K)), _decay_verdict(np.asarray(sup_M))
-    if "fail" in (v_K, v_M):
-        return "fail"
-    if v_K == v_M == "pass":
-        return "pass"
-    return "undecided"
+    return _sigma0_probe(chart, radii, samples_per_annulus, stride, 1.0)[0]
 
 
 def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
@@ -113,21 +122,8 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
                 "fan ring integrals are not angularly resolved there"
             )
             probe_radii = probe_radii[:n_ok]
-    sup_K, sup_M = [], []
-    edges = np.concatenate([[probe_radii[0] * 0.5], probe_radii])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        s = np.linspace(lo, hi, samples_per_annulus)
-        g = chart.grid(s)
-        sup_K.append(_SUP_SAFETY * float(np.abs(g.K).max()))
-        sup_M.append(_SUP_SAFETY * float(np.abs(g.M).max()))
-    sup_K, sup_M = np.asarray(sup_K), np.asarray(sup_M)
-    v_K, v_M = _decay_verdict(sup_K), _decay_verdict(sup_M)
-    if v_K == "fail" or v_M == "fail":
-        sigma0 = "fail"
-    elif v_K == "pass" and v_M == "pass":
-        sigma0 = "pass"
-    else:
-        sigma0 = "undecided"
+    sigma0, sup_K, sup_M, v_K, v_M = _sigma0_probe(
+        chart, probe_radii, samples_per_annulus, 1, _SUP_SAFETY)
     if sigma0 != "pass":
         notes.append(f"sup|K| verdict {v_K}, sup|M| verdict {v_M}")
 

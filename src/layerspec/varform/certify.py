@@ -4,9 +4,18 @@ negative with margin.
 A certificate is numerical evidence of discrete spectrum below the
 transverse threshold: a concrete admissible trial whose shifted form value
 is negative beyond its quadrature error bar (margin = |value|/error >= 3).
-Strategies run in a fixed order, each sweeping its own parameter; the first
-certified evaluation wins, otherwise the best (smallest) value observed is
-reported as "not-found".
+
+The families (``_FAMILIES``), when each applies, and the steps it sweeps:
+
+- goldstone_jaffe, total Gauss curvature <= 0: the mollifier width sigma;
+- deformed, total Gauss curvature = 0: every 4th sigma, with the deformation
+  amplitude that minimises the form;
+- thin, always: sigma, for the trial (1 + M u) psi_sigma;
+- symmetric_log, revolution charts: the log-ramp order n.
+
+One loop in :func:`certify` runs every family's steps under the same budget
+and error rules; the first certified evaluation ends the search, otherwise
+the best (smallest) value observed is reported as "not-found".
 """
 
 from dataclasses import dataclass, field
@@ -17,12 +26,12 @@ from ..errors import (
     CapabilityError,
     DegeneratePairingError,
     HypothesisViolationError,
-    LayerSpecError,
     TruncationError,
 )
 from ..surface import total_gauss
 from .form import bilinear_shifted, evaluate_form
 from .trials import (
+    default_bump,
     deformation_trial,
     deformed_trial,
     gj_trial,
@@ -74,105 +83,100 @@ def _total_gauss_value(layer):
     return total_gauss(layer.chart, schedule, stride=layer.chart.theta_stride_for(768))
 
 
-def _sweep_sigma(layer, s0, budget, rows, family, make_trial):
-    """Sweep the mollifier width sigma of a (layer, s0, sigma) trial family."""
-    best = None
-    count = 0
-    for sigma in _SIGMA_GRID:
-        if count >= budget:
-            break
-        params = {"sigma": sigma, "s0": s0}
-        try:
-            trial = make_trial(layer, s0=s0, sigma=sigma)
-            if trial.support[1] >= layer.chart.s_max:
-                rows.append((family, params, None, None, "support exceeds chart"))
-                break
-            fe = evaluate_form(layer, trial)
-        except (TruncationError, CapabilityError) as exc:
-            rows.append((family, params, None, None, str(exc)))
-            break
-        count += 1
-        rows.append((family, params, fe.q_tilde, fe.error, ""))
-        if best is None or fe.q_tilde < best[0].q_tilde:
-            best = (fe, params)
-        if _is_certified(fe):
-            return best, count, True
-    return best, count, False
+def _inside_chart(layer, trial):
+    if trial.support[1] >= layer.chart.s_max:
+        raise TruncationError("support exceeds chart")
+    return trial
 
 
-def _sweep_deformed(layer, s0, budget, rows):
-    """Quadratic minimization in the deformation amplitude at each sigma."""
-    best = None
-    count = 0
+# A family's steps are (cost, params, run): ``cost`` bounds the form
+# evaluations ``run()`` makes, ``params`` labels the step's row, and ``run()``
+# returns (FormEvaluation, row params).  The loop runs each step before it
+# asks the generator for the next, so the closures see their own loop values.
+
+def _mollified_steps(make_trial):
+    """The mollifier-width sweep of a (layer, s0, sigma) trial family."""
+    def steps(layer, s0):
+        for sigma in _SIGMA_GRID:
+            params = {"sigma": sigma, "s0": s0}
+
+            def run():
+                trial = _inside_chart(layer, make_trial(layer, s0=s0, sigma=sigma))
+                return evaluate_form(layer, trial), params
+
+            yield 1, params, run
+    return steps
+
+
+def _deformed_steps(layer, s0):
+    """psi_sigma + eps * Theta, eps minimising the form, at every 4th sigma.
+
+    The bump sits inside the plateau s < s0, so Theta and Q~[Theta] do not
+    depend on sigma: the first step builds them (one evaluation more) and the
+    rest reuse them.  Each step evaluates the mixed term by polarization (two
+    evaluations) and the deformed trial (one).
+    """
+    bump = theta = q_theta = None
     for sigma in _SIGMA_GRID[::4]:
-        if count + 3 > budget:
-            break
-        try:
-            base = gj_trial(layer, s0, sigma)
-            if base.support[1] >= layer.chart.s_max:
-                break
-            theta = deformation_trial(layer, s0)
-            fe_base = evaluate_form(layer, base)
-            fe_theta = evaluate_form(layer, theta)
-            mixed, mixed_err = bilinear_shifted(layer, base, theta)
-            count += 3
-            if fe_theta.q_tilde <= 0:
-                continue
-            eps_star = -mixed / fe_theta.q_tilde
-            trial = deformed_trial(layer, sigma, s0, eps_star)
-            fe = evaluate_form(layer, trial)
-            count += 1
-        except (TruncationError, LayerSpecError) as exc:
-            rows.append(("deformed", {"sigma": sigma, "s0": s0}, None, None, str(exc)))
-            break
-        rows.append(("deformed", {"sigma": sigma, "s0": s0, "eps": eps_star}, fe.q_tilde, fe.error, ""))
-        if best is None or fe.q_tilde < best[0].q_tilde:
-            best = (fe, {"sigma": sigma, "s0": s0, "eps": eps_star})
-        if _is_certified(fe):
-            return best, count, True
-    return best, count, False
+        params = {"sigma": sigma, "s0": s0}
+
+        def run():
+            nonlocal bump, theta, q_theta
+            base = _inside_chart(layer, gj_trial(layer, s0, sigma))
+            if theta is None:
+                bump = default_bump(layer, s0)
+                theta = deformation_trial(layer, s0, bump=bump)
+                q_theta = evaluate_form(layer, theta).q_tilde
+            if q_theta <= 0:
+                raise CapabilityError(f"deformation form {q_theta:.6g} is not positive: "
+                                      "no amplitude minimises the form")
+            mixed, _ = bilinear_shifted(layer, base, theta)
+            eps = -mixed / q_theta
+            fe = evaluate_form(layer, deformed_trial(layer, sigma, s0, eps, bump=bump))
+            return fe, {**params, "eps": eps}
+
+        yield (4 if theta is None else 3), params, run
 
 
-def _sweep_symmetric_log(layer, budget, rows):
-    best = None
-    count = 0
-    if not layer.chart.rotation_invariant:
-        rows.append(("symmetric_log", {}, None, None, "not a revolution chart"))
-        return best, count, False
+def _log_steps(layer, s0):
+    """The logarithmic ramps of order n, supported up to n^3."""
     for n in _LOG_N_GRID:
-        if count >= budget:
-            break
-        if float(n) ** 3 > layer.chart.s_max:
-            rows.append(("symmetric_log", {"n": n}, None, None, "support exceeds chart"))
-            break
-        try:
+        def run():
+            if float(n) ** 3 > layer.chart.s_max:
+                raise TruncationError("support exceeds chart")
             eps = epsilon_choice(layer, n)
-            trial = symmetric_log_trial(layer, n, eps)
-            fe = evaluate_form(layer, trial)
-        except DegeneratePairingError as exc:
-            rows.append(("symmetric_log", {"n": n}, None, None, str(exc)))
-            continue
-        except (TruncationError, LayerSpecError) as exc:
-            rows.append(("symmetric_log", {"n": n}, None, None, str(exc)))
-            break
-        count += 1
-        rows.append(("symmetric_log", {"n": n, "eps": eps}, fe.q_tilde, fe.error, ""))
-        if best is None or fe.q_tilde < best[0].q_tilde:
-            best = (fe, {"n": n, "eps": eps})
-        if _is_certified(fe):
-            return best, count, True
-    return best, count, False
+            return evaluate_form(layer, symmetric_log_trial(layer, n, eps)), {"n": n, "eps": eps}
+
+        yield 1, {"n": n}, run
+
+
+# family -> (applies(layer, total Gauss curvature), why it is skipped otherwise,
+# steps(layer, s0))
+_FAMILIES = {
+    "goldstone_jaffe": (lambda layer, k_tot: k_tot <= _K_TOT_ZERO,
+                        "total Gauss curvature is positive", _mollified_steps(gj_trial)),
+    "deformed": (lambda layer, k_tot: abs(k_tot) <= _K_TOT_ZERO,
+                 "total Gauss curvature is not zero", _deformed_steps),
+    "thin": (lambda layer, k_tot: True, None, _mollified_steps(thin_trial)),
+    "symmetric_log": (lambda layer, k_tot: layer.chart.rotation_invariant,
+                      "chart is not a revolution chart", _log_steps),
+}
 
 
 def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric_log"),
             budget=40, s0=None, require_asymptotic_flatness=True):
     """Search the requested families for a negative shifted-form value.
 
-    Strategy preconditions: the mollified family runs when the total Gauss
-    curvature estimate is non-positive, the deformation family when it is
-    numerically zero, the thin family whenever the chart exposes curvature
-    gradients, the logarithmic family on revolution charts.  ``budget``
-    bounds the number of form evaluations per family.
+    Families run in the order of ``strategies``, each only where the
+    module's family table says it applies.  ``budget`` bounds the form
+    evaluations of each family: a step that could take its family past it
+    does not start, and a polarization counts as two evaluations.
+
+    Every step appends a row (family, params, q_tilde, error, note) to
+    ``evaluations``.  A DegeneratePairingError skips the step.  A
+    TruncationError (a support beyond the chart included), a CapabilityError
+    or the budget ends the family with a row saying why.  Any other
+    LayerSpecError propagates.
 
     A negative shifted form certifies spectrum below the transverse
     threshold only where that threshold is the essential bottom, i.e. for
@@ -196,8 +200,6 @@ def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric
         )
     if flatness != "pass":
         notes.append(f"asymptotic flatness probe: {flatness}")
-    best_overall = None
-    applicable = 0
 
     k_tot = None
     if "goldstone_jaffe" in strategies or "deformed" in strategies:
@@ -205,59 +207,47 @@ def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric
         k_tot = est.value
         notes.append(f"total Gauss curvature estimate {k_tot:.6g} (error {est.error_bound:.2g})")
 
+    best = None  # (FormEvaluation, family, params)
+    certified = False
     for family in strategies:
-        certified = False
-        result = None
-        if family == "goldstone_jaffe":
-            if k_tot is not None and k_tot <= _K_TOT_ZERO:
-                applicable += 1
-                result, _, certified = _sweep_sigma(layer, s0, budget, rows, family, gj_trial)
-            else:
-                notes.append("goldstone_jaffe skipped: total Gauss curvature is positive")
-        elif family == "deformed":
-            if k_tot is not None and abs(k_tot) <= _K_TOT_ZERO:
-                applicable += 1
-                result, _, certified = _sweep_deformed(layer, s0, budget, rows)
-            else:
-                notes.append("deformed skipped: total Gauss curvature is not zero")
-        elif family == "thin":
-            applicable += 1
-            result, _, certified = _sweep_sigma(layer, s0, budget, rows, family, thin_trial)
-        elif family == "symmetric_log":
-            if layer.chart.rotation_invariant:
-                applicable += 1
-                result, _, certified = _sweep_symmetric_log(layer, budget, rows)
-            else:
-                notes.append("symmetric_log skipped: chart is not a revolution chart")
-        else:
+        if family not in _FAMILIES:
             raise CapabilityError(f"unknown strategy {family!r}")
-
-        if result is not None:
-            fe, params = result
-            if best_overall is None or fe.q_tilde < best_overall[0].q_tilde:
-                best_overall = (fe, family, params)
+        applies, why_not, steps = _FAMILIES[family]
+        if not applies(layer, k_tot):
+            notes.append(f"{family} skipped: {why_not}")
+            continue
+        spent = 0
+        for cost, params, run in steps(layer, s0):
+            if spent + cost > budget:
+                rows.append((family, params, None, None, f"next step exceeds budget {budget}"))
+                break
+            try:
+                fe, params = run()
+            except DegeneratePairingError as exc:
+                rows.append((family, params, None, None, str(exc)))
+                continue
+            except (TruncationError, CapabilityError) as exc:
+                rows.append((family, params, None, None, str(exc)))
+                break
+            spent += cost
+            rows.append((family, params, fe.q_tilde, fe.error, ""))
+            certified = _is_certified(fe)
+            if certified or best is None or fe.q_tilde < best[0].q_tilde:
+                best = (fe, family, params)
             if certified:
-                return Certificate(
-                    verdict="certified", family=family, params=params,
-                    q_tilde=fe.q_tilde, error=fe.error, norm_sq=fe.norm_sq,
-                    margin=abs(fe.q_tilde) / max(fe.error, 1e-300),
-                    evaluations=tuple(rows), notes=tuple(notes),
-                )
+                break
+        if certified:
+            break
 
-    if applicable == 0:
+    if not rows:  # every family that runs leaves a row
         raise CapabilityError(
             "no requested certification family is applicable: " + "; ".join(notes)
         )
-    if best_overall is None:
-        return Certificate(
-            verdict="not-found", family="none", params={}, q_tilde=np.nan,
-            error=np.nan, norm_sq=np.nan, margin=0.0,
-            evaluations=tuple(rows), notes=tuple(notes),
-        )
-    fe, family, params = best_overall
+    fe, family, params = best or (None, "none", {})
+    q_tilde, error, norm_sq = (fe.q_tilde, fe.error, fe.norm_sq) if fe else (np.nan,) * 3
     return Certificate(
-        verdict="not-found", family=family, params=params, q_tilde=fe.q_tilde,
-        error=fe.error, norm_sq=fe.norm_sq,
-        margin=abs(fe.q_tilde) / max(fe.error, 1e-300),
+        verdict="certified" if certified else "not-found", family=family, params=params,
+        q_tilde=q_tilde, error=error, norm_sq=norm_sq,
+        margin=abs(q_tilde) / max(error, 1e-300) if fe else 0.0,
         evaluations=tuple(rows), notes=tuple(notes),
     )

@@ -94,6 +94,11 @@ def test_refinement_order_on_shell():
     assert 1.7 <= order <= 2.3
 
 
+def test_refinement_order_rejects_unknown_problem():
+    with pytest.raises(InvalidInputError):
+        radial_order_estimate(1.0, 0.3, kind="sphere")
+
+
 def test_bad_geometry_rejected():
     with pytest.raises(InvalidInputError):
         counterexample_radial(1.0, 1.5)
