@@ -107,7 +107,7 @@ def catalog_entry(name):
 def _merge_defaults(entry, params):
     merged = dict(entry.defaults)
     for key, val in params.items():
-        if key not in merged and key not in ("ode_tol",):
+        if key not in merged:
             raise InvalidInputError(f"surface {entry.name!r} has no parameter {key!r}")
         merged[key] = val
     return merged
@@ -163,37 +163,18 @@ def _sine_meridian_spec(s_max):
         s = np.asarray(s, dtype=float)
         small = np.abs(s) < 1e-3
         s_safe = np.where(small, 1.0, s)
-        out = np.where(small, 1.0 - s**4 / 6.0, np.sin(s_safe**2) / s_safe**2)
-        return out if out.ndim else float(out)
+        return np.where(small, 1.0 - s**4 / 6.0, np.sin(s_safe**2) / s_safe**2)
 
-    def dk_s(s):
-        s = np.asarray(s, dtype=float)
-        small = np.abs(s) < 1e-3
-        s_safe = np.where(small, 1.0, s)
-        out = np.where(
-            small,
-            -2.0 * s**3 / 3.0,
-            2.0 * np.cos(s_safe**2) / s_safe - 2.0 * np.sin(s_safe**2) / s_safe**3,
-        )
-        return out if out.ndim else float(out)
-
-    return MeridianSpec(k_s=k_s, s_max=s_max, dk_s=dk_s)
+    return MeridianSpec(k_s=k_s, s_max=s_max)
 
 
 def _capped_cylinder_spec(R, s_max):
     junction = np.pi * R / 2.0
 
     def k_s(s):
-        s = np.asarray(s, dtype=float)
-        out = np.where(s <= junction, 1.0 / R, 0.0)
-        return out if out.ndim else float(out)
+        return np.where(np.asarray(s, dtype=float) <= junction, 1.0 / R, 0.0)
 
-    def dk_s(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        return out if out.ndim else 0.0
-
-    return MeridianSpec(k_s=k_s, s_max=s_max, breakpoints=(junction,), dk_s=dk_s)
+    return MeridianSpec(k_s=k_s, s_max=s_max, breakpoints=(junction,))
 
 
 def build_chart(name, params=None, ode_tol=1e-10):
@@ -231,13 +212,12 @@ def build_chart(name, params=None, ode_tol=1e-10):
             d3z_fn=lambda rho: -3.0 * z0 * rho * (1.0 + rho**2) ** -2.5,
             s_max=float(p["s_max"]),
             tol=ode_tol,
-            name=name,
         )
         return RevolutionChart(profile)
     if name == "sine-meridian":
         spec = _sine_meridian_spec(float(p["s_max"]))
-        return RevolutionChart(revolution_from_meridian(spec, tol=ode_tol))
+        return RevolutionChart(revolution_from_meridian(spec))
     if name == "capped-cylinder":
         spec = _capped_cylinder_spec(float(p["R"]), float(p["s_max"]))
-        return RevolutionChart(revolution_from_meridian(spec, tol=ode_tol))
+        return RevolutionChart(revolution_from_meridian(spec))
     raise InvalidInputError(f"no construction for {name!r}")

@@ -140,8 +140,8 @@ def cmd_totals(config, writer, force):
         cart = total_gauss_cartesian(chart.surface, plane_radii)
         writer.add("total_gauss_cartesian", _estimate_payload(cart))
     elif chart.provenance == "revolution":
-        writer.add("gauss_bonnet_residual",
-                   measured(gauss_bonnet_residual(chart.profile), 0.0))
+        residual = gauss_bonnet_residual(chart.profile)
+        writer.add("gauss_bonnet_residual", measured(residual, residual.bar))
     rows = []
     for i, radius in enumerate(est_k.truncations):
         m_part = est_m.partials[i] if i < len(est_m.partials) else ""
@@ -169,11 +169,7 @@ def cmd_certify(config, writer, force):
         "c_bounds": list(c_bounds(layer)),
         "notes": list(cert.notes),
     })
-    rows = [
-        (family, repr(params), q, err, note)
-        for (family, params, q, err, note) in cert.evaluations
-    ]
-    writer.write_csv("certify", ["family", "params", "q_tilde", "error", "note"], rows)
+    writer.write_csv("certify", ["family", "params", "q_tilde", "error", "note"], cert.evaluations)
     return 0
 
 

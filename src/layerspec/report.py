@@ -61,6 +61,7 @@ class ReportWriter:
         self.document["results"][key] = _jsonify(payload)
 
     def write_csv(self, name, header, rows):
+        """Write ``<name>.csv``; every cell, also a dict or list, holds plain numbers."""
         path = os.path.join(self.out_dir, f"{name}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -134,11 +134,11 @@ class CounterexampleReport:
     spectra: tuple  # SpectrumResult per truncation radius
 
 
-def capped_layer(R, a, S, ode_tol=1e-10):
+def capped_layer(R, a, S):
     from ..catalog import build_chart
     from ..layer import LayerSpec
 
-    chart = build_chart("capped-cylinder", {"R": R, "s_max": S * 1.02 + 1.0}, ode_tol=ode_tol)
+    chart = build_chart("capped-cylinder", {"R": R, "s_max": S * 1.02 + 1.0})
     return LayerSpec(chart, a=a)
 
 

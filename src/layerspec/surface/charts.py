@@ -14,7 +14,9 @@ Every chart (PlaneChart, RevolutionChart, FanChart) has
     rotation_invariant  True when no chart quantity depends on theta
     truncated           True when s_max was cut short (conjugate point)
     provenance          how the chart was built: "analytic", "revolution"
-                        (carries .profile) or "graph-shot" (carries .surface)
+                        (carries .profile) or "graph-shot" (carries .surface);
+                        read only by the CLI cross-checks and the hypotheses
+                        sign probe
     grid(s_nodes, stride=1)     ChartGrid on s_nodes x theta_nodes[::stride]
     theta_stride_for(max_rays)  stride thinning the ring to about max_rays
                                 rays; 1 where the ring is exact and cheap

@@ -128,50 +128,35 @@ class FanChart:
             )
         return self._fine_traj
 
-    def _raw(self, s_nodes, stride=1, blocks=range(6)):
+    def _raw(self, s_nodes, stride=1):
         """State blocks (x, y, vx, vy, r, r') on rays theta_nodes[::stride].
 
         Each ray is read from its level (coarse if its index is a multiple
-        of k, else fine), and only the requested rows of each level's dense
-        solution are evaluated; each block comes back in ring order with
-        shape (Ns, ceil(n_theta / stride)).
+        of k, else fine), and only the rows of the requested rays in each
+        level's dense solution are evaluated; each block comes back in ring
+        order with shape (Ns, ceil(n_theta / stride)).
         """
         s = np.atleast_1d(np.asarray(s_nodes, dtype=float))
         if np.any(s < 0) or np.any(s > self.s_max * (1 + 1e-12)):
             raise InvalidInputError("fan chart evaluated outside [0, s_max]")
         s_eval = np.clip(s, 0.0, self.s_max)
-        blocks = np.asarray(blocks)
         k, nt = self._k, self.n_theta
         rays = np.arange(0, nt, stride)
         coarse = rays % k == 0
 
         def read(traj, rows, n_level):
-            rows = (blocks[:, None] * n_level + rows).ravel()
-            return traj.eval(s_eval, rows=rows).T.reshape(s.size, blocks.size, -1)
+            rows = (np.arange(6)[:, None] * n_level + rows).ravel()
+            return traj.eval(s_eval, rows=rows).T.reshape(s.size, 6, -1)
 
         n_coarse = -(-nt // k)
         if coarse.all():
             vals = read(self._traj, rays // k, n_coarse)
         else:
             fine = rays[~coarse]
-            vals = np.empty((s.size, blocks.size, rays.size))
+            vals = np.empty((s.size, 6, rays.size))
             vals[..., coarse] = read(self._traj, rays[coarse] // k, n_coarse)
             vals[..., ~coarse] = read(self._fine(), fine - fine // k - 1, nt - n_coarse)
-        return s, *(vals[:, b] for b in range(blocks.size))
-
-    def radial_gauss_partials(self, radii, stride=1):
-        """Disk integrals of K dSigma using the exact per-ray antiderivative.
-
-        Along every ray the Jacobi equation gives int_0^S K r ds = 1 - r'(S)
-        exactly, so only the theta ring integral is numerical.  Returns the
-        trapezoid value on the rays theta_nodes[::stride] and the value on
-        every other one of them; their gap measures the angular resolution
-        error.
-        """
-        _, rd = self._raw(radii, stride=stride, blocks=[5])
-        full = 2.0 * np.pi * (1.0 - rd.mean(axis=1))
-        half = 2.0 * np.pi * (1.0 - rd[:, ::2].mean(axis=1))
-        return full, half
+        return s, *(vals[:, b] for b in range(6))
 
     def theta_stride_for(self, max_rays):
         """Power-of-two stride bringing the ray count near max_rays."""

@@ -12,6 +12,7 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..numkernel import gauss_legendre, panelize
 from .totals import (
+    radial_gauss_partials,
     resolved_prefix,
     total_abs_gauss,
     total_gauss,
@@ -112,16 +113,15 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
         raise InvalidInputError("probe radii exceed chart validity range")
 
     notes = []
-    fan = chart.provenance == "graph-shot"
-    if fan:
-        # drop radii beyond the fan's angular-resolution trust range
-        n_ok = resolved_prefix(*chart.radial_gauss_partials(probe_radii))
-        if 4 <= n_ok < probe_radii.size:
-            notes.append(
-                f"probe radii beyond s = {probe_radii[n_ok - 1]:g} dropped: "
-                "fan ring integrals are not angularly resolved there"
-            )
-            probe_radii = probe_radii[:n_ok]
+    # drop radii beyond the ring's angular-resolution trust range (only a
+    # fan's ring can fall short of it)
+    n_ok = resolved_prefix(*radial_gauss_partials(chart, probe_radii))
+    if 4 <= n_ok < probe_radii.size:
+        notes.append(
+            f"probe radii beyond s = {probe_radii[n_ok - 1]:g} dropped: "
+            "fan ring integrals are not angularly resolved there"
+        )
+        probe_radii = probe_radii[:n_ok]
     sigma0, sup_K, sup_M, v_K, v_M = _sigma0_probe(
         chart, probe_radii, samples_per_annulus, 1, _SUP_SAFETY)
     if sigma0 != "pass":
@@ -133,7 +133,7 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
     # does), |K| integrals equal |K integrals| and can use the exact per-ray
     # radial antiderivative, which is far more resolution-tolerant.
     sign_definite = False
-    if fan:
+    if chart.provenance == "graph-shot":
         g_probe = chart.grid(probe_radii, stride=stride)
         sign_definite = g_probe.K.max() <= 1e-12 or g_probe.K.min() >= -1e-12
     if sign_definite:

@@ -7,33 +7,58 @@ canonical gauge gives r'' = -k_s z', z'' = k_s r', so everything follows
 from the meridian curvature function k_s alone:
 
     b(s) = int_0^s k_s,   r = int_0^s cos b,   z = int_0^s sin b.
+
+A meridian profile takes them as spectral antiderivatives (Greengard, SIAM
+J. Numer. Anal. 28 (1991) 1071) on adaptive Chebyshev panels that break at
+the declared jumps of k_s; dk_s/ds is the derivative of the k_s series.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
-from ..errors import InvalidInputError, InvalidSurfaceError, PoleSingularityError
+from ..errors import (
+    IntegrationFailureError,
+    InvalidInputError,
+    InvalidSurfaceError,
+    PoleSingularityError,
+)
 from ..numkernel import integrate_ode
 from .charts import ChartGrid, uniform_theta
 
 _R_FLOOR = 1e-12
+
+# first-kind Chebyshev nodes per meridian panel, ascending on [-1, 1]
+_N = 24
+_X = cheb.chebpts1(_N)
+_AT_NODES = cheb.chebvander(_X, _N)  # coefficients up to degree _N -> node values
+_TO_COEFS = np.linalg.inv(_AT_NODES[:, :_N])  # node values -> coefficients
+_INTEGRATE = cheb.chebint(np.eye(_N), lbnd=-1, axis=0)  # -> antiderivative vanishing at -1
+# a panel is resolved when the last _TAIL coefficients of k_s are below
+# _RESOLVED and b turns by at most _MAX_TURN across it (then cos b and sin b
+# are resolved to roundoff); per panel, coefficients below _CHOP (the
+# transform's roundoff) of the largest are dropped; a jump of k_s off the
+# breakpoints never resolves, so bisection stops after _MAX_PASSES passes
+_TAIL = 4
+_RESOLVED = 1e-13
+_MAX_TURN = 2.0
+_CHOP = 1e-14
+_MAX_PASSES = 40
 
 
 @dataclass(frozen=True)
 class MeridianSpec:
     """Meridian curvature generator k_s(s) on (0, s_max].
 
-    ``k_s`` must be evaluable down to s = 0 (finite limit).  ``breakpoints``
-    mark jump locations of k_s; integration and differentiation never cross
-    them.  ``dk_s`` is the analytic derivative when available; otherwise a
-    one-sided-safe finite difference is used.
+    ``k_s`` maps a flat array of arc lengths to k_s there and must be
+    evaluable down to s = 0 (finite limit).  ``breakpoints`` mark jump
+    locations of k_s; no panel of the profile crosses them.
     """
 
     k_s: callable
     s_max: float
     breakpoints: tuple = ()
-    dk_s: callable = None
 
 
 @dataclass(frozen=True)
@@ -64,117 +89,127 @@ class ProfileSample:
 
 
 class RevolutionProfile:
-    """Dense canonical profile; see module docstring for conventions."""
+    """Dense canonical profile; see module docstring for conventions.
 
-    def __init__(self, s_max, breakpoints, eval_brz, k_s_fn, dk_s_fn, name="revolution"):
+    ``fields`` maps arc lengths in [0, s_max] to (r, r', z, z', k_s, dk_s/ds).
+    """
+
+    def __init__(self, s_max, breakpoints, fields):
         self.s_max = float(s_max)
         self.breakpoints = tuple(float(b) for b in breakpoints if 0.0 < b < s_max)
-        self._eval_brz = eval_brz  # s -> (r, dr, z, dz)
-        self._k_s = k_s_fn
-        self._dk_s = dk_s_fn
-        self.name = name
-
-    def _dk_s_values(self, s):
-        if self._dk_s is not None:
-            return np.asarray(self._dk_s(s), dtype=float)
-        # central FD, shrunk so the stencil never crosses a breakpoint
-        s = np.asarray(s, dtype=float)
-        edges = np.array([0.0, *self.breakpoints, self.s_max])
-        out = np.empty_like(s)
-        for i, si in enumerate(s.ravel()):
-            j = np.searchsorted(edges, si, side="right") - 1
-            j = min(max(j, 0), edges.size - 2)
-            lo, hi = edges[j], edges[j + 1]
-            h = min(1e-5 * (1.0 + abs(si)), 0.25 * (hi - lo))
-            a, b = si - h, si + h
-            if a < lo:
-                a, b = si, min(si + 2 * h, hi)
-            elif b > hi:
-                a, b = max(si - 2 * h, lo), si
-            hi_val = np.ravel(np.asarray(self._k_s(b)))[0]
-            lo_val = np.ravel(np.asarray(self._k_s(a)))[0]
-            out.ravel()[i] = (hi_val - lo_val) / (b - a)
-        return out
+        self._fields = fields
 
     def eval(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s < 0) or np.any(s > self.s_max * (1 + 1e-12)):
             raise InvalidInputError("profile evaluated outside [0, s_max]")
-        r, dr, z, dz = self._eval_brz(np.clip(s, 0.0, self.s_max))
-        ks = np.asarray(self._k_s(s), dtype=float)
+        r, dr, z, dz, ks, dks = self._fields(np.clip(s, 0.0, self.s_max))
         safe = r > _R_FLOOR * max(1.0, self.s_max)
         kth = np.where(safe, dz / np.where(safe, r, 1.0), ks)
-        dks = self._dk_s_values(s)
         # d(k_theta)/ds = (r'/r)(k_s - k_theta); pole limit is 0.5*dk_s
         dkth = np.where(safe, dr / np.where(safe, r, 1.0) * (ks - kth), 0.5 * dks)
         return ProfileSample(s=s, r=r, dr=dr, z=z, dz=dz, k_s=ks, k_theta=kth,
                              dk_s=dks, dk_theta=dkth)
 
 
-def revolution_from_meridian(spec, tol=1e-10):
+def _chop(coefs):
+    """Drop, per panel, the coefficients below _CHOP of its largest one."""
+    return np.where(np.abs(coefs) <= _CHOP * np.abs(coefs).max(axis=1, keepdims=True), 0.0, coefs)
+
+
+def _resolved_panels(k_s, edges):
+    """(left ends, right ends, k_s at the nodes) of panels resolving a profile.
+
+    Bisects the panels between ``edges`` for at most _MAX_PASSES passes.
+    The tail of k_s is judged relative to its largest coefficient seen so far
+    (a per-panel scale would never resolve the zeros of k_s).
+    """
+    lo, hi = np.asarray(edges[:-1]), np.asarray(edges[1:])
+    done, scale = [], 0.0
+    for _ in range(_MAX_PASSES):
+        half = 0.5 * (hi - lo)[:, None]
+        nodes = 0.5 * (lo + hi)[:, None] + half * _X
+        k = np.asarray(k_s(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        ck = np.abs(k @ _TO_COEFS.T)
+        scale = max(scale, float(ck.max()))
+        turn = 2.0 * half[:, 0] * np.abs(k).max(axis=1)
+        ok = (ck[:, -_TAIL:].max(axis=1) <= _RESOLVED * scale) & (turn <= _MAX_TURN)
+        done.append((lo[ok], hi[ok], k[ok]))
+        mid = 0.5 * (lo + hi)[~ok]
+        lo, hi = np.r_[lo[~ok], mid], np.r_[mid, hi[~ok]]
+        if lo.size == 0:
+            lo, hi, k = (np.concatenate(parts) for parts in zip(*done))
+            order = np.argsort(lo)
+            return lo[order], hi[order], k[order]
+    raise IntegrationFailureError(
+        f"meridian curvature unresolved after {_MAX_PASSES} panel bisections "
+        "(a jump of k_s off the declared breakpoints?)", lo.min())
+
+
+def _antiderivative(half, coefs):
+    """Running integral over the ordered panels, as per-panel coefficients."""
+    out = half * (coefs @ _INTEGRATE.T)
+    out[:, 0] += np.r_[0.0, np.cumsum(out.sum(axis=1))[:-1]]
+    return out
+
+
+def revolution_from_meridian(spec):
     """Reconstruct the canonical profile from its meridian curvature.
 
-    Integrates b' = k_s, r' = cos b, z' = sin b piecewise between the
-    declared breakpoints of k_s, so jump discontinuities stay on segment
-    boundaries and the integrator never chatters across them.
+    b, r and z are spectral antiderivatives on adaptive Chebyshev panels
+    with the running value at each panel's left end as the constant, and
+    are evaluated by Clenshaw's recurrence on each panel's chopped
+    coefficients (so a field constant on a panel is one constant there).
 
     Raises
     ------
     InvalidSurfaceError
         If r(s) crosses zero at some s <= s_max (first crossing reported).
+    IntegrationFailureError
+        If a panel is still unresolved after the last bisection pass.
     """
     if spec.s_max <= 0:
         raise InvalidInputError("s_max must be positive")
     edges = [0.0, *sorted(b for b in spec.breakpoints if 0.0 < b < spec.s_max), spec.s_max]
+    lo, hi, k = _resolved_panels(spec.k_s, edges)
+    half = 0.5 * (hi - lo)[:, None]
+    mid = 0.5 * (lo + hi)
+    ck = _chop(k @ _TO_COEFS.T)
+    cb = _antiderivative(half, ck)
+    b = cb @ _AT_NODES.T
+    cr = _antiderivative(half, _chop(np.cos(b) @ _TO_COEFS.T))
+    cz = _antiderivative(half, _chop(np.sin(b) @ _TO_COEFS.T))
+    cdk = np.pad(cheb.chebder(ck, axis=1) / half, ((0, 0), (0, 2)))
+    # (degree, field, panel), cut after the last degree that is nonzero on
+    # some panel: the all-zero ones would only cost evaluations
+    series = np.stack([cdk, cb, cr, cz]).transpose(2, 0, 1)
+    series = series[:np.flatnonzero(series.any(axis=(1, 2)))[-1] + 1].copy()
 
-    def r_vanishes(s, y):
-        return y[1]
+    def fields(s):
+        i = np.clip(np.searchsorted(lo, s, side="right") - 1, 0, lo.size - 1)
+        x = (s - mid[i]) / half[i, 0]
+        dk, b, r, z = cheb.chebval(x, series[..., i], tensor=False)
+        return r, np.cos(b), z, np.sin(b), np.asarray(spec.k_s(s), dtype=float), dk
 
-    r_vanishes.terminal = True
-    r_vanishes.direction = -1
+    # the first sign change of r on the nodes, refined on the series
+    r_nodes = (cr @ _AT_NODES.T).ravel()
+    neg = np.flatnonzero(r_nodes <= 0.0)
+    if neg.size:
+        from scipy.optimize import brentq
 
-    trajs = []
-    state = np.array([0.0, 0.0, 0.0])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # keep RHS stage evaluations strictly inside the segment so a jump
-        # of k_s sitting exactly on the boundary is never sampled from the
-        # wrong side
-        eps = 1e-9 * (hi - lo)
-
-        def rhs(s, y, lo=lo, hi=hi, eps=eps):
-            sc = min(max(s, lo + eps), hi - eps)
-            ks = np.ravel(np.asarray(spec.k_s(sc)))[0]
-            return np.array([ks, np.cos(y[0]), np.sin(y[0])])
-
-        traj = integrate_ode(rhs, state, (lo, hi), tol=tol, events=[r_vanishes])
-        if traj.events and traj.events[0] is not None and traj.events[0][0] > 1e-12:
-            raise InvalidSurfaceError(traj.events[0][0])
-        trajs.append((lo, traj))
-        state = traj.states[-1]
-
-    seg_edges = np.array(edges)
-
-    def eval_brz(s):
-        b = np.empty_like(s)
-        r = np.empty_like(s)
-        z = np.empty_like(s)
-        idx = np.clip(np.searchsorted(seg_edges, s, side="right") - 1, 0, len(trajs) - 1)
-        for j, (_, traj) in enumerate(trajs):
-            sel = idx == j
-            if sel.any():
-                vals = traj.eval(np.minimum(s[sel], traj.s_end))
-                b[sel], r[sel], z[sel] = vals[0], vals[1], vals[2]
-        return r, np.cos(b), z, np.sin(b)
-
-    return RevolutionProfile(spec.s_max, spec.breakpoints, eval_brz, spec.k_s,
-                             spec.dk_s, name="meridian")
+        s_nodes = (mid[:, None] + half * _X).ravel()
+        j = neg[0]  # >= 1: next to the pole r is about s > 0
+        r_at = lambda s: fields(np.array([s]))[0][0]
+        raise InvalidSurfaceError(brentq(r_at, s_nodes[j - 1], s_nodes[j]))
+    return RevolutionProfile(spec.s_max, spec.breakpoints, fields)
 
 
-def profile_from_height(z_fn, dz_fn, d2z_fn, s_max, tol=1e-10, d3z_fn=None, name="height"):
+def profile_from_height(z_fn, dz_fn, d2z_fn, s_max, tol=1e-10, d3z_fn=None):
     """Canonical profile of the revolution graph z = z(rho), z'(0) = 0.
 
     Integrates the arc-length reparametrization d(rho)/ds = (1 + z'^2)^{-1/2}
-    once; curvatures then come from the closed rho-formulas.
+    once; curvatures then come from the closed rho-formulas.  Without
+    ``d3z_fn`` the third derivative is a central difference of ``d2z_fn``.
     """
     if abs(dz_fn(0.0)) > 1e-12:
         raise InvalidInputError("height profile needs z'(0) = 0 for a smooth pole")
@@ -184,27 +219,22 @@ def profile_from_height(z_fn, dz_fn, d2z_fn, s_max, tol=1e-10, d3z_fn=None, name
 
     traj = integrate_ode(rhs, [0.0], (0.0, s_max), tol=tol)
 
-    def k_s_of_s(s):
-        rho = np.atleast_1d(traj.eval(np.clip(np.asarray(s, float), 0.0, s_max)))[0]
-        zp = dz_fn(rho)
-        return d2z_fn(rho) / (1.0 + zp**2) ** 1.5
+    def d3z_central(rho):
+        h = 1e-5 * (1.0 + np.abs(rho))
+        return (d2z_fn(rho + h) - d2z_fn(rho - h)) / (2.0 * h)
 
-    dk_s_of_s = None
-    if d3z_fn is not None:
-        def dk_s_of_s(s):
-            rho = np.atleast_1d(traj.eval(np.clip(np.asarray(s, float), 0.0, s_max)))[0]
-            zp, zpp, zppp = dz_fn(rho), d2z_fn(rho), d3z_fn(rho)
-            w2 = 1.0 + zp**2
-            dk_drho = zppp / w2**1.5 - 3.0 * zpp**2 * zp / w2**2.5
-            return dk_drho / np.sqrt(w2)
+    d3z = d3z_fn or d3z_central
 
-    def eval_brz(s):
+    def fields(s):
         rho = traj.eval(s)[0]
-        zp = dz_fn(rho)
-        w = np.sqrt(1.0 + zp**2)
-        return rho, 1.0 / w, np.asarray(z_fn(rho), dtype=float), zp / w
+        zp, zpp = dz_fn(rho), d2z_fn(rho)
+        w2 = 1.0 + zp**2
+        w = np.sqrt(w2)
+        dk_drho = d3z(rho) / w2**1.5 - 3.0 * zpp**2 * zp / w2**2.5
+        return (rho, 1.0 / w, np.asarray(z_fn(rho), dtype=float), zp / w,
+                zpp / w2**1.5, dk_drho / np.sqrt(w2))
 
-    return RevolutionProfile(s_max, (), eval_brz, k_s_of_s, dk_s_of_s, name=name)
+    return RevolutionProfile(s_max, (), fields)
 
 
 def revolution_curvatures(profile, s):

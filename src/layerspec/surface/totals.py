@@ -4,10 +4,12 @@ The integrals over the whole surface are improper; they are evaluated on an
 increasing truncation schedule with geometric tail extrapolation when the
 increments decay geometrically, and flagged as divergent or principal-value
 estimates otherwise.  Error bounds are never smaller than the last observed
-increment.  Every radial integral of a ring average goes through
-:func:`ring_integral`, which bisects only the panels on which a nested Gauss
-pair disagrees (oscillatory meridian curvatures need that); the remaining
-gap between the pair, summed over the annuli, is added to the error bound.
+increment.  Total Gauss curvature needs no radial quadrature (Gauss-Bonnet,
+see :func:`radial_gauss_partials`).  Every other radial integral of a ring
+average goes through :func:`ring_integral`, which bisects only the panels on
+which a nested Gauss pair disagrees (oscillatory meridian curvatures need
+that); the remaining gap between the pair, summed over the annuli, is added
+to the error bound.
 """
 
 from dataclasses import dataclass, replace
@@ -113,17 +115,22 @@ def ring_integral(chart, weight, panels, stride=None):
     return adaptive_gauss(density, panels, _RING_ORDERS, _RING_REL_TOL)
 
 
+def _check_schedule(chart, schedule):
+    schedule = np.asarray(schedule, dtype=float)
+    if schedule.ndim != 1 or schedule.size < 3 or not np.all(np.diff(schedule) > 0):
+        raise InvalidInputError("truncation schedule must be increasing with >= 3 entries")
+    if schedule[-1] > chart.s_max * (1 + 1e-12):
+        raise InvalidInputError("schedule exceeds chart validity range")
+    return schedule
+
+
 def _disk_estimate(chart, schedule, weight, stride=None):
     """Truncation analysis of the integrals of weight over the scheduled disks.
 
     Each annulus between consecutive radii is one ring integral; the partials
     are their running sums, and the summed quadrature gap enters the bound.
     """
-    schedule = np.asarray(schedule, dtype=float)
-    if schedule.ndim != 1 or schedule.size < 3 or not np.all(np.diff(schedule) > 0):
-        raise InvalidInputError("truncation schedule must be increasing with >= 3 entries")
-    if schedule[-1] > chart.s_max * (1 + 1e-12):
-        raise InvalidInputError("schedule exceeds chart validity range")
+    schedule = _check_schedule(chart, schedule)
     parts = [
         ring_integral(chart, weight, panelize(lo, hi, chart.s_kinks, first=(hi - lo) / 8.0), stride)
         for lo, hi in zip(np.r_[0.0, schedule[:-1]], schedule)
@@ -143,28 +150,35 @@ def resolved_prefix(full, half):
     return int(np.argmin(ok)) if not ok.all() else ok.size
 
 
+def radial_gauss_partials(chart, radii, stride=1):
+    """Disk integrals of K dSigma from r'(S) on the rays theta_nodes[::stride].
+
+    Along every ray the Jacobi equation r'' + K r = 0 gives int_0^S K r ds =
+    1 - r'(S) exactly, so only the theta ring integral is numerical.  Returns
+    the trapezoid value on the rays and the value on every other one of
+    them; their gap measures the angular resolution error.
+    """
+    dr = chart.grid(radii, stride=stride).dr_ds
+    full = 2.0 * np.pi * (1.0 - dr.mean(axis=1))
+    half = 2.0 * np.pi * (1.0 - dr[:, ::2].mean(axis=1))
+    return full, half
+
+
 def total_gauss(chart, schedule, stride=1):
     """Total Gauss curvature: integral of K over the surface.
 
-    Returns the truncation sequence over disks of the scheduled radii with a
-    geometric tail extrapolation; a non-convergent signed sequence comes back
-    flagged as a principal-value estimate.  The ring integrals use the rays
-    theta_nodes[::stride].
-
-    Fan charts integrate each ray through the exact radial antiderivative of
-    K r and keep only the leading schedule radii on which the angular ring
-    integral is resolution-converged (full vs half ray count agreeing to
-    0.1%); the discarded radii would otherwise contaminate the tail
+    The disk integrals come from :func:`radial_gauss_partials` on the rays
+    theta_nodes[::stride]; only the leading radii on which they are
+    resolution-converged (full vs half ray count agreeing to 0.1%) enter the
+    truncation analysis, as the others would contaminate the tail
     extrapolation with angular aliasing.
     """
-    schedule = np.asarray(schedule, dtype=float)
-    if chart.provenance == "graph-shot":
-        full, half = chart.radial_gauss_partials(schedule, stride=stride)
-        n_ok = max(resolved_prefix(full, half), min(3, full.size))
-        est = analyze_truncations(schedule[:n_ok], full[:n_ok])
-        res_err = float(np.max(np.abs(full[:n_ok] - half[:n_ok])))
-        return replace(est, error_bound=max(est.error_bound, res_err))
-    return _disk_estimate(chart, schedule, lambda g: g.K, stride)
+    schedule = _check_schedule(chart, schedule)
+    full, half = radial_gauss_partials(chart, schedule, stride=stride)
+    n_ok = max(resolved_prefix(full, half), min(3, full.size))
+    est = analyze_truncations(schedule[:n_ok], full[:n_ok])
+    res_err = float(np.max(np.abs(full[:n_ok] - half[:n_ok])))
+    return replace(est, error_bound=max(est.error_bound, res_err))
 
 
 def total_mean_sq(chart, schedule, stride=None):
@@ -207,22 +221,31 @@ def total_gauss_cartesian(surf, plane_radii, n_phi=128):
     return analyze_truncations(plane_radii, np.asarray(cumulative))
 
 
-def gauss_bonnet_residual(profile, schedule=None, tol_drift=1e-3):
+class GaussBonnetResidual(float):
+    """A Gauss-Bonnet residual that carries the ring route's error bound as ``bar``."""
+
+    def __new__(cls, value, bar):
+        obj = super().__new__(cls, value)
+        obj.bar = float(bar)
+        return obj
+
+
+def gauss_bonnet_residual(profile):
     """Self-consistency residual |total_K + 2 pi r'(S) - 2 pi| for a profile.
 
-    The Jacobi equation makes the identity exact at every finite S, so the
-    residual measures quadrature plus tail-extrapolation error.  Raises
-    NoLimitError when r'(S) still oscillates at the sampled radii.
+    total_K is the ring quadrature of K, not r' (a tautology).  The Jacobi
+    equation makes the identity exact at every finite S, so the residual
+    measures quadrature plus tail-extrapolation error; the ring route's
+    error bound is its bar.  Raises NoLimitError when r'(S) still oscillates
+    at the sampled radii.
     """
     from .revolution import RevolutionChart  # local import to avoid a cycle
 
     chart = RevolutionChart(profile)
-    S = profile.s_max
-    if schedule is None:
-        schedule = S * np.array([0.125, 0.25, 0.5, 1.0])
-    dr_tail = profile.eval(np.asarray(schedule))
-    drs = dr_tail.dr
-    if abs(drs[-1] - drs[-2]) > tol_drift and abs(drs[-1] - drs[-2]) > 0.5 * abs(drs[-2] - drs[-3]):
+    schedule = profile.s_max * np.array([0.125, 0.25, 0.5, 1.0])
+    drs = profile.eval(schedule).dr
+    if abs(drs[-1] - drs[-2]) > 1e-3 and abs(drs[-1] - drs[-2]) > 0.5 * abs(drs[-2] - drs[-3]):
         raise NoLimitError("r'(s) has not settled on the sampled radii")
-    est = total_gauss(chart, schedule)
-    return abs(est.value + 2.0 * np.pi * float(drs[-1]) - 2.0 * np.pi)
+    est = _disk_estimate(chart, schedule, lambda g: g.K)
+    return GaussBonnetResidual(abs(est.value + 2.0 * np.pi * float(drs[-1]) - 2.0 * np.pi),
+                               est.error_bound)

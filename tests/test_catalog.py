@@ -54,6 +54,9 @@ def test_unknown_names_and_params_rejected():
         build_chart("hyperboloid", {"x0": 2.0})
     with pytest.raises(InvalidInputError):
         build_chart("plane", {"z0": 1.0})
+    # the ODE tolerance is build_chart's own argument, not a surface parameter
+    with pytest.raises(InvalidInputError):
+        build_chart("sine-meridian", {"ode_tol": 1e-8})
 
 
 def test_plane_is_not_a_catalog_entry_but_builds():

@@ -1,3 +1,5 @@
+import ast
+import csv
 import json
 import os
 
@@ -65,6 +67,11 @@ def test_certify_plane_not_found(tmp_path):
     assert main(["certify", "--config", cfg, "--out", out]) == 0
     doc = load(out, "certify")
     assert doc["results"]["certificate"]["verdict"] == "not-found"
+    # the params column holds plain numbers, not numpy reprs
+    with open(os.path.join(out, "certify.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and "np." not in "".join(row["params"] for row in rows)
+    assert ast.literal_eval(rows[0]["params"]) == {"sigma": 0.1, "s0": 5.0}
 
 
 def test_certify_capped_cylinder_exit_two(tmp_path):

@@ -15,6 +15,7 @@ from layerspec.cli import main
 from layerspec.errors import TruncationError
 from layerspec.numkernel import integrate_ode
 from layerspec.surface import graph
+from layerspec.surface.totals import radial_gauss_partials
 
 _FIELDS = ("r", "dr_ds", "K", "M", "k1", "k2", "dM_ds", "dM_dtheta", "p", "dp_ds",
            "dp_dtheta", "ii_ss", "ii_st", "ii_tt")
@@ -81,12 +82,12 @@ def test_fine_level_is_shot_once_by_the_first_off_coarse_read(monkeypatch):
     assert sizes == [6 * 768]
     fan.grid(_S, stride=2)
     fan.grid(_S, stride=fan.theta_stride_for(256))
-    fan.radial_gauss_partials(_S, stride=2)
+    radial_gauss_partials(fan, _S, stride=2)
     assert sizes == [6 * 768]
     fan.grid(_S, stride=3)
     assert sizes == [6 * 768, 6 * 768]
     fan.grid(_S)
-    fan.radial_gauss_partials(_S)
+    radial_gauss_partials(fan, _S)
     assert sizes == [6 * 768, 6 * 768]
 
 
@@ -134,7 +135,7 @@ def test_deferred_fine_level_hit_raises(monkeypatch):
     with pytest.raises(TruncationError, match="s = 5,"):
         fan.grid(_S)
     with pytest.raises(TruncationError, match="s = 5,"):
-        fan.radial_gauss_partials(_S)
+        radial_gauss_partials(fan, _S)
     assert fan.s_max == 20.0
     fan.grid(_S, stride=4)
 

@@ -65,9 +65,10 @@ def test_sine_meridian_total_matches_closed_form():
 
 
 def test_sine_meridian_error_bar_covers_closed_form_on_the_certify_schedule():
-    # the schedule certify uses for its sign test; the outer annuli hold
-    # sin(s^2)/s^2 oscillations the radial panels cannot all resolve, so the
-    # bar must carry the remaining quadrature gap
+    # the schedule certify uses for its sign test; Gauss-Bonnet gives each
+    # disk from r'(S) alone, so no radial quadrature has to resolve the
+    # sin(s^2)/s^2 oscillations of the outer annuli, and the bar is the tail
+    # extrapolation's
     chart = build_chart("sine-meridian", {"s_max": 250.0})
     est = total_gauss(chart, 250.0 * np.geomspace(1.0 / 32.0, 1.0, 6))
     exact = TWO_PI * (1 - np.cos(np.sqrt(np.pi / 2)))
@@ -120,7 +121,10 @@ def test_mean_sq_divergence_detected():
 )
 def test_gauss_bonnet_residual_small(name, params):
     chart = build_chart(name, params)
-    assert gauss_bonnet_residual(chart.profile) <= 1e-3
+    residual = gauss_bonnet_residual(chart.profile)
+    assert residual <= 1e-3
+    # the ring route's error bound covers the residual
+    assert residual <= residual.bar
 
 
 def test_plane_gauss_bonnet_zero():
