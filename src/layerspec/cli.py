@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import build_chart, catalog, catalog_entry
 from .config import RunConfig, defaults_text, load_config
 from .errors import ConfigError, HypothesisViolationError, InvalidInputError, LayerSpecError
-from .layer import LayerSpec, c_bounds, collision_scan, rho_m
+from .layer import LayerSpec, c_bounds, collision_scan
 from .report import ReportWriter, exact, measured
 from .surface import (
     gauss_bonnet_residual,
@@ -76,7 +76,8 @@ def cmd_describe(config, writer, force):
     entry = None if name == "plane" else catalog_entry(name)
     ss = np.geomspace(chart.s_max / 256.0, chart.s_max * 0.98, 48)
     g = chart.grid(ss, stride=chart.theta_nodes.size)  # the theta = 0 column
-    rho = rho_m(chart)
+    layer = LayerSpec(chart, a=config.get("layer.a"), force=True)
+    rho = layer.rho_m
     writer.add("surface", {
         "name": name,
         "definition": entry.definition if entry else "z = 0",
@@ -93,7 +94,6 @@ def cmd_describe(config, writer, force):
     ]
     writer.write_csv("describe", ["s", "r", "dr_ds", "K", "M", "k1", "k2"], rows)
     writer.add("samples", {"count": len(rows), "theta": float(g.theta[j])})
-    layer = LayerSpec(chart, a=config.get("layer.a"), force=True)
     scan = collision_scan(layer)
     writer.add("layer", {
         "a": exact(layer.a),
@@ -163,7 +163,7 @@ def cmd_certify(config, writer, force):
         "family": cert.family,
         "params": cert.params,
         "q_tilde": measured(cert.q_tilde, cert.error),
-        "norm_sq": exact(cert.norm_sq),
+        "norm_sq": measured(cert.norm_sq, cert.norm_error),
         "kappa1_sq": exact(layer.kappa1_sq),
         "rho_m": measured(layer.rho_m, 0.05 * layer.rho_m if np.isfinite(layer.rho_m) else 0.0),
         "c_bounds": list(c_bounds(layer)),

@@ -45,7 +45,8 @@ SCHEMA = [
     _Key("spectrum.n_u", "int", 32, "transverse cell count"),
     _Key("spectrum.m_list", "int_list", [0, 1, 2], "angular momentum indices"),
     _Key("spectrum.k", "int", 3, "eigenvalues per partial wave"),
-    _Key("spectrum.levels", "int", 2, "mesh refinement levels for the table"),
+    _Key("spectrum.levels", "int", 2,
+         "mesh refinement levels for the table; order_estimate needs 3 and is null below"),
     _Key("counterexample.R", "float", 1.0, "cap radius"),
     _Key("counterexample.a", "float", 0.3, "layer half-width for the capped run"),
     _Key("counterexample.S", "float", 10.0, "base truncation (runs at S, 2S, 4S)"),

@@ -24,24 +24,12 @@ class IntegrationFailureError(LayerSpecError):
         self.last_s = float(last_s)
 
 
-class ConjugatePointError(LayerSpecError):
-    """The Jacobi field hit zero at some s* > 0; the chart is invalid beyond."""
-
-    def __init__(self, s_star):
-        super().__init__(f"conjugate point at s = {s_star:.6g}; polar chart invalid beyond")
-        self.s_star = float(s_star)
-
-
 class InvalidSurfaceError(LayerSpecError):
     """A constructed revolution profile crossed r <= 0 away from the pole."""
 
     def __init__(self, s_cross):
         super().__init__(f"profile radius vanishes at s = {s_cross:.6g}; not a valid surface")
         self.s_cross = float(s_cross)
-
-
-class PoleSingularityError(LayerSpecError):
-    """Curvature evaluation requested at the pole itself (r = 0)."""
 
 
 class HypothesisViolationError(LayerSpecError):

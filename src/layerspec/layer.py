@@ -21,9 +21,14 @@ from .numkernel import gauss_legendre
 
 _SUP_SAFETY = 1.05
 _PLANAR_SUP = 1e-12
+_RHO_PROBES = 400  # radii sampled by rho_m, half geometric and half uniform
+# collision_scan's sample counts in s, theta and u
+_SCAN_S, _SCAN_THETA, _SCAN_U = 48, 24, 5
+# transverse modes and Gauss nodes of check_mode_orthonormality
+_GRAM_MODES, _GRAM_NODES = 5, 48
 
 
-def rho_m(chart, n_probe=400):
+def rho_m(chart):
     """Minimal normal curvature radius: 1 / sup(|k1|, |k2|), sampled.
 
     Dense sampling over the chart with a 5% safety factor on the supremum;
@@ -31,8 +36,8 @@ def rho_m(chart, n_probe=400):
     """
     lo = min(1e-3, chart.s_max * 1e-4)
     s = np.concatenate([
-        np.geomspace(lo, chart.s_max, n_probe // 2),
-        np.linspace(lo, chart.s_max, n_probe // 2),
+        np.geomspace(lo, chart.s_max, _RHO_PROBES // 2),
+        np.linspace(lo, chart.s_max, _RHO_PROBES // 2),
     ])
     g = chart.grid(np.sort(s), stride=chart.theta_stride_for(512))
     sup = float(np.max(np.maximum(np.abs(g.k1), np.abs(g.k2))))
@@ -158,28 +163,15 @@ def layer_metric(layer, s, theta, u):
     )
 
 
-def effective_potential(layer, s, theta, u):
-    """(V2, K - M^2): transverse effective potential and its leading term.
-
-    V2 = (K - M^2)/f^2; the numerator equals -((k1 - k2)/2)^2, the attractive
-    contribution that vanishes only at umbilic points.
-    """
-    g, i, j = _chart_point(layer.chart, s, theta)
-    km = g.K[i, j] - g.M[i, j] ** 2
-    f = 1.0 - 2.0 * g.M[i, j] * u + g.K[i, j] * u**2
-    return float(km / f**2), float(km)
-
-
 @dataclass(frozen=True)
 class CollisionScan:
     """Outcome of the coarse self-intersection probe (never a proof)."""
 
     result: str  # "no collision detected" | "possible self-intersection"
     checked_points: int
-    closest_far_pair: float
 
 
-def collision_scan(layer, n_s=48, n_theta=24, n_u=5):
+def collision_scan(layer):
     """Coarse spatial-hash probe for layer self-intersection.
 
     Samples layer points p + u n, buckets them into cubes of edge a, and
@@ -191,15 +183,15 @@ def collision_scan(layer, n_s=48, n_theta=24, n_u=5):
     chart = layer.chart
     a = layer.a
     lo = min(1e-2, chart.s_max * 1e-3)
-    s = np.geomspace(lo, chart.s_max * 0.98, n_s)
-    g = chart.grid(s, stride=chart.theta_stride_for(n_theta))
+    s = np.geomspace(lo, chart.s_max * 0.98, _SCAN_S)
+    g = chart.grid(s, stride=chart.theta_stride_for(_SCAN_THETA))
     normal = np.cross(g.dp_ds, g.dp_dtheta)
     norms = np.linalg.norm(normal, axis=-1, keepdims=True)
     normal = normal / np.where(norms > 0, norms, 1.0)
-    us = np.linspace(-a, a, n_u)
+    us = np.linspace(-a, a, _SCAN_U)
     pts = (g.p[None, ...] + us[:, None, None, None] * normal[None, ...]).reshape(-1, 3)
     uu, ss, tt = np.meshgrid(us, g.s, g.theta, indexing="ij")
-    rr = np.broadcast_to(g.r[None, ...], (n_u, g.s.size, g.theta.size))
+    rr = np.broadcast_to(g.r[None, ...], (_SCAN_U, g.s.size, g.theta.size))
     coords = np.stack([ss.ravel(), tt.ravel(), rr.ravel()], axis=1)
 
     buckets = {}
@@ -207,7 +199,6 @@ def collision_scan(layer, n_s=48, n_theta=24, n_u=5):
     for i, key in enumerate(map(tuple, keys)):
         buckets.setdefault(key, []).append(i)
 
-    closest = np.inf
     hit = False
     for members in buckets.values():
         if len(members) < 2:
@@ -221,23 +212,18 @@ def collision_scan(layer, n_s=48, n_theta=24, n_u=5):
         # chart separation with the local circumference radius of the pair
         r_loc = np.minimum(coords[idx, 2][:, None], coords[idx, 2][None, :])
         chart_far = (ds + r_loc * dt) > 2.5 * a
-        cand = chart_far & (d2 < (0.5 * a) ** 2)
-        if cand.any():
+        if (chart_far & (d2 < (0.5 * a) ** 2)).any():
             hit = True
-        far_d = np.sqrt(d2[chart_far]) if chart_far.any() else np.array([])
-        if far_d.size:
-            closest = min(closest, float(far_d.min()))
     return CollisionScan(
         result="possible self-intersection" if hit else "no collision detected",
         checked_points=pts.shape[0],
-        closest_far_pair=closest,
     )
 
 
-def check_mode_orthonormality(layer, n_max=5, n_quad=48):
-    """Quadrature check of the transverse modes' orthonormality matrix."""
-    quad = gauss_legendre(n_quad, [-layer.a, layer.a])
-    modes = [layer.transverse_mode(n) for n in range(1, n_max + 1)]
+def check_mode_orthonormality(layer):
+    """Quadrature Gram matrix of the first _GRAM_MODES transverse modes."""
+    quad = gauss_legendre(_GRAM_NODES, [-layer.a, layer.a])
+    modes = [layer.transverse_mode(n) for n in range(1, _GRAM_MODES + 1)]
     gram = np.array([
         [quad.integrate_samples(m1(quad.nodes) * m2(quad.nodes)) for m2 in modes]
         for m1 in modes

@@ -52,6 +52,9 @@ _SEED = 20080601
 # 1.1e-14 relative against runs of the full m steps.
 _RITZ_TOL = 1e-13
 
+# largest relative asymmetry |M - M^T| / max|M| a stiffness or mass may carry
+_SYM_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class SparseSymmetricPair:
@@ -62,7 +65,7 @@ class SparseSymmetricPair:
     dimension: int
 
     @staticmethod
-    def build(stiffness, mass, sym_tol=1e-13):
+    def build(stiffness, mass):
         A = sp.csr_matrix(stiffness)
         B = sp.csr_matrix(mass)
         if A.shape[0] != A.shape[1] or A.shape != B.shape:
@@ -70,8 +73,8 @@ class SparseSymmetricPair:
         for name, M in (("stiffness", A), ("mass", B)):
             gap = abs(M - M.T)
             scale = max(abs(M).max(), 1e-300)
-            if gap.nnz and gap.max() > sym_tol * scale:
-                raise InvalidInputError(f"{name} is not symmetric to {sym_tol:g} relative")
+            if gap.nnz and gap.max() > _SYM_TOL * scale:
+                raise InvalidInputError(f"{name} is not symmetric to {_SYM_TOL:g} relative")
         if np.any(B.diagonal() <= 0.0):
             raise InvalidInputError("mass must have strictly positive diagonal")
         return SparseSymmetricPair(stiffness=A, mass=B, dimension=A.shape[0])
@@ -178,38 +181,7 @@ def _lanczos_shift_invert(A, B, sigma, k, m, rng):
     return [lams[i] for i in order], [vecs[i] for i in order], shift
 
 
-def _crude_extremes(A, B, rng, steps=80):
-    """Rough extreme eigenvalue estimates of B^{-1} A by plain B-Lanczos."""
-    n = A.shape[0]
-    steps = min(steps, n)
-    solveB = _make_solver(B)
-    v = rng.standard_normal(n)
-    v /= np.sqrt(v @ (B @ v))
-    alphas, betas = [], []
-    v_prev = np.zeros(n)
-    beta_prev = 0.0
-    V = [v]
-    for j in range(steps):
-        w = solveB(A @ V[j])
-        w -= beta_prev * v_prev
-        a = w @ (B @ V[j])
-        alphas.append(a)
-        w -= a * V[j]
-        Vmat = np.asarray(V)
-        for _ in range(2):
-            w -= Vmat.T @ (Vmat @ (B @ w))
-        beta = np.sqrt(max(w @ (B @ w), 0.0))
-        if beta < 1e-13 * max(1.0, abs(a)) or j == steps - 1:
-            break
-        betas.append(beta)
-        v_prev = V[j]
-        beta_prev = beta
-        V.append(w / beta)
-    theta = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas), eigvals_only=True)
-    return float(theta[0]), float(theta[-1])
-
-
-def lowest_eigenpairs(pair, k, shift="auto", tol=1e-9):
+def lowest_eigenpairs(pair, k, shift, tol=1e-9):
     """k smallest generalized eigenvalues of a SparseSymmetricPair, ascending.
 
     Parameters
@@ -217,9 +189,9 @@ def lowest_eigenpairs(pair, k, shift="auto", tol=1e-9):
     pair : SparseSymmetricPair
     k : int
         Number of eigenpairs, 1 <= k < dimension.
-    shift : float or "auto"
-        A value strictly below the sought eigenvalues.  "auto" estimates one
-        from a short plain Lanczos run.
+    shift : float
+        A value below the sought eigenvalues, which the caller derives from
+        what it knows of the spectrum (a threshold, a floor, a bound).
     tol : float
         Target for the scale-free backward error
         ``|A v - lam B v| / ((|A|_1 + |lam| |B|_1) |v|)`` of every returned
@@ -234,14 +206,7 @@ def lowest_eigenpairs(pair, k, shift="auto", tol=1e-9):
     if k >= pair.dimension:
         raise InvalidInputError("k must be smaller than the pair dimension")
     A, B = pair.stiffness, pair.mass
-    rng = np.random.default_rng(_SEED)
-
-    if shift == "auto":
-        lo, hi = _crude_extremes(A, B, rng)
-        spread = max(hi - lo, 1e-12 * max(abs(hi), abs(lo), 1.0))
-        sigma = lo - 0.05 * spread
-    else:
-        sigma = float(shift)
+    sigma = float(shift)
 
     m = min(max(2 * k + 24, 48), pair.dimension)
     m_cap = min(max(8 * k + 80, 320), pair.dimension)

@@ -139,7 +139,7 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol):
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     """First step size from two RHS values (Hairer, Nørsett & Wanner, §II.4)."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
@@ -153,19 +153,17 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval_length, max_step)
+    return min(100 * h0, h1, interval_length)
 
 
-def _advance(fun, t, y, f, h_abs, K, t_bound, max_step, rtol, atol):
+def _advance(fun, t, y, f, h_abs, K, t_bound, rtol, atol):
     """Take one accepted DP5(4) step from ``(t, y)`` with ``f = rhs(t, y)``.
 
     Returns ``(t_new, y_new, f_new, h_abs_next)`` with the stages in ``K``,
     or None when the step size falls below ten ulps of ``t``.
     """
     min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-    if h_abs > max_step:
-        h_abs = max_step
-    elif h_abs < min_step:
+    if h_abs < min_step:
         h_abs = min_step
     rejected = False
     while h_abs >= min_step:
@@ -225,8 +223,11 @@ def _event_roots(events, directions, terminal, g, g_new, step, t_old, t):
     return active[: last + 1], roots[: last + 1], True
 
 
-def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=None, events=None):
+def integrate_ode(rhs, initial, span, tol=1e-10, events=None):
     """Integrate ``y' = rhs(s, y)`` over ``span`` with local tolerance ``tol``.
+
+    Step sizes are left to the controller: the first one is chosen from the
+    RHS, and no step is capped in length.
 
     Parameters
     ----------
@@ -239,8 +240,6 @@ def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=Non
     tol : float
         Relative and absolute local error target (> 0); the relative target
         is at least 100 machine epsilons.
-    max_step, first_step : float, optional
-        Largest step, and the first step (chosen from the RHS by default).
     events : list of callables, optional
         Scalar event functions ``g(s, y)``; a ``terminal`` flag and a
         ``direction`` attribute are honoured as in scipy's ``solve_ivp``.
@@ -258,10 +257,6 @@ def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=Non
     s0, s1 = float(span[0]), float(span[1])
     if not s1 > s0:
         raise InvalidInputError("span must satisfy s1 > s0")
-    if not max_step > 0:
-        raise InvalidInputError("max_step must be > 0")
-    if first_step is not None and not 0 < first_step <= s1 - s0:
-        raise InvalidInputError("first_step must lie in (0, s1 - s0]")
     y = np.atleast_1d(np.asarray(initial, dtype=float))
     if not np.isfinite(y).all():
         raise InvalidInputError("initial state must be finite")
@@ -271,10 +266,7 @@ def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=Non
         return np.asarray(rhs(s, state), dtype=float)
 
     f = fun(s0, y)
-    if first_step is None:
-        h_abs = _initial_step(fun, s0, y, f, s1, max_step, rtol, atol)
-    else:
-        h_abs = first_step
+    h_abs = _initial_step(fun, s0, y, f, s1, rtol, atol)
     K = np.empty((_C.size + 1, y.size))
 
     events = list(events or ())
@@ -295,7 +287,7 @@ def integrate_ode(rhs, initial, span, tol=1e-10, max_step=np.inf, first_step=Non
     states[0] = y
     stop = False
     while t < s1 and not stop:
-        taken = _advance(fun, t, y, f, h_abs, K, s1, max_step, rtol, atol)
+        taken = _advance(fun, t, y, f, h_abs, K, s1, rtol, atol)
         if taken is None:
             raise IntegrationFailureError(_TOO_SMALL_STEP, last_s=t)
         t_old = t

@@ -23,6 +23,14 @@ from .mesh import build_mesh
 from .solve import SpectrumResult, mesh_threshold, solve_spectrum
 
 
+# coarsest cell counts of the interval solves (the extrapolated eps_1 and
+# shell ground; radial_order_estimate), each run on _LEVELS halved meshes
+_INTERVAL_CELLS = 1600
+_ORDER_CELLS = 400
+_LEVELS = 3
+# mesh of cap_neumann_ground's hemispherical segment
+_CAP_N_S, _CAP_N_U = 200, 40
+
 # the two interval operators: the cylinder's radial problem (eps_1) and the
 # l = 0 reduction of the spherical shell
 _INTERVAL_PROBLEMS = {
@@ -55,10 +63,10 @@ def _interval_ground(R, a, n, potential=None, weight=None):
     return lowest_eigenpairs(pair, 1, shift=shift)[0].value
 
 
-def _interval_levels(R, a, n, levels, kind):
-    """Interval ground states on n, 2n, ... 2^(levels-1) n cells."""
+def _interval_levels(R, a, n, kind):
+    """Interval ground states on n, 2n, ... 2^(_LEVELS-1) n cells."""
     problem = _INTERVAL_PROBLEMS[kind]
-    return [_interval_ground(R, a, n * 2**lev, **problem) for lev in range(levels)]
+    return [_interval_ground(R, a, n * 2**lev, **problem) for lev in range(_LEVELS)]
 
 
 class Extrapolated(float):
@@ -74,13 +82,14 @@ class Extrapolated(float):
         return obj
 
 
-def _richardson(values, order=2.0):
+def _richardson(values):
+    """Second-order Richardson extrapolation of the two finest levels."""
     lam_h, lam_h2 = values[-2], values[-1]
-    value = lam_h2 + (lam_h2 - lam_h) / (2.0**order - 1.0)
+    value = lam_h2 + (lam_h2 - lam_h) / 3.0
     return Extrapolated(value, abs(value - lam_h2))
 
 
-def counterexample_radial(R, a, n=1600, levels=3):
+def counterexample_radial(R, a):
     """eps_1: ground state of -d^2/dr^2 - 1/(4 r^2) on (R-a, R+a).
 
     Second-order finite differences with Richardson extrapolation over
@@ -89,10 +98,10 @@ def counterexample_radial(R, a, n=1600, levels=3):
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    return _richardson(_interval_levels(R, a, n, levels, "radial"))
+    return _richardson(_interval_levels(R, a, _INTERVAL_CELLS, "radial"))
 
 
-def spherical_shell_ground(R, a, n=1600, levels=3):
+def spherical_shell_ground(R, a):
     """Ground state of the Dirichlet Laplacian between spheres of radii R -+ a.
 
     Computed from the l = 0 radial reduction with the rho^2 weight; the
@@ -102,10 +111,10 @@ def spherical_shell_ground(R, a, n=1600, levels=3):
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    return _richardson(_interval_levels(R, a, n, levels, "shell"))
+    return _richardson(_interval_levels(R, a, _INTERVAL_CELLS, "shell"))
 
 
-def radial_order_estimate(R, a, n=400, levels=3, kind="shell"):
+def radial_order_estimate(R, a, kind="shell"):
     """Observed convergence order of the interval solver on halved meshes.
 
     ``kind`` picks the interval problem: "shell" or "radial".
@@ -113,7 +122,7 @@ def radial_order_estimate(R, a, n=400, levels=3, kind="shell"):
     if kind not in _INTERVAL_PROBLEMS:
         raise InvalidInputError(f"unknown interval problem {kind!r}; expected one of "
                                 f"{sorted(_INTERVAL_PROBLEMS)}")
-    vals = _interval_levels(R, a, n, levels, kind)
+    vals = _interval_levels(R, a, _ORDER_CELLS, kind)
     num = vals[0] - vals[1]
     den = vals[1] - vals[2]
     return float(np.log2(num / den))
@@ -142,7 +151,7 @@ def capped_layer(R, a, S):
     return LayerSpec(chart, a=a)
 
 
-def cap_neumann_ground(R, a, n_s=200, n_u=40):
+def cap_neumann_ground(R, a):
     """Ground state of the hemispherical cap segment with a Neumann cut.
 
     By mirror symmetry through the cut this reproduces the full spherical
@@ -151,7 +160,7 @@ def cap_neumann_ground(R, a, n_s=200, n_u=40):
     """
     layer = capped_layer(R, a, np.pi * R)
     junction = np.pi * R / 2.0
-    mesh = build_mesh(junction, a, n_s, n_u)
+    mesh = build_mesh(junction, a, _CAP_N_S, _CAP_N_U)
     op = assemble_partial_wave(layer, 0, mesh, neumann_outer=True)
     return solve_spectrum(op, 1)
 

@@ -42,6 +42,12 @@ class SpectrumResult:
 
     @property
     def order_estimate(self):
+        """Observed order log2((l0 - l1) / (l1 - l2)) of lambda_0 on the last three levels.
+
+        None with fewer than three refinement levels (so at the CLI default
+        ``spectrum.levels = 2``), and when the two differences do not share
+        a sign.
+        """
         if len(self.convergence) < 3:
             return None
         lam = [row[2] for row in self.convergence[-3:]]
@@ -81,12 +87,12 @@ def solve_spectrum(op, k, tol=1e-9, floor=None):
     )
 
 
-def spectrum_with_refinement(layer, m, S, n_s, n_u, k=1, levels=3, align_face=None, tol=1e-9):
+def spectrum_with_refinement(layer, m, S, n_s, n_u, k=1, levels=3, tol=1e-9):
     """Solve on a sequence of halved meshes and report the refinement table."""
     table = []
     result = None
     for lev in range(levels):
-        mesh = build_mesh(S, layer.a, n_s * 2**lev, n_u * 2**lev, align_face=align_face)
+        mesh = build_mesh(S, layer.a, n_s * 2**lev, n_u * 2**lev)
         op = assemble_partial_wave(layer, m, mesh)
         result = solve_spectrum(op, k, tol=tol)
         table.append((mesh.h_s, mesh.h_u, float(result.eigenvalues[0]), result.threshold_mesh))

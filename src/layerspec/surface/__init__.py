@@ -1,14 +1,12 @@
 """Surfaces with a pole in geodesic polar coordinates."""
 
 from .charts import ChartGrid, PlaneChart, uniform_theta
-from .jacobi import JacobiField, jacobi_field
 from .revolution import (
     MeridianSpec,
     ProfileSample,
     RevolutionChart,
     RevolutionProfile,
     profile_from_height,
-    revolution_curvatures,
     revolution_from_meridian,
 )
 from .graph import FanChart, GraphSurface, geodesic_fan, graph_curvatures
@@ -29,14 +27,11 @@ __all__ = [
     "ChartGrid",
     "PlaneChart",
     "uniform_theta",
-    "JacobiField",
-    "jacobi_field",
     "MeridianSpec",
     "ProfileSample",
     "RevolutionChart",
     "RevolutionProfile",
     "profile_from_height",
-    "revolution_curvatures",
     "revolution_from_meridian",
     "FanChart",
     "GraphSurface",

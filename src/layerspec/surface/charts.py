@@ -68,10 +68,6 @@ class ChartGrid:
     ii_tt: np.ndarray
 
     @property
-    def sqrt_g(self):
-        return self.r
-
-    @property
     def grad_M_sq(self):
         """|grad_g M|^2 = (dM/ds)^2 + r^{-2} (dM/dtheta)^2."""
         return self.dM_ds**2 + self.dM_dtheta**2 / self.r**2
@@ -85,11 +81,11 @@ class PlaneChart:
     truncated = False
     s_kinks = ()
 
-    def __init__(self, s_max, pole=(0.0, 0.0), n_theta=64):
+    def __init__(self, s_max, n_theta=64):
         if s_max <= 0:
             raise InvalidInputError("s_max must be positive")
         self.s_max = float(s_max)
-        self.pole = np.array([pole[0], pole[1], 0.0])
+        self.pole = np.zeros(3)
         self.theta_nodes = uniform_theta(n_theta)
 
     def theta_stride_for(self, max_rays):

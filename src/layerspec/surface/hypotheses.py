@@ -21,6 +21,11 @@ from .totals import (
 
 _SUP_SAFETY = 1.05
 _ZERO_FLOOR = 1e-10
+# radii sampled per annulus by the quick flatness gate and by the full report
+_FLATNESS_SAMPLES = 120
+_REPORT_SAMPLES = 160
+# the flatness gate's annulus radii, as fractions of the chart's s_max
+_FLATNESS_RADII = (0.125, 0.25, 0.5, 0.96)
 
 
 @dataclass(frozen=True)
@@ -82,19 +87,18 @@ def _sigma0_probe(chart, radii, samples_per_annulus, stride, safety):
     return verdict, sup_K, sup_M, v_K, v_M
 
 
-def asymptotic_flatness_verdict(chart, radii=None, samples_per_annulus=120):
+def asymptotic_flatness_verdict(chart):
     """Quick decay verdict for sup|K|, sup|M| on a few annuli.
 
     Used as a gate by consumers whose conclusions presuppose that the
     essential spectrum starts at the transverse threshold.
     """
-    if radii is None:
-        radii = chart.s_max * np.array([0.125, 0.25, 0.5, 0.96])
+    radii = chart.s_max * np.array(_FLATNESS_RADII)
     stride = chart.theta_stride_for(256)
-    return _sigma0_probe(chart, radii, samples_per_annulus, stride, 1.0)[0]
+    return _sigma0_probe(chart, radii, _FLATNESS_SAMPLES, stride, 1.0)[0]
 
 
-def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
+def hypotheses_report(chart, probe_radii):
     """Check curvature decay, K-integrability, and |grad M|^2-integrability.
 
     Parameters
@@ -123,7 +127,7 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
         )
         probe_radii = probe_radii[:n_ok]
     sigma0, sup_K, sup_M, v_K, v_M = _sigma0_probe(
-        chart, probe_radii, samples_per_annulus, 1, _SUP_SAFETY)
+        chart, probe_radii, _REPORT_SAMPLES, 1, _SUP_SAFETY)
     if sigma0 != "pass":
         notes.append(f"sup|K| verdict {v_K}, sup|M| verdict {v_M}")
 
@@ -138,8 +142,7 @@ def hypotheses_report(chart, probe_radii, samples_per_annulus=160):
         sign_definite = g_probe.K.max() <= 1e-12 or g_probe.K.min() >= -1e-12
     if sign_definite:
         est1 = total_gauss(chart, probe_radii)
-        est1 = replace(est1, value=abs(est1.value), partials=np.abs(est1.partials),
-                       tail=abs(est1.tail))
+        est1 = replace(est1, value=abs(est1.value), partials=np.abs(est1.partials))
     else:
         est1 = total_abs_gauss(chart, probe_radii, stride=stride)
     sigma1 = _integral_verdict(est1)

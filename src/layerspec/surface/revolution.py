@@ -18,16 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from ..errors import (
-    IntegrationFailureError,
-    InvalidInputError,
-    InvalidSurfaceError,
-    PoleSingularityError,
-)
+from ..errors import IntegrationFailureError, InvalidInputError, InvalidSurfaceError
 from ..numkernel import integrate_ode
 from .charts import ChartGrid, uniform_theta
 
 _R_FLOOR = 1e-12
+_N_THETA = 64  # rays of the (exact, theta-independent) chart ring
 
 # first-kind Chebyshev nodes per meridian panel, ascending on [-1, 1]
 _N = 24
@@ -237,20 +233,6 @@ def profile_from_height(z_fn, dz_fn, d2z_fn, s_max, tol=1e-10, d3z_fn=None):
     return RevolutionProfile(s_max, (), fields)
 
 
-def revolution_curvatures(profile, s):
-    """(k_s, k_theta, K, M, r) at arc length s in (0, s_max]."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr <= 0.0):
-        raise PoleSingularityError("curvatures are undefined at the pole s = 0")
-    ps = profile.eval(s_arr)
-    if np.any(ps.r <= 0.0):
-        raise PoleSingularityError("profile radius vanished at a requested s")
-    out = (ps.k_s, ps.k_theta, ps.K, ps.M, ps.r)
-    if np.ndim(s) == 0:
-        return tuple(float(v[0]) for v in out)
-    return out
-
-
 class RevolutionChart:
     """Geodesic polar chart of a surface of revolution."""
 
@@ -258,11 +240,11 @@ class RevolutionChart:
     rotation_invariant = True
     truncated = False
 
-    def __init__(self, profile, n_theta=64):
+    def __init__(self, profile):
         self.profile = profile
         self.s_max = profile.s_max
         self.s_kinks = profile.breakpoints
-        self.theta_nodes = uniform_theta(n_theta)
+        self.theta_nodes = uniform_theta(_N_THETA)
         self.pole = np.zeros(3)
 
     def theta_stride_for(self, max_rays):

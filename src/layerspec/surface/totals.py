@@ -25,6 +25,7 @@ _ABS_FLOOR = 1e-11
 # the fraction of the accumulated integral at which a panel has converged
 _RING_ORDERS = (16, 22)
 _RING_REL_TOL = 1e-7
+_CARTESIAN_PHI = 128  # base-plane angles of total_gauss_cartesian
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class TotalCurvatureEstimate:
     value: float
     truncations: np.ndarray
     partials: np.ndarray
-    tail: float
     error_bound: float
     divergent: bool
     principal_value: bool
@@ -44,7 +44,7 @@ class TotalCurvatureEstimate:
         return not (self.divergent or self.principal_value)
 
 
-def analyze_truncations(radii, partials, floor=_ABS_FLOOR):
+def analyze_truncations(radii, partials):
     """Classify a truncation sequence and extrapolate its geometric tail."""
     radii = np.asarray(radii, dtype=float)
     partials = np.asarray(partials, dtype=float)
@@ -53,15 +53,15 @@ def analyze_truncations(radii, partials, floor=_ABS_FLOOR):
     d = np.diff(partials)
     scale = max(np.max(np.abs(partials)), 1.0)
 
-    def estimate(value, tail, err, divergent=False, principal=False):
+    def estimate(value, err, divergent=False, principal=False):
         return TotalCurvatureEstimate(
-            value=float(value), truncations=radii, partials=partials, tail=float(tail),
-            error_bound=float(max(err, abs(d[-1]), floor * scale)),
+            value=float(value), truncations=radii, partials=partials,
+            error_bound=float(max(err, abs(d[-1]), _ABS_FLOOR * scale)),
             divergent=divergent, principal_value=principal,
         )
 
-    if np.all(np.abs(d[-2:]) <= floor * scale):
-        return estimate(partials[-1], 0.0, floor * scale)
+    if np.all(np.abs(d[-2:]) <= _ABS_FLOOR * scale):
+        return estimate(partials[-1], _ABS_FLOOR * scale)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = d[1:] / d[:-1]
@@ -76,13 +76,13 @@ def analyze_truncations(radii, partials, floor=_ABS_FLOOR):
         )
     if np.isfinite(rho) and abs(rho) < _DECAY_RATIO and abs(d[-1]) < abs(d[-2]) and consistent:
         tail = d[-1] * rho / (1.0 - rho)
-        return estimate(partials[-1] + tail, tail, abs(tail))
+        return estimate(partials[-1] + tail, abs(tail))
 
     # fast but irregular decay (oscillatory or accelerating tails): converged,
     # no tail model
     third = abs(d[-3]) if d.size >= 3 else abs(d[-2])
     if abs(d[-1]) <= 0.5 * abs(d[-2]) and abs(d[-1]) <= 0.5 * third:
-        return estimate(partials[-1], 0.0, abs(d[-1]))
+        return estimate(partials[-1], abs(d[-1]))
 
     # sustained same-sign increments that do not flatten in aggregate
     same_sign = np.all(d[-4:] > 0) or np.all(d[-4:] < 0)
@@ -91,9 +91,9 @@ def analyze_truncations(radii, partials, floor=_ABS_FLOOR):
     else:
         flattening = abs(d[-1]) < 0.7 * abs(d[-2])
     if same_sign and not flattening:
-        return estimate(partials[-1], 0.0, max(abs(d[-1]), abs(d[-2])), divergent=True)
+        return estimate(partials[-1], max(abs(d[-1]), abs(d[-2])), divergent=True)
 
-    return estimate(partials[-1], 0.0, max(abs(d[-1]), abs(d[-2])), principal=True)
+    return estimate(partials[-1], max(abs(d[-1]), abs(d[-2])), principal=True)
 
 
 def ring_integral(chart, weight, panels, stride=None):
@@ -196,7 +196,7 @@ def total_grad_mean_sq(chart, schedule, stride=None):
     return _disk_estimate(chart, schedule, lambda g: g.grad_M_sq, stride)
 
 
-def total_gauss_cartesian(surf, plane_radii, n_phi=128):
+def total_gauss_cartesian(surf, plane_radii):
     """Independent cross-check for graphs: integral of K over plane disks.
 
     Uses the Cartesian area element sqrt(1 + |grad f|^2) dx dy in polar
@@ -207,7 +207,7 @@ def total_gauss_cartesian(surf, plane_radii, n_phi=128):
     plane_radii = np.asarray(plane_radii, dtype=float)
     quad = gauss_legendre(12, panelize(0.0, plane_radii[-1], breakpoints=tuple(plane_radii[:-1]),
                                        first=plane_radii[0] / 6.0))
-    phi = np.arange(n_phi) * (2 * np.pi / n_phi)
+    phi = np.arange(_CARTESIAN_PHI) * (2 * np.pi / _CARTESIAN_PHI)
     rho = quad.nodes[:, None]
     x = surf.pole[0] + rho * np.cos(phi)[None, :]
     y = surf.pole[1] + rho * np.sin(phi)[None, :]

@@ -56,6 +56,7 @@ class Certificate:
     q_tilde: float
     error: float
     norm_sq: float
+    norm_error: float
     margin: float
     evaluations: tuple = field(default_factory=tuple)
     notes: tuple = field(default_factory=tuple)
@@ -164,7 +165,7 @@ _FAMILIES = {
 
 
 def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric_log"),
-            budget=40, s0=None, require_asymptotic_flatness=True):
+            budget=40, s0=None):
     """Search the requested families for a negative shifted-form value.
 
     Families run in the order of ``strategies``, each only where the
@@ -181,7 +182,7 @@ def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric
     A negative shifted form certifies spectrum below the transverse
     threshold only where that threshold is the essential bottom, i.e. for
     asymptotically planar surfaces; layers failing the decay probe are
-    rejected up front unless ``require_asymptotic_flatness`` is cleared.
+    rejected up front.
 
     Raises CapabilityError when no requested family is applicable.
     """
@@ -193,7 +194,7 @@ def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric
     rows = []
     notes = []
     flatness = asymptotic_flatness_verdict(layer.chart)
-    if flatness == "fail" and require_asymptotic_flatness:
+    if flatness == "fail":
         raise HypothesisViolationError(
             "surface is not asymptotically planar: a negative shifted form "
             "would not certify discrete spectrum here"
@@ -244,10 +245,11 @@ def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric
             "no requested certification family is applicable: " + "; ".join(notes)
         )
     fe, family, params = best or (None, "none", {})
-    q_tilde, error, norm_sq = (fe.q_tilde, fe.error, fe.norm_sq) if fe else (np.nan,) * 3
+    q_tilde, error, norm_sq, norm_error = (
+        (fe.q_tilde, fe.error, fe.norm_sq, fe.norm_error) if fe else (np.nan,) * 4)
     return Certificate(
         verdict="certified" if certified else "not-found", family=family, params=params,
-        q_tilde=q_tilde, error=error, norm_sq=norm_sq,
+        q_tilde=q_tilde, error=error, norm_sq=norm_sq, norm_error=norm_error,
         margin=abs(q_tilde) / max(error, 1e-300) if fe else 0.0,
         evaluations=tuple(rows), notes=tuple(notes),
     )

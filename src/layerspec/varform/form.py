@@ -31,13 +31,19 @@ _S_POINTS = 14
 # radial panels are bisected until the coarse and fine rules agree to this
 # fraction of the accumulated judged integrals
 _PANEL_REL_TOL = 1e-7
+# rays of the angular ring a form evaluation reads (about this many)
+_THETA_RAYS = 192
 # components of the radial densities returned by _evaluate
 _Q1, _Q2, _NORM, _Q2S = range(4)
 
 
 @dataclass(frozen=True)
 class FormEvaluation:
-    """Decomposed shifted form values with a quadrature error estimate."""
+    """Decomposed shifted form values with quadrature error estimates.
+
+    ``error`` bounds ``q_tilde`` and ``norm_error`` bounds ``norm_sq``, each
+    by the same rule: the remaining panel gaps plus the half-ring shift.
+    """
 
     q1: float
     q2: float
@@ -45,6 +51,7 @@ class FormEvaluation:
     kappa1_sq: float
     q_tilde: float
     error: float
+    norm_error: float
 
     @property
     def rayleigh_shift(self):
@@ -166,7 +173,7 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
     return np.array([q1, q2, norm, q2_shift])
 
 
-def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS, theta_rays=192):
+def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS):
     """Q1, Q2, |Psi|^2 and the shifted form for one trial, with error bars.
 
     The integration domain is the trial's support (clipped to the chart)
@@ -176,7 +183,7 @@ def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS, theta
     if not layer.omega1_ok:
         raise InvalidInputError("form evaluation requires the layer width check to pass")
     chart = layer.chart
-    stride = chart.theta_stride_for(theta_rays)
+    stride = chart.theta_stride_for(_THETA_RAYS)
 
     n_u_pair = (n_u, n_u + 8)
     adapt = adaptive_gauss(
@@ -186,26 +193,28 @@ def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS, theta
     )
     q1_f, q2_f, norm_f, q2s_f = map(float, adapt.value)
     err = adapt.gap[_Q1] + adapt.gap[_Q2S]
+    norm_err = adapt.gap[_NORM]
     if not (chart.rotation_invariant and trial.theta_invariant):
         quad_h = gauss_legendre(points_per_panel, adapt.panels)
         half = quad_h.integrate_samples(_evaluate(layer, trial, quad_h.nodes, n_u, stride * 2))
         err += abs(half[_Q1] - q1_f) + abs(half[_Q2S] - q2s_f)
+        norm_err += abs(half[_NORM] - norm_f)
 
     q_tilde = q1_f + q2s_f
     if not np.isfinite(q_tilde):
         raise InvalidInputError("non-finite integrand in form evaluation")
     return FormEvaluation(
         q1=q1_f, q2=q2_f, norm_sq=norm_f, kappa1_sq=layer.kappa1_sq,
-        q_tilde=q_tilde, error=float(err),
+        q_tilde=q_tilde, error=float(err), norm_error=float(norm_err),
     )
 
 
-def bilinear_shifted(layer, t1, t2, **kw):
+def bilinear_shifted(layer, t1, t2):
     """Polarization value Q~(t1, t2) = (Q~[t1+t2] - Q~[t1-t2]) / 4."""
     from .trials import combine
 
-    plus = evaluate_form(layer, combine(t1, t2, 1.0, 1.0), **kw)
-    minus = evaluate_form(layer, combine(t1, t2, 1.0, -1.0), **kw)
+    plus = evaluate_form(layer, combine(t1, t2, 1.0, 1.0))
+    minus = evaluate_form(layer, combine(t1, t2, 1.0, -1.0))
     value = 0.25 * (plus.q_tilde - minus.q_tilde)
     return value, 0.25 * (plus.error + minus.error)
 
@@ -227,7 +236,7 @@ def surface_pairing(layer, radial, weight):
     return float(pairing.value[0])
 
 
-def mixed_term(layer, sigma, s0, bump=None, **kw):
+def mixed_term(layer, sigma, s0, bump=None):
     """The polarization form between the deformation and the mollified trial.
 
     Equals -(j, M)_g whenever the bump sits inside the plateau; computed
@@ -238,7 +247,7 @@ def mixed_term(layer, sigma, s0, bump=None, **kw):
 
     base = gj_trial(layer, s0, sigma)
     theta = deformation_trial(layer, s0, bump=bump)
-    value, _ = bilinear_shifted(layer, base, theta, **kw)
+    value, _ = bilinear_shifted(layer, base, theta)
     return value
 
 

@@ -32,6 +32,9 @@ from ..errors import (
 from ..numkernel import bessel_k, gauss_legendre, geometric_panels, panelize
 from ..surface import ring_integral
 
+# default_bump's overlapping annuli [k, k + 2] s0 / (_BUMP_SCAN + 2), k >= 1
+_BUMP_SCAN = 8
+
 
 @dataclass(frozen=True)
 class RadialFactor:
@@ -100,10 +103,10 @@ def _radial_term(radial):
     return SeparableTerm(surface_eval=surface_eval, u_profile="chi1")
 
 
-def _k0_decay_radius(sigma, s0, tol=1e-10):
-    """Smallest s with K0(sigma s)/K0(sigma s0) <= tol (via the asymptotics)."""
+def _k0_decay_radius(sigma, s0):
+    """Smallest s with K0(sigma s)/K0(sigma s0) <= 1e-10 (via the asymptotics)."""
     x0 = sigma * s0
-    target = tol * bessel_k(0, x0)
+    target = 1e-10 * bessel_k(0, x0)
     x = max(2.0, x0)
     for _ in range(60):  # fixed-point on K0(x) ~ sqrt(pi/2x) e^{-x}
         x_new = np.log(np.sqrt(np.pi / (2.0 * max(x, 1e-3))) / target)
@@ -155,7 +158,7 @@ def gj_trial(layer, s0, sigma):
     )
 
 
-def derphi_integral(s0, sigma, points=24):
+def derphi_integral(s0, sigma):
     """Weighted tail-derivative integral: int |phi'(s)|^2 s ds.
 
     Evaluated in the scaled variable x = sigma s, where it becomes
@@ -166,7 +169,7 @@ def derphi_integral(s0, sigma, points=24):
     if x0 < 1e-9:
         raise InvalidInputError("sigma*s0 below the Bessel evaluation range")
     panels = geometric_panels(x0, max(40.0, 2 * x0), first=max(x0 / 2, 1e-9), ratio=1.8)
-    quad = gauss_legendre(points, panels)
+    quad = gauss_legendre(24, panels)
     vals = bessel_k(1, quad.nodes) ** 2 * quad.nodes
     return float(quad.integrate_samples(vals) / bessel_k(0, x0) ** 2)
 
@@ -252,14 +255,15 @@ class SectorBump:
         return jr * ang, rb.derivative(grid.s)[:, None] * ang, jr * dang
 
 
-def default_bump(layer, s0, n_scan=8):
+def default_bump(layer, s0):
     """A bump inside (0, s0) on which the sampled M keeps one sign.
 
     Prefers plain annuli (starting from [s0/2, 3 s0/4]); when M changes
     sign around every candidate annulus, falls back to angular sectors.
     """
     candidates = [(0.5 * s0, 0.75 * s0)]
-    candidates += [(s0 * k / (n_scan + 2), s0 * (k + 2) / (n_scan + 2)) for k in range(1, n_scan)]
+    candidates += [(s0 * k / (_BUMP_SCAN + 2), s0 * (k + 2) / (_BUMP_SCAN + 2))
+                   for k in range(1, _BUMP_SCAN)]
     stride = layer.chart.theta_stride_for(256)
     grids = {}
     for lo, hi in candidates:
@@ -312,12 +316,9 @@ def deformed_trial(layer, sigma, s0, eps, bump=None):
 
 
 def thin_trial(layer, sigma, s0):
-    """(1 + M u) psi_sigma: the thin-layer trial; needs dM available."""
+    """(1 + M u) psi_sigma: the thin-layer trial; reads dM from the chart grid."""
     base = gj_trial(layer, s0, sigma)
     chart = layer.chart
-    grid_probe = chart.grid(np.array([min(s0, chart.s_max / 2)]), stride=chart.theta_nodes.size)
-    if not np.all(np.isfinite(grid_probe.dM_ds)):
-        raise CapabilityError("chart does not expose the mean-curvature gradient")
     radial = base.radial
 
     def surface_eval(grid):

@@ -41,6 +41,26 @@ def test_describe_and_reproducibility(tmp_path):
     assert header == "s,r,dr_ds,K,M,k1,k2"
 
 
+def test_describe_computes_rho_m_once(tmp_path, monkeypatch):
+    from layerspec import cli, layer
+
+    original = layer.rho_m
+    calls = []
+
+    def counted(chart):
+        calls.append(chart)
+        return original(chart)
+
+    # the layer's own call, and a direct one the command might make
+    monkeypatch.setattr(layer, "rho_m", counted)
+    monkeypatch.setattr(cli, "rho_m", counted, raising=False)
+    cfg = write_cfg(tmp_path, "surface.name = hyperboloid\nsurface.s_max = 60\n")
+    assert main(["describe", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    rho = load(str(tmp_path / "out"), "describe")["results"]["surface"]["rho_m"]
+    assert rho["value"] == original(calls[0])
+
+
 def test_check_capped_cylinder_fails_sigma0_exit_zero(tmp_path):
     cfg = write_cfg(tmp_path, "surface.name = capped-cylinder\nlayer.a = 0.3\n")
     out = str(tmp_path / "out")
@@ -67,6 +87,8 @@ def test_certify_plane_not_found(tmp_path):
     assert main(["certify", "--config", cfg, "--out", out]) == 0
     doc = load(out, "certify")
     assert doc["results"]["certificate"]["verdict"] == "not-found"
+    # |Psi|^2 is a quadrature sum: it carries an error, not an exact marker
+    assert set(doc["results"]["certificate"]["norm_sq"]) == {"value", "error"}
     # the params column holds plain numbers, not numpy reprs
     with open(os.path.join(out, "certify.csv")) as fh:
         rows = list(csv.DictReader(fh))

@@ -184,6 +184,18 @@ def test_certificate_stability_under_refinement(hyperboloid_layer):
     assert fe_fine.q_tilde == pytest.approx(fe.q_tilde, abs=5 * (fe.error + fe_fine.error))
 
 
+def test_norm_error_covers_refined_evaluation(hyperboloid_layer):
+    # |Psi|^2 is an adaptive Gauss sum, not an exact number: its bar must
+    # cover a refined evaluation, on a revolution chart and on a fan
+    saddle = LayerSpec(build_chart("monkey-saddle", {"s_max": 400.0, "theta_samples": 512}), a=0.1)
+    for layer in (hyperboloid_layer, saddle):
+        trial = gj_trial(layer, s0=5.0, sigma=0.1)
+        fe = evaluate_form(layer, trial)
+        fine = evaluate_form(layer, trial, points_per_panel=28, n_u=40)
+        assert 0.0 < fe.norm_error <= 1e-4 * fe.norm_sq
+        assert abs(fine.norm_sq - fe.norm_sq) <= fe.norm_error
+
+
 def test_transverse_identity_on_remaining_catalog_layers():
     # the identity is chart-agnostic: check it where the chart has a
     # coefficient kink (capped cylinder) and where the fan is distorted

@@ -8,7 +8,6 @@ from layerspec.layer import (
     c_bounds,
     check_mode_orthonormality,
     det_factor,
-    effective_potential,
     layer_metric,
     rho_m,
 )
@@ -120,7 +119,7 @@ def test_transverse_modes():
         chi = layer.transverse_mode(n)
         assert abs(chi(layer.a)) <= 1e-14
         assert abs(chi(-layer.a)) <= 1e-14
-    gram = check_mode_orthonormality(layer, n_max=5)
+    gram = check_mode_orthonormality(layer)
     assert np.max(np.abs(gram - np.eye(5))) <= 1e-12
 
 
@@ -129,20 +128,6 @@ def test_threshold_scaling():
     l1 = LayerSpec(chart, a=0.25)
     l2 = LayerSpec(chart, a=0.5)
     assert l1.kappa1_sq == 4.0 * l2.kappa1_sq
-
-
-def test_effective_potential():
-    plane = LayerSpec(build_chart("plane", {"s_max": 10.0}), a=0.5)
-    assert effective_potential(plane, 2.0, 0.3, 0.1) == (0.0, 0.0)
-
-    sphere = LayerSpec(unit_sphere_chart(), a=0.3)  # umbilic everywhere
-    v2, km = effective_potential(sphere, 1.0, 0.0, 0.2)
-    assert abs(km) <= 1e-10
-
-    hp = LayerSpec(build_chart("hyperbolic-paraboloid", {"s_max": 40.0, "theta_samples": 128}), a=0.1)
-    v2, km = effective_potential(hp, 1e-6, 0.0, 0.0)
-    assert km == pytest.approx(-4.0, rel=1e-4)
-    assert v2 == pytest.approx(km, rel=1e-9)  # f = 1 at u = 0
 
 
 def test_det_factor_positivity_under_omega1():

@@ -144,13 +144,6 @@ def test_matches_scipy_rk45_bitwise(dim):
     _assert_matches_scipy(rhs, initial, (0.0, 5.0), 1e-9)
 
 
-def test_matches_scipy_with_max_step_and_first_step():
-    rhs, initial = _linear_problem(12)
-    traj = _assert_matches_scipy(rhs, initial, (0.0, 5.0), 1e-7, max_step=0.05, first_step=1e-4)
-    assert traj.abscissae[1] == 1e-4
-    assert np.diff(traj.abscissae).max() <= 0.05 * (1 + 1e-12)
-
-
 def test_terminal_event_with_direction_matches_scipy():
     rhs = lambda s, y: np.array([y[1], -y[0]])
     falling = lambda s, y: y[0]

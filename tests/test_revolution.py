@@ -3,11 +3,10 @@ import pytest
 from scipy.special import fresnel
 
 from layerspec.catalog import build_chart
-from layerspec.errors import IntegrationFailureError, InvalidSurfaceError, PoleSingularityError
+from layerspec.errors import IntegrationFailureError, InvalidSurfaceError
 from layerspec.surface import (
     MeridianSpec,
     profile_from_height,
-    revolution_curvatures,
     revolution_from_meridian,
 )
 
@@ -30,11 +29,11 @@ def test_constant_meridian_is_sphere():
     ss = np.linspace(0.05, 0.9 * np.pi * R, 40)
     ps = prof.eval(ss)
     assert np.max(np.abs(ps.r - R * np.sin(ss / R))) <= 5e-9
-    ks, kth, K, M, _ = revolution_curvatures(prof, 1.3)
-    assert ks == pytest.approx(1.0 / R, rel=1e-9)
-    assert kth == pytest.approx(1.0 / R, rel=1e-9)
-    assert K == pytest.approx(1.0 / R**2, rel=1e-9)
-    assert M == pytest.approx(1.0 / R, rel=1e-9)
+    at = prof.eval(1.3)
+    assert at.k_s[0] == pytest.approx(1.0 / R, rel=1e-9)
+    assert at.k_theta[0] == pytest.approx(1.0 / R, rel=1e-9)
+    assert at.K[0] == pytest.approx(1.0 / R**2, rel=1e-9)
+    assert at.M[0] == pytest.approx(1.0 / R, rel=1e-9)
 
 
 def test_sphere_closes_and_raises():
@@ -101,18 +100,12 @@ def test_canonical_parametrization_invariant():
 
 def test_cylinder_part_of_capped_profile():
     chart = build_chart("capped-cylinder", {"R": 1.0, "s_max": 12.0})
-    ks, kth, K, M, r = revolution_curvatures(chart.profile, 5.0)
-    assert abs(ks) <= 1e-9
-    assert kth == pytest.approx(1.0, rel=1e-9)
-    assert abs(K) <= 1e-9
-    assert M == pytest.approx(0.5, rel=1e-9)
-    assert r == pytest.approx(1.0, rel=1e-9)
-
-
-def test_pole_rejected():
-    chart = build_chart("hyperboloid", {"s_max": 10.0})
-    with pytest.raises(PoleSingularityError):
-        revolution_curvatures(chart.profile, 0.0)
+    at = chart.profile.eval(5.0)
+    assert abs(at.k_s[0]) <= 1e-9
+    assert at.k_theta[0] == pytest.approx(1.0, rel=1e-9)
+    assert abs(at.K[0]) <= 1e-9
+    assert at.M[0] == pytest.approx(0.5, rel=1e-9)
+    assert at.r[0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_meridian_roundtrip_reconstruction():
