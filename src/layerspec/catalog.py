@@ -8,7 +8,8 @@ documentation only: it has no usable polar chart, so every compute path
 rejects it.
 
 The flat plane is available to every subcommand under the name "plane" as
-the trivial reference surface; it is deliberately not a catalog entry.
+the trivial reference surface, built as the revolution profile with
+k_s = 0; it is deliberately not a catalog entry.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +20,8 @@ from .errors import CapabilityError, InvalidInputError
 from .surface import (
     GraphSurface,
     MeridianSpec,
-    PlaneChart,
     RevolutionChart,
+    RevolutionProfile,
     geodesic_fan,
     profile_from_height,
     revolution_from_meridian,
@@ -177,6 +178,12 @@ def _capped_cylinder_spec(R, s_max):
     return MeridianSpec(k_s=k_s, s_max=s_max, breakpoints=(junction,))
 
 
+def _flat_fields(s):
+    """The plane's profile in closed form: r = s, r' = 1, z = z' = k_s = dk_s = 0."""
+    zero = np.zeros_like(s)
+    return s, np.ones_like(s), zero, zero, zero, zero
+
+
 def build_chart(name, params=None, ode_tol=1e-10):
     """Construct the geodesic polar chart for a named surface.
 
@@ -186,10 +193,11 @@ def build_chart(name, params=None, ode_tol=1e-10):
     params = dict(params or {})
     if name == "plane":
         s_max = float(params.pop("s_max", 100.0))
-        n_theta = int(params.pop("theta_samples", 64))
         if params:
             raise InvalidInputError(f"plane has no parameters {sorted(params)}")
-        return PlaneChart(s_max=s_max, n_theta=n_theta)
+        if s_max <= 0:
+            raise InvalidInputError("s_max must be positive")
+        return RevolutionChart(RevolutionProfile(s_max, (), _flat_fields))
 
     entry = catalog_entry(name)
     if entry.construction == "none":

@@ -81,7 +81,7 @@ def cmd_describe(config, writer, force):
     writer.add("surface", {
         "name": name,
         "definition": entry.definition if entry else "z = 0",
-        "provenance_chart": chart.provenance,
+        "provenance_chart": "revolution" if chart.rotation_invariant else "graph-shot",
         "s_max": exact(chart.s_max),
         "rho_m": measured(rho, 0.05 * rho if np.isfinite(rho) else 0.0),
         "truncated": chart.truncated,
@@ -135,13 +135,13 @@ def cmd_totals(config, writer, force):
     est_m = total_mean_sq(chart, schedule)
     writer.add("total_gauss", _estimate_payload(est_k))
     writer.add("total_mean_sq", _estimate_payload(est_m))
-    if chart.provenance == "graph-shot":  # independent Cartesian route
+    if chart.rotation_invariant:
+        residual = gauss_bonnet_residual(chart)
+        writer.add("gauss_bonnet_residual", measured(residual, residual.bar))
+    else:  # independent Cartesian route
         plane_radii = np.geomspace(2.0, max(4.0, np.sqrt(chart.s_max)), 5)
         cart = total_gauss_cartesian(chart.surface, plane_radii)
         writer.add("total_gauss_cartesian", _estimate_payload(cart))
-    elif chart.provenance == "revolution":
-        residual = gauss_bonnet_residual(chart.profile)
-        writer.add("gauss_bonnet_residual", measured(residual, residual.bar))
     rows = []
     for i, radius in enumerate(est_k.truncations):
         m_part = est_m.partials[i] if i < len(est_m.partials) else ""

@@ -32,10 +32,6 @@ class QuadratureGrid:
     weights: np.ndarray
     panels: np.ndarray
 
-    @property
-    def points_per_panel(self):
-        return self.nodes.size // (self.panels.size - 1)
-
     def integrate(self, f):
         """Integrate a callable evaluated on all nodes at once."""
         return float(np.dot(self.weights, f(self.nodes)))

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ..catalog import build_chart
 from ..errors import InvalidInputError
+from ..layer import LayerSpec
 from ..numkernel import SparseSymmetricPair, lowest_eigenpairs
 from .assemble import assemble_partial_wave
 from .mesh import build_mesh
@@ -144,9 +146,6 @@ class CounterexampleReport:
 
 
 def capped_layer(R, a, S):
-    from ..catalog import build_chart
-    from ..layer import LayerSpec
-
     chart = build_chart("capped-cylinder", {"R": R, "s_max": S * 1.02 + 1.0})
     return LayerSpec(chart, a=a)
 

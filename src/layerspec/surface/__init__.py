@@ -1,6 +1,6 @@
 """Surfaces with a pole in geodesic polar coordinates."""
 
-from .charts import ChartGrid, PlaneChart, uniform_theta
+from .charts import ChartGrid, uniform_theta
 from .revolution import (
     MeridianSpec,
     ProfileSample,
@@ -25,7 +25,6 @@ from .hypotheses import HypothesisReport, asymptotic_flatness_verdict, hypothese
 
 __all__ = [
     "ChartGrid",
-    "PlaneChart",
     "uniform_theta",
     "MeridianSpec",
     "ProfileSample",

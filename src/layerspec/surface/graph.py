@@ -92,7 +92,6 @@ def _thinning_stride(n_rays, max_rays):
 class FanChart:
     """Geodesic polar chart of a graph surface from a fan of shot geodesics."""
 
-    provenance = "graph-shot"
     rotation_invariant = False
     s_kinks = ()
 

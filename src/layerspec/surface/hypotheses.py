@@ -137,7 +137,7 @@ def hypotheses_report(chart, probe_radii):
     # does), |K| integrals equal |K integrals| and can use the exact per-ray
     # radial antiderivative, which is far more resolution-tolerant.
     sign_definite = False
-    if chart.provenance == "graph-shot":
+    if not chart.rotation_invariant:
         g_probe = chart.grid(probe_radii, stride=stride)
         sign_definite = g_probe.K.max() <= 1e-12 or g_probe.K.min() >= -1e-12
     if sign_definite:

@@ -236,7 +236,6 @@ def profile_from_height(z_fn, dz_fn, d2z_fn, s_max, tol=1e-10, d3z_fn=None):
 class RevolutionChart:
     """Geodesic polar chart of a surface of revolution."""
 
-    provenance = "revolution"
     rotation_invariant = True
     truncated = False
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, NoLimitError
 from ..numkernel import adaptive_gauss, gauss_legendre, panelize
+from .graph import graph_curvatures
 
 _DECAY_RATIO = 0.9
 _ABS_FLOOR = 1e-11
@@ -202,8 +203,6 @@ def total_gauss_cartesian(surf, plane_radii):
     Uses the Cartesian area element sqrt(1 + |grad f|^2) dx dy in polar
     coordinates on the base plane, entirely bypassing the geodesic fan.
     """
-    from .graph import graph_curvatures  # local import to avoid a cycle
-
     plane_radii = np.asarray(plane_radii, dtype=float)
     quad = gauss_legendre(12, panelize(0.0, plane_radii[-1], breakpoints=tuple(plane_radii[:-1]),
                                        first=plane_radii[0] / 6.0))
@@ -230,8 +229,8 @@ class GaussBonnetResidual(float):
         return obj
 
 
-def gauss_bonnet_residual(profile):
-    """Self-consistency residual |total_K + 2 pi r'(S) - 2 pi| for a profile.
+def gauss_bonnet_residual(chart):
+    """Self-consistency residual |total_K + 2 pi r'(S) - 2 pi| for a revolution chart.
 
     total_K is the ring quadrature of K, not r' (a tautology).  The Jacobi
     equation makes the identity exact at every finite S, so the residual
@@ -239,11 +238,8 @@ def gauss_bonnet_residual(profile):
     error bound is its bar.  Raises NoLimitError when r'(S) still oscillates
     at the sampled radii.
     """
-    from .revolution import RevolutionChart  # local import to avoid a cycle
-
-    chart = RevolutionChart(profile)
-    schedule = profile.s_max * np.array([0.125, 0.25, 0.5, 1.0])
-    drs = profile.eval(schedule).dr
+    schedule = chart.s_max * np.array([0.125, 0.25, 0.5, 1.0])
+    drs = chart.grid(schedule, stride=chart.theta_nodes.size).dr_ds[:, 0]
     if abs(drs[-1] - drs[-2]) > 1e-3 and abs(drs[-1] - drs[-2]) > 0.5 * abs(drs[-2] - drs[-3]):
         raise NoLimitError("r'(s) has not settled on the sampled radii")
     est = _disk_estimate(chart, schedule, lambda g: g.K)

@@ -28,7 +28,7 @@ from ..errors import (
     HypothesisViolationError,
     TruncationError,
 )
-from ..surface import total_gauss
+from ..surface import asymptotic_flatness_verdict, total_gauss
 from .form import bilinear_shifted, evaluate_form
 from .trials import (
     default_bump,
@@ -186,8 +186,6 @@ def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric
 
     Raises CapabilityError when no requested family is applicable.
     """
-    from ..surface import asymptotic_flatness_verdict
-
     if not layer.omega1_ok:
         raise CapabilityError("certification requires the half-width check to pass")
     s0 = s0 if s0 is not None else _default_s0(layer)

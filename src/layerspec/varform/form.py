@@ -13,9 +13,11 @@ leave behind.
 Error estimates come from nested refinement.  Every radial panel is
 integrated by a coarse and a fine radial/transverse rule pair, and panels on
 which the pair disagrees (relative to the accumulated Q1, shifted Q2 and
-norm) are bisected until it agrees; when the chart or the trial depends on
-theta, the angular ring is also re-run at half resolution.  The reported error is the sum of the remaining
-per-panel gaps plus the half-ring shift.
+norm) are bisected until it agrees.  An axisymmetric integrand (chart and
+trial both theta-independent) is read on the single theta = 0 ray; any
+other is read on an angular ring that is also re-run at half resolution.
+The reported error is the sum of the remaining per-panel gaps plus the
+half-ring shift.
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ import numpy as np
 from ..errors import InvalidInputError, TruncationError
 from ..numkernel import adaptive_gauss, gauss_legendre, panelize
 from ..surface import ring_integral
+from .trials import combine, deformation_trial, gj_trial
 
 _U_POINTS = 24
 _S_POINTS = 14
@@ -108,24 +111,14 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
 
     Each row is integrated over theta and u but not over s, shape (4, Ns).
     """
-    chart = layer.chart
-    grid = chart.grid(s_nodes, stride=stride)
-
-    axisym = chart.rotation_invariant and trial.theta_invariant
-    if axisym:
-        w_theta = np.array([2.0 * np.pi])
-        sl = (slice(None), slice(0, 1))
-    else:
-        w_theta = np.full(grid.theta.size, 2.0 * np.pi / grid.theta.size)
-        sl = (slice(None), slice(None))
-
-    r = grid.r[sl]
-    K, M = grid.K[sl], grid.M[sl]
-    ii_ss, ii_st, ii_tt = grid.ii_ss[sl], grid.ii_st[sl], grid.ii_tt[sl]
+    grid = layer.chart.grid(s_nodes, stride=stride)
+    w_theta = np.full(grid.theta.size, 2.0 * np.pi / grid.theta.size)
+    r = grid.r
+    K, M = grid.K, grid.M
+    ii_ss, ii_st, ii_tt = grid.ii_ss, grid.ii_st, grid.ii_tt
     r2 = r**2
 
     fields = [term.surface_eval(grid) for term in trial.terms]
-    fields = [(A[sl], As[sl], At[sl]) for (A, As, At) in fields]
     idx = [1 if term.u_profile == "chi1" else 2 for term in trial.terms]
 
     # transverse direction analytically: Q2, the norm, and above all the
@@ -183,7 +176,9 @@ def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS):
     if not layer.omega1_ok:
         raise InvalidInputError("form evaluation requires the layer width check to pass")
     chart = layer.chart
-    stride = chart.theta_stride_for(_THETA_RAYS)
+    # an axisymmetric integrand is read on the single theta = 0 ray
+    axisym = chart.rotation_invariant and trial.theta_invariant
+    stride = chart.theta_nodes.size if axisym else chart.theta_stride_for(_THETA_RAYS)
 
     n_u_pair = (n_u, n_u + 8)
     adapt = adaptive_gauss(
@@ -194,7 +189,7 @@ def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS):
     q1_f, q2_f, norm_f, q2s_f = map(float, adapt.value)
     err = adapt.gap[_Q1] + adapt.gap[_Q2S]
     norm_err = adapt.gap[_NORM]
-    if not (chart.rotation_invariant and trial.theta_invariant):
+    if not axisym:
         quad_h = gauss_legendre(points_per_panel, adapt.panels)
         half = quad_h.integrate_samples(_evaluate(layer, trial, quad_h.nodes, n_u, stride * 2))
         err += abs(half[_Q1] - q1_f) + abs(half[_Q2S] - q2s_f)
@@ -211,8 +206,6 @@ def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS):
 
 def bilinear_shifted(layer, t1, t2):
     """Polarization value Q~(t1, t2) = (Q~[t1+t2] - Q~[t1-t2]) / 4."""
-    from .trials import combine
-
     plus = evaluate_form(layer, combine(t1, t2, 1.0, 1.0))
     minus = evaluate_form(layer, combine(t1, t2, 1.0, -1.0))
     value = 0.25 * (plus.q_tilde - minus.q_tilde)
@@ -243,8 +236,6 @@ def mixed_term(layer, sigma, s0, bump=None):
     here by polarization of the shifted form, so tests can compare it with
     the independent surface quadrature of the mean-curvature pairing.
     """
-    from .trials import deformation_trial, gj_trial
-
     base = gj_trial(layer, s0, sigma)
     theta = deformation_trial(layer, s0, bump=bump)
     value, _ = bilinear_shifted(layer, base, theta)

@@ -311,7 +311,7 @@ def deformed_trial(layer, sigma, s0, eps, bump=None):
     return TrialFunction(
         family="deformed", params={"sigma": sigma, "s0": s0, "eps": eps, **theta.params},
         terms=out.terms, support=out.support, s_breakpoints=out.s_breakpoints,
-        theta_invariant=True, radial=base.radial,
+        theta_invariant=out.theta_invariant, radial=base.radial,
     )
 
 

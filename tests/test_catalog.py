@@ -65,6 +65,13 @@ def test_plane_is_not_a_catalog_entry_but_builds():
     assert chart.rotation_invariant
 
 
+def test_plane_rejects_fan_ray_counts_and_bad_radii():
+    with pytest.raises(InvalidInputError):
+        build_chart("plane", {"theta_samples": 128})
+    with pytest.raises(InvalidInputError):
+        build_chart("plane", {"s_max": -1.0})
+
+
 def test_off_axis_paraboloid_not_constructible():
     with pytest.raises(CapabilityError):
         graph_surface("elliptic-paraboloid", {"x0": 1.0, "y0": 2.0})

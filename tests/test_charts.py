@@ -75,6 +75,20 @@ def test_single_column_grid_is_the_theta_zero_column(charts):
         assert np.array_equal(getattr(one, field), getattr(full, field)[:, :1]), field
 
 
+def test_plane_grid_is_exactly_flat(charts):
+    chart = charts["plane"]
+    s = np.r_[0.0, _S, chart.s_max]
+    g = chart.grid(s)
+    th = chart.theta_nodes
+    flat = np.zeros((s.size, th.size))
+    assert np.array_equal(g.r, s[:, None] + flat)
+    assert np.array_equal(g.dr_ds, flat + 1.0)
+    for field in ("K", "M", "k1", "k2", "dM_ds", "dM_dtheta", "ii_ss", "ii_st", "ii_tt"):
+        assert np.array_equal(getattr(g, field), flat), field
+    p = np.stack([s[:, None] * np.cos(th), s[:, None] * np.sin(th), flat], axis=-1)
+    assert np.array_equal(g.p, p)
+
+
 def test_point_samples_on_revolution_layer_do_not_depend_on_theta(charts):
     layer = LayerSpec(charts["hyperboloid"], a=0.3)
     for s, u in ((0.5, 0.1), (3.0, -0.2)):

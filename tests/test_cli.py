@@ -41,6 +41,15 @@ def test_describe_and_reproducibility(tmp_path):
     assert header == "s,r,dr_ds,K,M,k1,k2"
 
 
+def test_plane_reports_as_a_revolution_chart(tmp_path):
+    cfg = write_cfg(tmp_path, "surface.name = plane\nsurface.s_max = 50\n")
+    out = str(tmp_path / "out")
+    assert main(["describe", "--config", cfg, "--out", out]) == 0
+    assert load(out, "describe")["results"]["surface"]["provenance_chart"] == "revolution"
+    assert main(["totals", "--config", cfg, "--out", out]) == 0
+    assert load(out, "totals")["results"]["gauss_bonnet_residual"]["value"] == 0.0
+
+
 def test_describe_computes_rho_m_once(tmp_path, monkeypatch):
     from layerspec import cli, layer
 

@@ -137,6 +137,23 @@ def test_mixed_term_sector_bump_on_saddle():
     assert abs(mixed_term(layer, sigma=0.05, s0=4.0, bump=radial)) <= 1e-8
 
 
+def test_axisymmetric_form_reads_one_ray(hyperboloid_layer, monkeypatch):
+    from layerspec.surface import RevolutionChart
+
+    widths = []
+    grid = RevolutionChart.grid
+
+    def spy(self, s_nodes, stride=1):
+        g = grid(self, s_nodes, stride=stride)
+        widths.append(g.theta.size)
+        return g
+
+    monkeypatch.setattr(RevolutionChart, "grid", spy)
+    evaluate_form(hyperboloid_layer, gj_trial(hyperboloid_layer, s0=5.0, sigma=0.1))
+    evaluate_form(hyperboloid_layer, thin_trial(hyperboloid_layer, sigma=0.1, s0=5.0))
+    assert widths and set(widths) == {1}
+
+
 def test_mixed_term_planar_layer_vanishes(plane_layer):
     assert abs(mixed_term(plane_layer, sigma=0.05, s0=4.0, bump=RadialBump(1.0, 2.0))) <= 1e-10
 

@@ -6,7 +6,7 @@ from layerspec.errors import InvalidInputError
 from layerspec.numkernel import panelize
 from layerspec.surface import (
     FanChart,
-    PlaneChart,
+    RevolutionChart,
     gauss_bonnet_residual,
     ring_integral,
     total_gauss,
@@ -19,7 +19,7 @@ GRAPH_SCHEDULE = np.array([2.65, 5.3, 10.6, 21.2, 42.5, 85.0, 170.0, 340.0])
 
 
 def test_plane_totals_vanish():
-    chart = PlaneChart(s_max=50.0)
+    chart = build_chart("plane", {"s_max": 50.0})
     sched = np.array([5.0, 10.0, 20.0, 40.0])
     assert abs(total_gauss(chart, sched).value) <= 1e-12
     assert abs(total_mean_sq(chart, sched).value) <= 1e-12
@@ -76,7 +76,7 @@ def test_sine_meridian_error_bar_covers_closed_form_on_the_certify_schedule():
 
 
 def test_ring_integral_of_the_plane_area_is_exact_with_a_vanishing_gap():
-    chart = PlaneChart(s_max=10.0)
+    chart = build_chart("plane", {"s_max": 10.0})
     part = ring_integral(chart, lambda g: np.ones_like(g.r), panelize(2.0, 10.0, first=1.0))
     assert part.value[0] == pytest.approx(np.pi * (10.0**2 - 2.0**2), rel=1e-14)
     assert part.gap[0] <= 1e-12
@@ -121,7 +121,7 @@ def test_mean_sq_divergence_detected():
 )
 def test_gauss_bonnet_residual_small(name, params):
     chart = build_chart(name, params)
-    residual = gauss_bonnet_residual(chart.profile)
+    residual = gauss_bonnet_residual(chart)
     assert residual <= 1e-3
     # the ring route's error bound covers the residual
     assert residual <= residual.bar
@@ -131,7 +131,7 @@ def test_plane_gauss_bonnet_zero():
     from layerspec.surface import MeridianSpec, revolution_from_meridian
 
     prof = revolution_from_meridian(MeridianSpec(k_s=lambda s: 0.0 * np.asarray(s), s_max=40.0))
-    assert gauss_bonnet_residual(prof) <= 1e-10
+    assert gauss_bonnet_residual(RevolutionChart(prof)) <= 1e-10
 
 
 def test_error_bound_covers_last_increment():
@@ -142,7 +142,7 @@ def test_error_bound_covers_last_increment():
 
 
 def test_bad_schedules_rejected():
-    chart = PlaneChart(s_max=10.0)
+    chart = build_chart("plane", {"s_max": 10.0})
     with pytest.raises(InvalidInputError):
         total_gauss(chart, np.array([5.0, 2.0, 8.0]))
     with pytest.raises(InvalidInputError):

@@ -96,6 +96,23 @@ def test_deformed_bump_support_validation(plane_layer):
         deformed_trial(plane_layer, sigma=0.05, s0=2.0, eps=0.1, bump=RadialBump(1.0, 3.0))
 
 
+def test_deformed_trial_with_a_sector_bump_matches_its_combination():
+    # a SectorBump depends on theta, so the deformed trial does too, also on
+    # a revolution chart: both routes read the whole ring and agree within
+    # their joint error
+    from layerspec.varform import combine, deformation_trial, evaluate_form
+    from layerspec.varform.trials import SectorBump
+
+    layer = LayerSpec(build_chart("hyperboloid", {"s_max": 400.0}), a=0.3)
+    bump = SectorBump(1.0, 2.0, center=0.0, width=np.pi / 4.0)
+    trial = deformed_trial(layer, sigma=0.1, s0=5.0, eps=0.5, bump=bump)
+    combined = combine(gj_trial(layer, s0=5.0, sigma=0.1),
+                       deformation_trial(layer, 5.0, bump=bump), 1.0, 0.5)
+    fe, ref = evaluate_form(layer, trial), evaluate_form(layer, combined)
+    assert abs(fe.q_tilde - ref.q_tilde) <= fe.error + ref.error
+    assert not trial.theta_invariant
+
+
 def test_default_bump_sign_logic():
     hyp = LayerSpec(build_chart("hyperboloid", {"s_max": 50.0}), a=0.3)
     b = default_bump(hyp, 5.0)
