@@ -216,7 +216,6 @@ def cmd_counterexample(config, writer, force):
         S=config.get("counterexample.S"),
         n_s_per_R=config.get("counterexample.n_s_per_R"),
         n_u=config.get("counterexample.n_u"),
-        k=2,
     )
     writer.add("counterexample", {
         "R": exact(rep.R),

@@ -55,6 +55,9 @@ SCHEMA = [
 ]
 
 _BY_NAME = {k.name: k for k in SCHEMA}
+# surface.* keys that are construction parameters, by parameter name
+_SURFACE_PARAMS = {k.name.split(".", 1)[1]: k.name for k in SCHEMA
+                   if k.name.startswith("surface.") and k.name != "surface.name"}
 
 
 def _parse_value(key, raw):
@@ -99,10 +102,7 @@ class RunConfig:
 
     def surface_params(self):
         """The explicitly set surface.* construction parameters."""
-        rename = {"surface.z0": "z0", "surface.x0": "x0", "surface.y0": "y0",
-                  "surface.R": "R", "surface.s_max": "s_max",
-                  "surface.theta_samples": "theta_samples"}
-        return {short: self.values[full] for full, short in rename.items() if full in self.values}
+        return {short: self.values[full] for short, full in _SURFACE_PARAMS.items() if full in self.values}
 
     def echo(self):
         """Full effective configuration (defaults merged), for the report."""

@@ -1,12 +1,14 @@
-"""Adaptive ODE integration with dense output.
+"""Adaptive ODE integration with dense output and one stop condition.
 
 An in-house Dormand-Prince 5(4) stepper (Dormand & Prince 1980; Hairer,
 Nørsett & Wanner, *Solving ODEs I*, §II.4-5) with Shampine's quartic dense
 output.  It performs the arithmetic of scipy's ``solve_ivp(method="RK45")``
 expression for expression (initial step selection, step-size control, dense
-coefficients and event location), so trajectories are bitwise those of
-scipy.  Only the tests import scipy's integrators, to check exactly that;
-``scipy.optimize.brentq`` is imported only when an event brackets a root.
+coefficients and stop location), so trajectories are bitwise those of
+scipy.  Integration ends early at the first fall of a scalar ``stop(s, y)``
+through zero, where scipy would stop at a terminal event with direction -1.
+Only the tests import scipy's integrators, to check exactly that;
+``scipy.optimize.brentq`` is imported only when the stop brackets a root.
 The trajectory object offers dense evaluation, and solver stalls become a
 typed error that records the last abscissa reached.  Dense evaluation reads
 the stored per-step interpolants and can be restricted to some state rows
@@ -15,7 +17,7 @@ system pays only for those.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +69,7 @@ class _Step:
         self.y_old = y_old
 
     def __call__(self, t):
-        """State at the scalar ``t`` (event location)."""
+        """State at the scalar ``t`` (stop location)."""
         x = (t - self.t_old) / self.h
         return self.h * np.dot(self.Q, np.cumprod(np.tile(x, self.Q.shape[1]))) + self.y_old
 
@@ -79,12 +81,13 @@ class OdeTrajectory:
     ``abscissae`` are the accepted step endpoints (monotone increasing);
     ``states`` has shape ``(len(abscissae), dim)``.  Dense evaluation between
     samples uses the solver's quartic interpolant and reproduces the stored
-    samples exactly at the nodes.
+    samples exactly at the nodes.  ``stopped_at`` is the abscissa where the
+    stop condition ended integration (then also ``s_end``), or None.
     """
 
     abscissae: np.ndarray
     states: np.ndarray
-    events: list = field(default_factory=list)
+    stopped_at: float = None
     _sol: object = None
 
     @property
@@ -193,37 +196,7 @@ def _advance(fun, t, y, f, h_abs, K, t_bound, rtol, atol):
     return None
 
 
-def _event_roots(events, directions, terminal, g, g_new, step, t_old, t):
-    """Events whose function changes sign over one step, as solve_ivp finds them.
-
-    Returns ``(indices, roots, stop)``.  A root is located by Brent's method
-    on the step's interpolant; when a terminal event fires, roots are sorted
-    and cut after the first terminal one, where integration stops.
-    """
-    g, g_new = np.asarray(g), np.asarray(g_new)
-    up = (g <= 0) & (g_new >= 0)
-    down = (g >= 0) & (g_new <= 0)
-    active = np.nonzero(
-        up & (directions > 0) | down & (directions < 0) | (up | down) & (directions == 0)
-    )[0]
-    if active.size == 0:
-        return active, (), False
-
-    from scipy.optimize import brentq
-
-    roots = np.asarray([
-        brentq(lambda s: events[i](s, step(s)), t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
-        for i in active
-    ])
-    if not terminal[active].any():
-        return active, roots, False
-    order = np.argsort(roots)
-    active, roots = active[order], roots[order]
-    last = np.nonzero(terminal[active])[0][0]
-    return active[: last + 1], roots[: last + 1], True
-
-
-def integrate_ode(rhs, initial, span, tol=1e-10, events=None):
+def integrate_ode(rhs, initial, span, tol=1e-10, stop=None):
     """Integrate ``y' = rhs(s, y)`` over ``span`` with local tolerance ``tol``.
 
     Step sizes are left to the controller: the first one is chosen from the
@@ -240,11 +213,12 @@ def integrate_ode(rhs, initial, span, tol=1e-10, events=None):
     tol : float
         Relative and absolute local error target (> 0); the relative target
         is at least 100 machine epsilons.
-    events : list of callables, optional
-        Scalar event functions ``g(s, y)``; a ``terminal`` flag and a
-        ``direction`` attribute are honoured as in scipy's ``solve_ivp``.
-        The first hit of each event function is recorded on the returned
-        trajectory as ``(s_event, y_event)``, or None.
+    stop : callable, optional
+        Scalar ``stop(s, y)``.  Integration ends where it first falls from
+        >= 0 to <= 0 over a step, at the root of ``stop`` on the step's
+        interpolant (Brent's method), as at scipy's terminal event with
+        direction -1; a rise through zero is ignored.  The root is recorded
+        as the trajectory's ``stopped_at``.
 
     Raises
     ------
@@ -269,11 +243,8 @@ def integrate_ode(rhs, initial, span, tol=1e-10, events=None):
     h_abs = _initial_step(fun, s0, y, f, s1, rtol, atol)
     K = np.empty((_C.size + 1, y.size))
 
-    events = list(events or ())
-    directions = np.array([getattr(ev, "direction", 0) for ev in events], dtype=float)
-    terminal = np.array([bool(getattr(ev, "terminal", False)) for ev in events], dtype=bool)
-    g = [ev(s0, y) for ev in events]
-    hits = [None] * len(events)
+    g = None if stop is None else stop(s0, y)
+    stopped_at = None
 
     t = s0
     ts, steps = [t], []
@@ -285,8 +256,7 @@ def integrate_ode(rhs, initial, span, tol=1e-10, events=None):
     # with a list of rows)
     states = np.empty((16, y.size))
     states[0] = y
-    stop = False
-    while t < s1 and not stop:
+    while t < s1 and stopped_at is None:
         taken = _advance(fun, t, y, f, h_abs, K, s1, rtol, atol)
         if taken is None:
             raise IntegrationFailureError(_TOO_SMALL_STEP, last_s=t)
@@ -295,18 +265,17 @@ def integrate_ode(rhs, initial, span, tol=1e-10, events=None):
         step = _Step(t_old, t, states[len(ts) - 1], K.T.dot(_P))
         steps.append(step)
 
-        if events:
-            g_new = [ev(t, y) for ev in events]
-            fired, roots, stop = _event_roots(events, directions, terminal, g, g_new, step, t_old, t)
-            for i, root in zip(fired, roots):
-                if hits[i] is None:
-                    hits[i] = (float(root), step(root))
-            if stop:
-                t = roots[-1]
+        if stop is not None:
+            g_new = stop(t, y)
+            if g >= 0 >= g_new:
+                from scipy.optimize import brentq
+
+                t = brentq(lambda s: stop(s, step(s)), t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
                 y = step(t)
+                stopped_at = float(t)
             g = g_new
 
-        if len(ts) > 1 and ts[-1] == t:  # a terminal root on the previous node
+        if len(ts) > 1 and ts[-1] == t:  # a stop root on the previous node
             steps.pop()
         else:
             if len(ts) == len(states):
@@ -323,6 +292,6 @@ def integrate_ode(rhs, initial, span, tol=1e-10, events=None):
     return OdeTrajectory(
         abscissae=abscissae,
         states=states,
-        events=hits,
+        stopped_at=stopped_at,
         _sol=_DenseSteps(abscissae, steps),
     )

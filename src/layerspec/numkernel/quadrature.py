@@ -179,17 +179,17 @@ def geometric_panels(lo, hi, first, ratio=2.0):
     return np.asarray(bounds)
 
 
-def panelize(lo, hi, breakpoints=(), first=None, ratio=2.0):
+def panelize(lo, hi, breakpoints=(), first=None):
     """Geometric panels on [lo, hi] with boundaries forced onto breakpoints.
 
     Breakpoints outside (lo, hi) are ignored.  Between consecutive anchors
-    the spacing grows geometrically away from the left anchor.
+    the spacing doubles away from the left anchor.
     """
     anchors = [lo] + sorted(b for b in breakpoints if lo < b < hi) + [hi]
     if first is None:
         first = (anchors[1] - anchors[0]) / 4.0
     bounds = [lo]
     for left, right in zip(anchors[:-1], anchors[1:]):
-        seg = geometric_panels(left, right, first=min(first, (right - left) / 2.0), ratio=ratio)
+        seg = geometric_panels(left, right, first=min(first, (right - left) / 2.0))
         bounds.extend(seg[1:])
     return np.asarray(bounds)

@@ -32,6 +32,8 @@ _ORDER_CELLS = 400
 _LEVELS = 3
 # mesh of cap_neumann_ground's hemispherical segment
 _CAP_N_S, _CAP_N_U = 200, 40
+# eigenvalues solved on each truncation (the lowest two)
+_TRUNCATION_EIGS = 2
 
 # the two interval operators: the cylinder's radial problem (eps_1) and the
 # l = 0 reduction of the spherical shell
@@ -164,7 +166,7 @@ def cap_neumann_ground(R, a):
     return solve_spectrum(op, 1)
 
 
-def counterexample_full(R, a, S, n_s_per_R=50, n_u=32, k=2):
+def counterexample_full(R, a, S, n_s_per_R=50, n_u=32):
     """Full m = 0 pipeline on truncations S x {1, 2, 4}: eigenvalues vs eps_1.
 
     The curvature jump at the junction is face-aligned on every mesh.
@@ -191,7 +193,7 @@ def counterexample_full(R, a, S, n_s_per_R=50, n_u=32, k=2):
         layer = capped_layer(R, a, S_here)
         mesh = build_mesh(S_here, a, int(n_s_per_R * S_here / R), n_u, align_face=junction)
         op = assemble_partial_wave(layer, 0, mesh)
-        spectra.append(solve_spectrum(op, k, floor=eps1_mesh))
+        spectra.append(solve_spectrum(op, _TRUNCATION_EIGS, floor=eps1_mesh))
     shell = spherical_shell_ground(R, a)
     return CounterexampleReport(
         R=R, a=a, eps1=float(eps1), eps1_error=eps1.step, eps1_mesh=eps1_mesh,

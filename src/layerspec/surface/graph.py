@@ -221,11 +221,6 @@ def _pole_frame(surf):
     return e1, e2
 
 
-def _conjugate_radius(traj):
-    """Radius of the first zero of any ray's metric factor, or None."""
-    return traj.events[0][0] if traj.events and traj.events[0] is not None else None
-
-
 def _shoot(surf, dirs, s_max, tol):
     """Integrate the rays launched along ``dirs`` (n, 2) as one ODE system.
 
@@ -250,10 +245,7 @@ def _shoot(surf, dirs, s_max, tol):
     def min_r(s, ys):
         return ys.reshape(6, nt)[4].min()
 
-    min_r.terminal = True
-    min_r.direction = -1
-
-    return integrate_ode(rhs, y_init, (0.0, s_max), tol=tol, events=[min_r])
+    return integrate_ode(rhs, y_init, (0.0, s_max), tol=tol, stop=min_r)
 
 
 def geodesic_fan(surf, theta_samples=96, s_max=50.0, tol=1e-10):
@@ -276,10 +268,10 @@ def geodesic_fan(surf, theta_samples=96, s_max=50.0, tol=1e-10):
     coarse = _shoot(surf, dirs[on_coarse], s_max, tol)
     shoot_fine = lambda: _shoot(surf, dirs[~on_coarse], s_max, tol)
     fine = None
-    s_hit = _conjugate_radius(coarse)
+    s_hit = coarse.stopped_at
     if s_hit is not None and k > 1:
         fine = shoot_fine()
-        s_fine = _conjugate_radius(fine)
+        s_fine = fine.stopped_at
         s_hit = s_hit if s_fine is None else min(s_hit, s_fine)
     truncated = s_hit is not None
     if truncated:

@@ -200,12 +200,13 @@ def revolution_from_meridian(spec):
     return RevolutionProfile(spec.s_max, spec.breakpoints, fields)
 
 
-def profile_from_height(z_fn, dz_fn, d2z_fn, s_max, tol=1e-10, d3z_fn=None):
+def profile_from_height(z_fn, dz_fn, d2z_fn, d3z_fn, s_max, tol=1e-10):
     """Canonical profile of the revolution graph z = z(rho), z'(0) = 0.
 
-    Integrates the arc-length reparametrization d(rho)/ds = (1 + z'^2)^{-1/2}
-    once; curvatures then come from the closed rho-formulas.  Without
-    ``d3z_fn`` the third derivative is a central difference of ``d2z_fn``.
+    ``dz_fn``, ``d2z_fn`` and ``d3z_fn`` are the first three derivatives of
+    ``z_fn``.  Integrates the arc-length reparametrization
+    d(rho)/ds = (1 + z'^2)^{-1/2} once; curvatures then come from the closed
+    rho-formulas.
     """
     if abs(dz_fn(0.0)) > 1e-12:
         raise InvalidInputError("height profile needs z'(0) = 0 for a smooth pole")
@@ -215,18 +216,12 @@ def profile_from_height(z_fn, dz_fn, d2z_fn, s_max, tol=1e-10, d3z_fn=None):
 
     traj = integrate_ode(rhs, [0.0], (0.0, s_max), tol=tol)
 
-    def d3z_central(rho):
-        h = 1e-5 * (1.0 + np.abs(rho))
-        return (d2z_fn(rho + h) - d2z_fn(rho - h)) / (2.0 * h)
-
-    d3z = d3z_fn or d3z_central
-
     def fields(s):
         rho = traj.eval(s)[0]
         zp, zpp = dz_fn(rho), d2z_fn(rho)
         w2 = 1.0 + zp**2
         w = np.sqrt(w2)
-        dk_drho = d3z(rho) / w2**1.5 - 3.0 * zpp**2 * zp / w2**2.5
+        dk_drho = d3z_fn(rho) / w2**1.5 - 3.0 * zpp**2 * zp / w2**2.5
         return (rho, 1.0 / w, np.asarray(z_fn(rho), dtype=float), zp / w,
                 zpp / w2**1.5, dk_drho / np.sqrt(w2))
 

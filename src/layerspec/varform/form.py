@@ -29,6 +29,8 @@ from ..numkernel import adaptive_gauss, gauss_legendre, panelize
 from ..surface import ring_integral
 from .trials import combine, deformation_trial, gj_trial
 
+# Gauss points of the coarse rules: across the width (-a, a) and per
+# radial panel; the fine rules take 8 and 6 more
 _U_POINTS = 24
 _S_POINTS = 14
 # radial panels are bisected until the coarse and fine rules agree to this
@@ -166,7 +168,7 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
     return np.array([q1, q2, norm, q2_shift])
 
 
-def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS):
+def evaluate_form(layer, trial):
     """Q1, Q2, |Psi|^2 and the shifted form for one trial, with error bars.
 
     The integration domain is the trial's support (clipped to the chart)
@@ -180,18 +182,18 @@ def evaluate_form(layer, trial, points_per_panel=_S_POINTS, n_u=_U_POINTS):
     axisym = chart.rotation_invariant and trial.theta_invariant
     stride = chart.theta_nodes.size if axisym else chart.theta_stride_for(_THETA_RAYS)
 
-    n_u_pair = (n_u, n_u + 8)
+    n_u_pair = (_U_POINTS, _U_POINTS + 8)
     adapt = adaptive_gauss(
         lambda nodes, level: _evaluate(layer, trial, nodes, n_u_pair[level], stride),
-        _s_panels(layer, trial), orders=(points_per_panel, points_per_panel + 6),
+        _s_panels(layer, trial), orders=(_S_POINTS, _S_POINTS + 6),
         rel_tol=_PANEL_REL_TOL, judged=(_Q1, _NORM, _Q2S),
     )
     q1_f, q2_f, norm_f, q2s_f = map(float, adapt.value)
     err = adapt.gap[_Q1] + adapt.gap[_Q2S]
     norm_err = adapt.gap[_NORM]
     if not axisym:
-        quad_h = gauss_legendre(points_per_panel, adapt.panels)
-        half = quad_h.integrate_samples(_evaluate(layer, trial, quad_h.nodes, n_u, stride * 2))
+        quad_h = gauss_legendre(_S_POINTS, adapt.panels)
+        half = quad_h.integrate_samples(_evaluate(layer, trial, quad_h.nodes, _U_POINTS, stride * 2))
         err += abs(half[_Q1] - q1_f) + abs(half[_Q2S] - q2s_f)
         norm_err += abs(half[_NORM] - norm_f)
 

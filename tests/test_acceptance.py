@@ -202,7 +202,7 @@ def test_criterion_8_certificates():
 
 
 def test_criterion_9_counterexample():
-    rep = counterexample_full(1.0, 0.3, S=10.0, n_s_per_R=40, n_u=32, k=2)
+    rep = counterexample_full(1.0, 0.3, S=10.0, n_s_per_R=40, n_u=32)
     in_bracket = rep.bracket[0] <= rep.eps1 <= rep.bracket[1]
     shell_rel = abs(rep.shell_ground / (np.pi / 0.6) ** 2 - 1.0)
     none_below = all(res.eigenvalues[0] >= rep.eps1_mesh - 1e-3 for res in rep.spectra)

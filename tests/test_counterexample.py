@@ -116,7 +116,7 @@ def test_full_pipeline_no_spectrum_below_eps1(monkeypatch):
         return pairs
 
     monkeypatch.setattr(spectrum_solve, "lowest_eigenpairs", recorded)
-    rep = counterexample_full(1.0, 0.3, S=10.0, n_s_per_R=40, n_u=32, k=2)
+    rep = counterexample_full(1.0, 0.3, S=10.0, n_s_per_R=40, n_u=32)
     assert rep.bracket[0] < rep.eps1 < rep.bracket[1]
     # truncated spectra: monotone in S, never below the mesh-consistent eps1
     # by more than lambda_0's own reported error

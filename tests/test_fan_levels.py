@@ -22,15 +22,15 @@ _FIELDS = ("r", "dr_ds", "K", "M", "k1", "k2", "dM_ds", "dM_dtheta", "p", "dp_ds
 _S = np.array([0.5, 3.0, 11.0, 19.5])
 
 
-def _spy(monkeypatch, replace_events=None):
+def _spy(monkeypatch, replace_stop=None):
     """Record the state size of every batch a fan shoots through graph.integrate_ode."""
     sizes = []
 
-    def spy(rhs, initial, span, tol, events=None):
+    def spy(rhs, initial, span, tol, stop=None):
         sizes.append(initial.size)
-        if replace_events is not None and len(sizes) > 1:
-            events = replace_events
-        return integrate_ode(rhs, initial, span, tol=tol, events=events)
+        if replace_stop is not None and len(sizes) > 1:
+            stop = replace_stop
+        return integrate_ode(rhs, initial, span, tol=tol, stop=stop)
 
     monkeypatch.setattr(graph, "integrate_ode", spy)
     return sizes
@@ -126,9 +126,7 @@ def test_truncating_fan_stops_at_the_earlier_level_hit(monkeypatch, pole, first)
 def test_deferred_fine_level_hit_raises(monkeypatch):
     # the fine level is made to stop at s = 5 as if a ray met a conjugate
     # point there, after the chart has been built (and read) out to 20
-    stop = lambda s, y: s - 5.0
-    stop.terminal = True
-    _spy(monkeypatch, replace_events=[stop])
+    _spy(monkeypatch, replace_stop=lambda s, y: 5.0 - s)
     fan = _monkey(1536)
     assert not fan.truncated and fan.s_max == 20.0
     fan.grid(_S, stride=2)

@@ -18,6 +18,7 @@ from layerspec.varform import (
     symmetric_log_trial,
     thin_trial,
 )
+from layerspec.varform import form
 from layerspec.varform.trials import _radial_term
 
 
@@ -188,7 +189,15 @@ def test_longitudinal_bound_via_growth_constant(hyperboloid_layer):
         assert fe.q1 <= c1 * weighted * (1 + 1e-9)
 
 
-def test_certificate_stability_under_refinement(hyperboloid_layer):
+def _refined_form(monkeypatch, layer, trial):
+    """evaluate_form with 28 Gauss points per radial panel and 40 across the width."""
+    with monkeypatch.context() as m:
+        m.setattr(form, "_S_POINTS", 28)
+        m.setattr(form, "_U_POINTS", 40)
+        return evaluate_form(layer, trial)
+
+
+def test_certificate_stability_under_refinement(monkeypatch, hyperboloid_layer):
     from layerspec.varform import epsilon_choice
 
     big = LayerSpec(build_chart("hyperboloid", {"s_max": 2.0e7}), a=0.3)
@@ -196,19 +205,19 @@ def test_certificate_stability_under_refinement(hyperboloid_layer):
     trial = symmetric_log_trial(big, 256, eps)
     fe = evaluate_form(big, trial)
     assert fe.q_tilde + fe.error < 0
-    fe_fine = evaluate_form(big, trial, points_per_panel=28, n_u=40)
+    fe_fine = _refined_form(monkeypatch, big, trial)
     assert fe_fine.q_tilde + fe_fine.error < 0
     assert fe_fine.q_tilde == pytest.approx(fe.q_tilde, abs=5 * (fe.error + fe_fine.error))
 
 
-def test_norm_error_covers_refined_evaluation(hyperboloid_layer):
+def test_norm_error_covers_refined_evaluation(monkeypatch, hyperboloid_layer):
     # |Psi|^2 is an adaptive Gauss sum, not an exact number: its bar must
     # cover a refined evaluation, on a revolution chart and on a fan
     saddle = LayerSpec(build_chart("monkey-saddle", {"s_max": 400.0, "theta_samples": 512}), a=0.1)
     for layer in (hyperboloid_layer, saddle):
         trial = gj_trial(layer, s0=5.0, sigma=0.1)
         fe = evaluate_form(layer, trial)
-        fine = evaluate_form(layer, trial, points_per_panel=28, n_u=40)
+        fine = _refined_form(monkeypatch, layer, trial)
         assert 0.0 < fe.norm_error <= 1e-4 * fe.norm_sq
         assert abs(fine.norm_sq - fe.norm_sq) <= fe.norm_error
 

@@ -100,7 +100,8 @@ def test_fan_matches_profile_chart_for_revolution_case():
     fan = build_chart("elliptic-paraboloid", {"s_max": 30.0, "theta_samples": 64})
     prof = profile_from_height(
         z_fn=lambda rho: rho**2, dz_fn=lambda rho: 2.0 * rho,
-        d2z_fn=lambda rho: 2.0 + 0.0 * rho, s_max=30.0, tol=1e-11,
+        d2z_fn=lambda rho: 2.0 + 0.0 * rho, d3z_fn=lambda rho: 0.0 * rho,
+        s_max=30.0, tol=1e-11,
     )
     ss = np.linspace(0.25, 28.0, 24)
     r_fan = fan.grid(ss).r

@@ -1,7 +1,8 @@
 """The CLI loads none of scipy's integrate, optimize or special packages.
 
 Each costs start-up time on every run; the ODE layer has its own stepper and
-imports ``scipy.optimize`` only when an event brackets a root.
+imports ``scipy.optimize`` only when its stop condition brackets a root, so
+a fan that meets no conjugate point never loads it.
 """
 
 import json
@@ -17,20 +18,33 @@ heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
 loaded = lambda: sorted(m for m in heavy if m in sys.modules)
 from layerspec.cli import main
 after_import = loaded()
-code = main(["describe", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps({"after_import": after_import, "code": code, "after_describe": loaded()}))
+code = main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
+print(json.dumps({"after_import": after_import, "code": code, "after_run": loaded()}))
 """
 
 
-def test_cli_imports_and_describe_load_no_heavy_scipy_package(tmp_path):
+def _heavy_loaded(tmp_path, command, config):
+    """Heavy scipy packages loaded after importing the CLI and after a run."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("surface.name = hyperboloid\nsurface.s_max = 60\n")
+    cfg.write_text(config)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", _PROBE, command, str(cfg), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {"after_import": [], "code": 0, "after_describe": []}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_imports_and_describe_load_no_heavy_scipy_package(tmp_path):
+    seen = _heavy_loaded(tmp_path, "describe", "surface.name = hyperboloid\nsurface.s_max = 60\n")
+    assert seen == {"after_import": [], "code": 0, "after_run": []}
+
+
+def test_fan_totals_without_conjugate_point_loads_no_heavy_scipy_package(tmp_path):
+    # the fan's stop condition is checked on every step but never brackets
+    # a root, so brentq is never imported
+    config = "surface.name = monkey-saddle\nsurface.theta_samples = 64\nsurface.s_max = 40\n"
+    seen = _heavy_loaded(tmp_path, "totals", config)
+    assert seen == {"after_import": [], "code": 0, "after_run": []}

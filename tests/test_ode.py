@@ -54,13 +54,11 @@ def test_blowup_raises_with_last_s():
 
 
 def test_event_detection():
-    ev = lambda s, y: y[0]
-    ev.terminal = True
-    ev.direction = -1
-    traj = integrate_ode(lambda s, y: np.array([-1.0]), [1.0], (0.0, 5.0), tol=1e-10, events=[ev])
-    s_hit, y_hit = traj.events[0]
-    assert abs(s_hit - 1.0) < 1e-9
-    assert traj.s_end == pytest.approx(1.0, abs=1e-9)
+    stop = lambda s, y: y[0]
+    traj = integrate_ode(lambda s, y: np.array([-1.0]), [1.0], (0.0, 5.0), tol=1e-10, stop=stop)
+    assert abs(traj.stopped_at - 1.0) < 1e-9
+    assert traj.s_end == traj.stopped_at
+    assert abs(traj.states[-1, 0]) < 1e-9
 
 
 def test_bad_arguments():
@@ -80,8 +78,14 @@ def _linear_problem(dim):
     return (lambda s, y: a @ y + np.sin(s)), rng.normal(size=dim)
 
 
-def _reference(rhs, initial, span, tol, **options):
-    return solve_ivp(rhs, span, initial, method="RK45", dense_output=True, rtol=tol, atol=tol, **options)
+def _reference(rhs, initial, span, tol, stop=None):
+    # the stop is scipy's terminal event with direction -1
+    event = None
+    if stop is not None:
+        event = lambda s, y: stop(s, y)
+        event.terminal = True
+        event.direction = -1
+    return solve_ivp(rhs, span, initial, method="RK45", dense_output=True, rtol=tol, atol=tol, events=event)
 
 
 @pytest.mark.parametrize("dim", [2, 12])
@@ -117,24 +121,24 @@ def test_row_selected_eval_equals_full_eval_rows(dim):
 
 
 # Bitwise parity with scipy's RK45: the in-house stepper must take the same
-# steps, store the same states and interpolants, and find the same events.
+# steps, store the same states and interpolants, and stop where scipy's
+# terminal, falling event stops.
 
 
-def _assert_matches_scipy(rhs, initial, span, tol, **options):
-    traj = integrate_ode(rhs, initial, span, tol=tol, **options)
-    ref = _reference(rhs, np.asarray(initial, dtype=float), span, tol, **options)
+def _assert_matches_scipy(rhs, initial, span, tol, stop=None):
+    traj = integrate_ode(rhs, initial, span, tol=tol, stop=stop)
+    ref = _reference(rhs, np.asarray(initial, dtype=float), span, tol, stop=stop)
     assert np.array_equal(traj.abscissae, ref.t)
     assert np.array_equal(traj.states, ref.y.T)
     s = np.linspace(span[0], traj.s_end, 301)
     off = ~np.isin(s, traj.abscissae)
     assert off.sum() > 250
     assert np.array_equal(traj.eval(s)[:, off], ref.sol(s)[:, off])
-    for k, hit in enumerate(traj.events):
-        if ref.t_events[k].size == 0:
-            assert hit is None
-        else:
-            assert hit[0] == ref.t_events[k][0]
-            assert np.array_equal(hit[1], ref.y_events[k][0])
+    if stop is None or ref.t_events[0].size == 0:
+        assert traj.stopped_at is None
+    else:
+        assert traj.stopped_at == ref.t_events[0][0] == traj.s_end
+        assert np.array_equal(traj.states[-1], ref.y_events[0][0])
     return traj
 
 
@@ -146,24 +150,25 @@ def test_matches_scipy_rk45_bitwise(dim):
 
 def test_terminal_event_with_direction_matches_scipy():
     rhs = lambda s, y: np.array([y[1], -y[0]])
-    falling = lambda s, y: y[0]
-    falling.terminal = True
-    falling.direction = -1
-    slowing = lambda s, y: y[1] - 0.5  # not terminal: recorded, integration goes on
-    slowing.direction = -1
-    traj = _assert_matches_scipy(rhs, [0.5, 1.0], (0.0, 10.0), 1e-10, events=[slowing, falling])
+    traj = _assert_matches_scipy(rhs, [0.5, 1.0], (0.0, 10.0), 1e-10, stop=lambda s, y: y[0])
     # y = 0.5 cos s + sin s falls through zero at s = pi - atan(1/2)
-    assert traj.s_end == traj.events[1][0] == pytest.approx(np.pi - np.arctan(0.5), abs=1e-9)
-    assert traj.events[0] is not None and traj.events[0][0] < traj.s_end
+    assert traj.stopped_at == pytest.approx(np.pi - np.arctan(0.5), abs=1e-9)
+
+
+def test_rising_stop_never_fires():
+    # s - 2.5 only rises through zero, so the whole span is integrated
+    rhs, initial = _linear_problem(12)
+    traj = _assert_matches_scipy(rhs, initial, (0.0, 5.0), 1e-9, stop=lambda s, y: s - 2.5)
+    assert traj.stopped_at is None and traj.s_end == 5.0
 
 
 def _captured_fan_problem(monkeypatch, make_chart):
-    """The (rhs, initial, span, tol, events) that a fan chart integrates."""
+    """The (rhs, initial, span, tol, stop) that a fan chart integrates."""
     calls = []
 
-    def spy(rhs, initial, span, tol, events=None):
-        calls.append((rhs, initial, span, tol, events))
-        return integrate_ode(rhs, initial, span, tol=tol, events=events)
+    def spy(rhs, initial, span, tol, stop=None):
+        calls.append((rhs, initial, span, tol, stop))
+        return integrate_ode(rhs, initial, span, tol=tol, stop=stop)
 
     monkeypatch.setattr(graph, "integrate_ode", spy)
     chart = make_chart()
@@ -172,11 +177,11 @@ def _captured_fan_problem(monkeypatch, make_chart):
 
 
 def test_monkey_saddle_fan_matches_scipy(monkeypatch):
-    chart, (rhs, initial, span, tol, events) = _captured_fan_problem(
+    chart, (rhs, initial, span, tol, stop) = _captured_fan_problem(
         monkeypatch, lambda: build_chart("monkey-saddle", {"theta_samples": 64, "s_max": 40.0})
     )
     assert initial.size == 6 * 64 and not chart.truncated
-    _assert_matches_scipy(rhs, initial, span, tol, events=events)
+    _assert_matches_scipy(rhs, initial, span, tol, stop=stop)
 
 
 def test_truncating_fan_matches_scipy(monkeypatch):
@@ -192,12 +197,12 @@ def test_truncating_fan_matches_scipy(monkeypatch):
         pole=(0.3, 0.0),
     )
     with pytest.warns(RuntimeWarning, match="conjugate point"):
-        chart, (rhs, initial, span, tol, events) = _captured_fan_problem(
+        chart, (rhs, initial, span, tol, stop) = _captured_fan_problem(
             monkeypatch, lambda: graph.geodesic_fan(surf, theta_samples=16, s_max=8.0)
         )
     assert chart.truncated
-    traj = _assert_matches_scipy(rhs, initial, span, tol, events=events)
-    assert traj.s_end == traj.events[0][0] < span[1]
+    traj = _assert_matches_scipy(rhs, initial, span, tol, stop=stop)
+    assert traj.s_end == traj.stopped_at < span[1]
 
 
 def test_blowup_failure_matches_scipy():

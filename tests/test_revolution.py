@@ -127,6 +127,7 @@ def test_height_profile_curvatures_match_closed_form():
         z_fn=lambda rho: z0 * np.sqrt(1 + rho**2),
         dz_fn=lambda rho: z0 * rho / np.sqrt(1 + rho**2),
         d2z_fn=lambda rho: z0 * (1 + rho**2) ** -1.5,
+        d3z_fn=lambda rho: -3.0 * z0 * rho * (1 + rho**2) ** -2.5,
         s_max=30.0,
     )
     ss = np.linspace(0.2, 30.0, 30)
