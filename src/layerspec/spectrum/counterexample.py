@@ -166,7 +166,7 @@ def cap_neumann_ground(R, a):
     return solve_spectrum(op, 1)
 
 
-def counterexample_full(R, a, S, n_s_per_R=50, n_u=32):
+def counterexample_full(R, a, S, n_s_per_R, n_u):
     """Full m = 0 pipeline on truncations S x {1, 2, 4}: eigenvalues vs eps_1.
 
     The curvature jump at the junction is face-aligned on every mesh.

@@ -1,6 +1,6 @@
 """Eigenvalue extraction and refinement studies for partial-wave operators."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -87,7 +87,7 @@ def solve_spectrum(op, k, tol=1e-9, floor=None):
     )
 
 
-def spectrum_with_refinement(layer, m, S, n_s, n_u, k=1, levels=3, tol=1e-9):
+def spectrum_with_refinement(layer, m, S, n_s, n_u, k, levels, tol=1e-9):
     """Solve on a sequence of halved meshes and report the refinement table."""
     table = []
     result = None
@@ -96,9 +96,4 @@ def spectrum_with_refinement(layer, m, S, n_s, n_u, k=1, levels=3, tol=1e-9):
         op = assemble_partial_wave(layer, m, mesh)
         result = solve_spectrum(op, k, tol=tol)
         table.append((mesh.h_s, mesh.h_u, float(result.eigenvalues[0]), result.threshold_mesh))
-    return SpectrumResult(
-        m=result.m, eigenvalues=result.eigenvalues, residuals=result.residuals,
-        threshold=result.threshold, threshold_mesh=result.threshold_mesh,
-        S=result.S, h_s=result.h_s, h_u=result.h_u,
-        below_threshold=result.below_threshold, convergence=tuple(table),
-    )
+    return replace(result, convergence=tuple(table))

@@ -130,8 +130,12 @@ def _disk_estimate(chart, schedule, weight, stride=None):
 
     Each annulus between consecutive radii is one ring integral; the partials
     are their running sums, and the summed quadrature gap enters the bound.
+    Every weight is a chart field, so a rotation-invariant chart is read on
+    its theta = 0 column alone.
     """
     schedule = _check_schedule(chart, schedule)
+    if chart.rotation_invariant:
+        stride = chart.theta_nodes.size
     parts = [
         ring_integral(chart, weight, panelize(lo, hi, chart.s_kinks, first=(hi - lo) / 8.0), stride)
         for lo, hi in zip(np.r_[0.0, schedule[:-1]], schedule)

@@ -112,6 +112,9 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
     """Radial densities (Q1, Q2, norm, shifted Q2) at ``s_nodes``.
 
     Each row is integrated over theta and u but not over s, shape (4, Ns).
+    Term fields may be (Ns, 1) columns that broadcast over the grid's ring.
+    The three closed-form moment tables (norm, Q2, shifted Q2) are summed
+    term pair by term pair into one (3, Ns) array; Q1 takes a Gauss rule in u.
     """
     grid = layer.chart.grid(s_nodes, stride=stride)
     w_theta = np.full(grid.theta.size, 2.0 * np.pi / grid.theta.size)
@@ -127,23 +130,16 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
     # shifted combination Q2 - kappa1^2 |Psi|^2 use the closed u-moments,
     # whose (chi1, chi1) shift entry removes the threshold-scale bulk
     # exactly per surface point
-    mass_m, prime_m, shift_m = transverse_moments(layer)
-    q2 = 0.0
-    norm = 0.0
-    q2_shift = 0.0
+    tables = transverse_moments(layer)
+    norm_q2_shift = np.zeros((len(tables), r.shape[0]))
     for ia, (Ai, _, _) in zip(idx, fields):
         for jb, (Aj, _, _) in zip(idx, fields):
             key = (min(ia, jb), max(ia, jb))
             pair = w_theta * Ai * Aj * r
-            for moments, acc in ((mass_m, "n"), (prime_m, "p"), (shift_m, "s")):
+            for row, moments in zip(norm_q2_shift, tables):
                 p0, p1, p2 = moments[key]
-                val = np.sum(pair * (p0 - 2.0 * M * p1 + K * p2), axis=1)
-                if acc == "n":
-                    norm += val
-                elif acc == "p":
-                    q2 += val
-                else:
-                    q2_shift += val
+                row += np.sum(pair * (p0 - 2.0 * M * p1 + K * p2), axis=1)
+    norm, q2, q2_shift = norm_q2_shift
 
     # longitudinal part by transverse quadrature (no cancellation there):
     # contract the surface gradient with the inverse metric block weighted

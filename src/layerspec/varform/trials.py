@@ -3,9 +3,10 @@
 Every family is a short sum of separable terms A(s, theta) * B(u) with
 closed-form derivatives (the Macdonald-function derivative uses K0' = -K1),
 so the derivative-quadratic form never sees numerical differentiation of
-the trial itself.  Radial kinks (the matching radii of the mollifier and of
-the logarithmic ramps) are recorded as breakpoints so quadrature panels can
-land on them exactly.
+the trial itself.  Where A depends on s alone, A, dA/ds and dA/dtheta are
+(Ns, 1) columns that broadcast over the ring.  Radial kinks (the matching
+radii of the mollifier and of the logarithmic ramps) are recorded as
+breakpoints so quadrature panels can land on them exactly.
 
 Families:
 
@@ -48,7 +49,11 @@ class RadialFactor:
 
 @dataclass(frozen=True)
 class SeparableTerm:
-    """One product A(s, theta) * B(u); ``surface_eval(grid) -> (A, As, At)``."""
+    """One product A(s, theta) * B(u); ``surface_eval(grid) -> (A, As, At)``.
+
+    A, dA/ds and dA/dtheta have the grid's (Ns, Nt) shape, or are (Ns, 1)
+    columns that broadcast over the ring when A depends on s alone.
+    """
 
     surface_eval: callable
     u_profile: str  # "chi1" or "u_chi1"
@@ -56,51 +61,43 @@ class SeparableTerm:
 
 @dataclass(frozen=True)
 class TrialFunction:
-    family: str
-    params: dict
+    """A sum of separable terms with its radial support and kinks.
+
+    ``radial`` is the s-profile of the leading chi1 term where there is one.
+    """
+
     terms: tuple
     support: tuple
     s_breakpoints: tuple
     theta_invariant: bool
     radial: RadialFactor = None
 
-    def scaled(self, c):
-        terms = tuple(
-            SeparableTerm(
-                surface_eval=(lambda grid, t=t, c=c: tuple(c * a for a in t.surface_eval(grid))),
-                u_profile=t.u_profile,
-            )
-            for t in self.terms
-        )
-        return TrialFunction(
-            family=self.family, params={**self.params, "scale": c}, terms=terms,
-            support=self.support, s_breakpoints=self.s_breakpoints,
-            theta_invariant=self.theta_invariant, radial=self.radial,
-        )
+
+def _scaled(term, c):
+    return SeparableTerm(surface_eval=lambda grid: tuple(c * a for a in term.surface_eval(grid)),
+                         u_profile=term.u_profile)
 
 
 def combine(t1, t2, c1=1.0, c2=1.0):
     """c1*t1 + c2*t2 as a single trial (supports and breakpoints merge)."""
-    lo = min(t1.support[0], t2.support[0])
-    hi = max(t1.support[1], t2.support[1])
     return TrialFunction(
-        family=f"{t1.family}+{t2.family}",
-        params={"c1": c1, "c2": c2},
-        terms=tuple(list(t1.scaled(c1).terms) + list(t2.scaled(c2).terms)),
-        support=(lo, hi),
+        terms=tuple(_scaled(t, c1) for t in t1.terms) + tuple(_scaled(t, c2) for t in t2.terms),
+        support=(min(t1.support[0], t2.support[0]), max(t1.support[1], t2.support[1])),
         s_breakpoints=tuple(sorted(set(t1.s_breakpoints) | set(t2.s_breakpoints))),
         theta_invariant=t1.theta_invariant and t2.theta_invariant,
         radial=t1.radial,
     )
 
 
-def _radial_term(radial):
-    def surface_eval(grid):
-        A = radial.value(grid.s)[:, None] * np.ones((1, grid.theta.size))
-        As = radial.derivative(grid.s)[:, None] * np.ones((1, grid.theta.size))
-        return A, As, np.zeros_like(A)
+def _radial_values(value, derivative, grid):
+    """(A, dA/ds, dA/dtheta) of A = value(s) as (Ns, 1) columns."""
+    A = value(grid.s)[:, None]
+    return A, derivative(grid.s)[:, None], np.zeros_like(A)
 
-    return SeparableTerm(surface_eval=surface_eval, u_profile="chi1")
+
+def _radial_term(radial):
+    return SeparableTerm(surface_eval=lambda grid: _radial_values(radial.value, radial.derivative, grid),
+                         u_profile="chi1")
 
 
 def _k0_decay_radius(sigma, s0):
@@ -151,11 +148,8 @@ def gj_trial(layer, s0, sigma):
 
     radial = RadialFactor(value=value, derivative=derivative,
                           support=(0.0, s_hi), breakpoints=(s0,))
-    return TrialFunction(
-        family="goldstone_jaffe", params={"sigma": sigma, "s0": s0},
-        terms=(_radial_term(radial),), support=radial.support,
-        s_breakpoints=(s0,), theta_invariant=True, radial=radial,
-    )
+    return TrialFunction(terms=(_radial_term(radial),), support=radial.support,
+                         s_breakpoints=(s0,), theta_invariant=True, radial=radial)
 
 
 def derphi_integral(s0, sigma):
@@ -212,10 +206,7 @@ class RadialBump:
         return _bump_profile_derivative(t) / half
 
     def values(self, grid):
-        ones = np.ones((1, grid.theta.size))
-        return (self(grid.s)[:, None] * ones,
-                self.derivative(grid.s)[:, None] * ones,
-                np.zeros((grid.s.size, grid.theta.size)))
+        return _radial_values(self, self.derivative, grid)
 
 
 @dataclass(frozen=True)
@@ -284,35 +275,20 @@ def default_bump(layer, s0):
     return RadialBump(lo=candidates[0][0], hi=candidates[0][1])
 
 
-def theta_term_from_bump(bump):
-    """The deformation term j(q) * u * chi1(u) as a separable product."""
-    return SeparableTerm(surface_eval=bump.values, u_profile="u_chi1")
-
-
 def deformation_trial(layer, s0, bump=None):
     """The bare deformation Theta = j(q) u chi1(u) (vanishes at u = +-a)."""
     bump = bump or default_bump(layer, s0)
     if not (0.0 < bump.lo and bump.hi < s0):
         raise InvalidInputError("bump support must lie strictly inside (0, s0)")
-    return TrialFunction(
-        family="deformation", params={"lo": bump.lo, "hi": bump.hi},
-        terms=(theta_term_from_bump(bump),), support=(bump.lo, bump.hi),
-        s_breakpoints=(bump.lo, bump.hi),
-        theta_invariant=bump.theta_invariant, radial=None,
-    )
+    return TrialFunction(terms=(SeparableTerm(surface_eval=bump.values, u_profile="u_chi1"),),
+                         support=(bump.lo, bump.hi), s_breakpoints=(bump.lo, bump.hi),
+                         theta_invariant=bump.theta_invariant)
 
 
 def deformed_trial(layer, sigma, s0, eps, bump=None):
     """psi_sigma + eps * Theta; requires the bump inside the plateau s < s0,
     which is what makes the mixed form sigma-independent."""
-    base = gj_trial(layer, s0, sigma)
-    theta = deformation_trial(layer, s0, bump=bump)
-    out = combine(base, theta, 1.0, eps)
-    return TrialFunction(
-        family="deformed", params={"sigma": sigma, "s0": s0, "eps": eps, **theta.params},
-        terms=out.terms, support=out.support, s_breakpoints=out.s_breakpoints,
-        theta_invariant=out.theta_invariant, radial=base.radial,
-    )
+    return combine(gj_trial(layer, s0, sigma), deformation_trial(layer, s0, bump=bump), 1.0, eps)
 
 
 def thin_trial(layer, sigma, s0):
@@ -330,12 +306,9 @@ def thin_trial(layer, sigma, s0):
         return A, As, At
 
     term_m = SeparableTerm(surface_eval=surface_eval, u_profile="u_chi1")
-    return TrialFunction(
-        family="thin", params={"sigma": sigma, "s0": s0},
-        terms=(base.terms[0], term_m), support=base.support,
-        s_breakpoints=base.s_breakpoints,
-        theta_invariant=chart.rotation_invariant, radial=radial,
-    )
+    return TrialFunction(terms=(base.terms[0], term_m), support=base.support,
+                         s_breakpoints=base.s_breakpoints,
+                         theta_invariant=chart.rotation_invariant, radial=radial)
 
 
 def _log_ramp(n):
@@ -387,16 +360,12 @@ def symmetric_log_trial(layer, n, eps):
         return derivative(s) / safe - value(s) / safe**2
 
     def surface_eval(grid):
-        A = phi_over_s(grid.s)[:, None] * np.ones((1, grid.theta.size))
-        As = phi_over_s_prime(grid.s)[:, None] * np.ones((1, grid.theta.size))
-        return eps * A, eps * As, np.zeros_like(A)
+        A, As, At = _radial_values(phi_over_s, phi_over_s_prime, grid)
+        return eps * A, eps * As, At
 
     term_u = SeparableTerm(surface_eval=surface_eval, u_profile="u_chi1")
-    return TrialFunction(
-        family="symmetric_log", params={"n": n, "b": (b1, b2, b3), "eps": eps},
-        terms=(_radial_term(radial), term_u), support=(b1, b3),
-        s_breakpoints=(b1, b2, b3), theta_invariant=True, radial=radial,
-    )
+    return TrialFunction(terms=(_radial_term(radial), term_u), support=(b1, b3),
+                         s_breakpoints=(b1, b2, b3), theta_invariant=True, radial=radial)
 
 
 def log_pairing(layer, n):

@@ -122,7 +122,7 @@ def _radial_trial(radial):
     from layerspec.varform import TrialFunction
     from layerspec.varform.trials import _radial_term
 
-    return TrialFunction(family="radial", params={}, terms=(_radial_term(radial),),
+    return TrialFunction(terms=(_radial_term(radial),),
                          support=radial.support, s_breakpoints=radial.breakpoints,
                          theta_invariant=True, radial=radial)
 

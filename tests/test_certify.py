@@ -141,10 +141,19 @@ def test_deformed_sweep_builds_the_deformation_once(monkeypatch, wide_plane):
 
 
 def test_deformed_stops_on_a_non_positive_deformation_form(monkeypatch):
+    deformations = []
+    real_deformation = certify_module.deformation_trial
+
+    def recorded(*args, **kw):
+        deformations.append(real_deformation(*args, **kw))
+        return deformations[-1]
+
+    monkeypatch.setattr(certify_module, "deformation_trial", recorded)
+
     def negative_theta(real):
         def evaluate(layer, trial, **kw):
             fe = real(layer, trial, **kw)
-            if trial.family == "deformation":
+            if any(trial is theta for theta in deformations):
                 fe = dataclasses.replace(fe, q_tilde=-fe.q_tilde)
             return fe
         return evaluate

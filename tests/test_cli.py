@@ -147,6 +147,26 @@ def test_bad_value_and_duplicate_key(tmp_path):
     assert main(["describe", "--config", cfg, "--out", str(tmp_path / "o2")]) == 4
 
 
+def test_cap_neumann_error_is_its_eigen_error(tmp_path, monkeypatch):
+    from layerspec.cli import _eigen_error
+    from layerspec.spectrum import counterexample
+
+    caps = []
+    real = counterexample.cap_neumann_ground
+
+    def recorded(R, a):
+        caps.append(real(R, a))
+        return caps[-1]
+
+    monkeypatch.setattr(counterexample, "cap_neumann_ground", recorded)
+    out = str(tmp_path / "out")
+    assert main(["counterexample", "--out", out]) == 0
+    reported = load(out, "counterexample")["results"]["counterexample"]["cap_neumann_ground"]
+    [cap] = caps
+    assert reported["value"] == float(cap.eigenvalues[0])
+    assert reported["error"] == _eigen_error(cap.eigenvalues[0], cap.residuals[0])
+
+
 def test_catalog_command(tmp_path):
     out = str(tmp_path / "out")
     assert main(["catalog", "--out", out]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,12 @@ from layerspec.surface import hypotheses_report
 from layerspec.varform import (
     RadialBump,
     RadialFactor,
+    SeparableTerm,
     TrialFunction,
     bilinear_shifted,
     bump_mean_curvature_pairing,
+    combine,
+    deformed_trial,
     evaluate_form,
     gj_trial,
     mixed_term,
@@ -19,7 +24,7 @@ from layerspec.varform import (
     thin_trial,
 )
 from layerspec.varform import form
-from layerspec.varform.trials import _radial_term
+from layerspec.varform.trials import SectorBump, _radial_term
 
 
 def gaussian_radial(center, width, s_hi):
@@ -30,7 +35,7 @@ def gaussian_radial(center, width, s_hi):
 
 def radial_trial(radial):
     return TrialFunction(
-        family="radial", params={}, terms=(_radial_term(radial),),
+        terms=(_radial_term(radial),),
         support=radial.support, s_breakpoints=radial.breakpoints,
         theta_invariant=True, radial=radial,
     )
@@ -155,6 +160,37 @@ def test_axisymmetric_form_reads_one_ray(hyperboloid_layer, monkeypatch):
     assert widths and set(widths) == {1}
 
 
+def _materialized(trial):
+    """The trial with every term's fields copied out to the grid's full shape."""
+    def full(term):
+        def surface_eval(grid):
+            return tuple(np.broadcast_to(a, grid.r.shape).copy() for a in term.surface_eval(grid))
+        return SeparableTerm(surface_eval=surface_eval, u_profile=term.u_profile)
+    return dataclasses.replace(trial, terms=tuple(full(t) for t in trial.terms))
+
+
+def _hex_fields(fe):
+    return [float(v).hex() for v in dataclasses.astuple(fe)]
+
+
+def test_radial_columns_give_the_materialized_form_bitwise(hyperboloid_layer):
+    fan = LayerSpec(build_chart("monkey-saddle", {"s_max": 40.0, "theta_samples": 64}), a=0.1)
+    bump = SectorBump(1.0, 2.0, center=0.0, width=np.pi / 4.0)
+    cases = [
+        (fan, gj_trial(fan, s0=2.0, sigma=1.0)),
+        (fan, thin_trial(fan, sigma=1.0, s0=2.0)),
+        # a theta-dependent bump puts a revolution chart's form on its ring
+        (hyperboloid_layer, deformed_trial(hyperboloid_layer, sigma=0.1, s0=5.0, eps=0.5, bump=bump)),
+    ]
+    for layer, trial in cases:
+        grid = layer.chart.grid(np.array([1.5, 3.0]), stride=8)
+        assert [a.shape for a in trial.terms[0].surface_eval(grid)] == [(2, 1)] * 3
+        # every case reads a ring, where the columns broadcast
+        assert not (trial.theta_invariant and layer.chart.rotation_invariant)
+        fe, full = evaluate_form(layer, trial), evaluate_form(layer, _materialized(trial))
+        assert _hex_fields(fe) == _hex_fields(full)
+
+
 def test_mixed_term_planar_layer_vanishes(plane_layer):
     assert abs(mixed_term(plane_layer, sigma=0.05, s0=4.0, bump=RadialBump(1.0, 2.0))) <= 1e-10
 
@@ -162,7 +198,7 @@ def test_mixed_term_planar_layer_vanishes(plane_layer):
 def test_quadratic_scaling(hyperboloid_layer):
     trial = gj_trial(hyperboloid_layer, s0=5.0, sigma=0.05)
     fe1 = evaluate_form(hyperboloid_layer, trial)
-    fe2 = evaluate_form(hyperboloid_layer, trial.scaled(3.0))
+    fe2 = evaluate_form(hyperboloid_layer, combine(trial, trial, 3.0, 0.0))
     assert fe2.q_tilde == pytest.approx(9.0 * fe1.q_tilde, rel=1e-12)
     assert fe2.norm_sq == pytest.approx(9.0 * fe1.norm_sq, rel=1e-12)
 

@@ -57,7 +57,7 @@ def test_plane_never_below_threshold(plane_layer):
 
 
 def test_hyperboloid_bound_state_stable_gap(hyperboloid_layer):
-    res = spectrum_with_refinement(hyperboloid_layer, 0, S=60.0, n_s=300, n_u=16, levels=3)
+    res = spectrum_with_refinement(hyperboloid_layer, 0, S=60.0, n_s=300, n_u=16, k=1, levels=3)
     gaps = [lam - thr for (_, _, lam, thr) in res.convergence]
     assert all(g < 0 for g in gaps)  # below the (mesh) essential threshold
     assert abs(gaps[-1] - gaps[-2]) <= 0.5 * abs(gaps[-2])  # stable under halving

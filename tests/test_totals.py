@@ -18,6 +18,27 @@ TWO_PI = 2.0 * np.pi
 GRAPH_SCHEDULE = np.array([2.65, 5.3, 10.6, 21.2, 42.5, 85.0, 170.0, 340.0])
 
 
+def test_revolution_disk_integrals_read_one_column(monkeypatch):
+    chart = build_chart("sine-meridian", {"s_max": 250.0})
+    schedule = chart.s_max * np.geomspace(1.0 / 64.0, 1.0, 8)
+    with monkeypatch.context() as m:  # the same chart read on its whole ring
+        m.setattr(RevolutionChart, "rotation_invariant", False)
+        ring = total_mean_sq(chart, schedule)
+    widths = []
+    grid = RevolutionChart.grid
+
+    def spy(self, s_nodes, stride=1):
+        g = grid(self, s_nodes, stride=stride)
+        widths.append(g.theta.size)
+        return g
+
+    monkeypatch.setattr(RevolutionChart, "grid", spy)
+    est = total_mean_sq(chart, schedule)
+    assert widths and set(widths) == {1}
+    assert est.value == pytest.approx(ring.value, rel=1e-13)
+    assert est.error_bound == pytest.approx(ring.error_bound, rel=1e-13)
+
+
 def test_plane_totals_vanish():
     chart = build_chart("plane", {"s_max": 50.0})
     sched = np.array([5.0, 10.0, 20.0, 40.0])

@@ -135,7 +135,7 @@ def test_thin_reduces_to_gj_on_plane(plane_layer):
 def test_symmetric_log_support_and_closed_forms(hyperboloid_layer):
     n = 10
     trial = symmetric_log_trial(hyperboloid_layer, n, eps=0.3)
-    b1, b2, b3 = trial.params["b"]
+    b1, b2, b3 = trial.s_breakpoints
     assert (b1, b2, b3) == (10.0, 100.0, 1000.0)
     ss = np.array([b1 * 0.9, b1, b3, b3 * 1.01])
     assert np.all(trial.radial.value(ss) == 0.0)
