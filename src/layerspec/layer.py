@@ -135,31 +135,31 @@ class LayerMetricSample:
 
 
 def _chart_point(chart, s, theta):
-    """Single-point chart sample at the ray nearest to theta."""
-    idx = int(np.argmin(np.abs((chart.theta_nodes - theta + np.pi) % (2 * np.pi) - np.pi)))
-    return chart.grid(np.array([s])), 0, idx
+    """M, K, r, ii_ss, ii_st, ii_tt at s on the ray nearest to theta."""
+    g = chart.grid(np.array([s]))
+    j = int(np.argmin(np.abs((g.theta - theta + np.pi) % (2 * np.pi) - np.pi)))
+    return (np.broadcast_to(v, (1, g.theta.size))[0, j] for v in (g.M, g.K, g.r, g.ii_ss, g.ii_st, g.ii_tt))
 
 
 def det_factor(layer, s, theta, u):
     """1 - 2 M u + K u^2 at a chart point; equals (1 - u k1)(1 - u k2)."""
-    g, i, j = _chart_point(layer.chart, s, theta)
+    M, K, *_ = _chart_point(layer.chart, s, theta)
     u = np.asarray(u, dtype=float)
-    return 1.0 - 2.0 * g.M[i, j] * u + g.K[i, j] * u**2
+    return 1.0 - 2.0 * M * u + K * u**2
 
 
 def layer_metric(layer, s, theta, u):
     """Metric sample at (s, theta, u): (delta - u h)^2 g block and weights."""
-    g, i, j = _chart_point(layer.chart, s, theta)
+    M, K, r, ii_ss, ii_st, ii_tt = _chart_point(layer.chart, s, theta)
     if not (-layer.a <= u <= layer.a):
         raise InvalidInputError("normal coordinate outside (-a, a)")
-    r2 = g.r[i, j] ** 2
-    g_cov = np.array([[1.0, 0.0], [0.0, r2]])
-    II = np.array([[g.ii_ss[i, j], g.ii_st[i, j]], [g.ii_st[i, j], g.ii_tt[i, j]]])
+    g_cov = np.array([[1.0, 0.0], [0.0, r**2]])
+    II = np.array([[ii_ss, ii_st], [ii_st, ii_tt]])
     G = g_cov - 2.0 * u * II + u**2 * (II @ np.linalg.solve(g_cov, II))
-    f = 1.0 - 2.0 * g.M[i, j] * u + g.K[i, j] * u**2
+    f = 1.0 - 2.0 * M * u + K * u**2
     return LayerMetricSample(
         G11=float(G[0, 0]), G12=float(G[0, 1]), G22=float(G[1, 1]),
-        det_factor=float(f), sqrt_g=float(g.r[i, j]),
+        det_factor=float(f), sqrt_g=float(r),
     )
 
 
@@ -184,12 +184,14 @@ def collision_scan(layer):
     a = layer.a
     lo = min(1e-2, chart.s_max * 1e-3)
     s = np.geomspace(lo, chart.s_max * 0.98, _SCAN_S)
-    g = chart.grid(s, stride=chart.theta_stride_for(_SCAN_THETA))
-    normal = np.cross(g.dp_ds, g.dp_dtheta)
+    stride = chart.theta_stride_for(_SCAN_THETA)
+    g = chart.grid(s, stride=stride)
+    p, dp_ds, dp_dt = chart.embedding(s, stride=stride)
+    normal = np.cross(dp_ds, dp_dt)
     norms = np.linalg.norm(normal, axis=-1, keepdims=True)
     normal = normal / np.where(norms > 0, norms, 1.0)
     us = np.linspace(-a, a, _SCAN_U)
-    pts = (g.p[None, ...] + us[:, None, None, None] * normal[None, ...]).reshape(-1, 3)
+    pts = (p[None, ...] + us[:, None, None, None] * normal[None, ...]).reshape(-1, 3)
     uu, ss, tt = np.meshgrid(us, g.s, g.theta, indexing="ij")
     rr = np.broadcast_to(g.r[None, ...], (_SCAN_U, g.s.size, g.theta.size))
     coords = np.stack([ss.ravel(), tt.ravel(), rr.ravel()], axis=1)

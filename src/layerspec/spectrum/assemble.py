@@ -30,13 +30,8 @@ class PartialWaveOperator:
 
 
 def _profile_columns(chart, s_values, u):
-    g = chart.grid(np.asarray(s_values, dtype=float), stride=chart.theta_nodes.size)
-    ks = g.ii_ss[:, :1]
-    kth = g.ii_tt[:, :1] / g.r[:, :1] ** 2
-    r = g.r[:, :1]
-    one_s = 1.0 - u[None, :] * ks
-    one_t = 1.0 - u[None, :] * kth
-    return one_s, one_t, r
+    g = chart.grid(s_values)
+    return 1.0 - u[None, :] * g.ii_ss, 1.0 - u[None, :] * (g.ii_tt / g.r**2), g.r
 
 
 def assemble_partial_wave(layer, m, mesh, neumann_outer=False):

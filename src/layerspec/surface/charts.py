@@ -1,9 +1,9 @@
 """Geodesic polar chart data model and the protocol every chart meets.
 
-A chart exposes, at sampled (s, theta), the metric factor r (Jacobian of the
-exponential map), the curvatures, the embedded points with their tangents,
-and the second fundamental form in the (s, theta) basis.  The surface metric
-in these coordinates is always diag(1, r^2).
+A chart exposes, at sampled (s, theta), a grid of the metric factor r (Jacobian
+of the exponential map), the curvatures and the second fundamental form in the
+(s, theta) basis, and apart from it the embedded points with their tangents.
+The surface metric in these coordinates is always diag(1, r^2).
 
 There are two chart kinds: a RevolutionChart for every rotation-invariant
 surface (the flat plane is the profile with k_s = 0) and a FanChart of shot
@@ -16,15 +16,17 @@ geodesics for graphs.  Every chart has
     rotation_invariant  True on a RevolutionChart (it carries .profile),
                         False on a FanChart (it carries .surface)
     truncated           True when s_max was cut short (conjugate point)
-    grid(s_nodes, stride=1)     ChartGrid on s_nodes x theta_nodes[::stride]
-    theta_stride_for(max_rays)  stride thinning the ring to about max_rays
-                                rays; 1 where the ring is exact and cheap
+    grid(s_nodes, stride=1)       ChartGrid on s_nodes x theta_nodes[::stride]
+    embedding(s_nodes, stride=1)  (p, dp_ds, dp_dtheta) there, each (Ns, Nt, 3)
+    theta_stride_for(max_rays)    stride thinning the ring to about max_rays
+                                  rays; 1 where the ring is exact and cheap
 
 Charts are immutable after construction and all evaluations are reentrant.
-Every chart returns its whole (strided) ring, also when it is
-theta-independent; consumers average over the ring they receive, and a
-theta-independent consumer of a rotation-invariant chart reads the single
-theta = 0 column (stride = theta_nodes.size).
+Every field of a grid broadcasts to (Ns, Nt), Nt the size of its (strided)
+ring: a theta-independent field may be an (Ns, 1) column, as every
+RevolutionChart field is.  The array's width is the one record of
+axisymmetry; consumers broadcast what they combine and average over the
+width they get.
 """
 
 from dataclasses import dataclass
@@ -45,7 +47,8 @@ def uniform_theta(n):
 class ChartGrid:
     """Chart quantities sampled on a tensor grid s x theta.
 
-    Scalar fields have shape (Ns, Nt); point fields have shape (Ns, Nt, 3).
+    Every field broadcasts to (Ns, Nt) and may be an (Ns, 1) column where
+    it does not depend on theta.
     ``ii_ss, ii_st, ii_tt`` are the second-fundamental-form components, so the
     layer metric at normal height u is g - 2u*II + u^2 * II g^{-1} II with
     g = diag(1, r^2).
@@ -61,9 +64,6 @@ class ChartGrid:
     k2: np.ndarray
     dM_ds: np.ndarray
     dM_dtheta: np.ndarray
-    p: np.ndarray
-    dp_ds: np.ndarray
-    dp_dtheta: np.ndarray
     ii_ss: np.ndarray
     ii_st: np.ndarray
     ii_tt: np.ndarray

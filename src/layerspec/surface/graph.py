@@ -170,15 +170,7 @@ class FanChart:
         fx, fy = surf.fx(x, y), surf.fy(x, y)
         K, M, k1, k2 = graph_curvatures(surf, x, y)
         w = np.sqrt(1.0 + fx**2 + fy**2)
-
-        p = np.stack([x, y, surf.f(x, y)], axis=-1)
-        dp_ds = np.stack([vx, vy, fx * vx + fy * vy], axis=-1)
-        # Jacobi frame: unit ray tangent e_s (normalized, so the frame stays
-        # orthonormal where the integrated speed drifts from 1) and
-        # e_theta = n x e_s with the upward normal n = (-f_x, -f_y, 1)/W
-        e_s = dp_ds / np.linalg.norm(dp_ds, axis=-1, keepdims=True)
-        normal = np.stack([-fx, -fy, np.ones_like(fx)], axis=-1) / w[..., None]
-        dp_dt = r[..., None] * np.cross(normal, e_s)
+        _, e_s, dp_dt = _ray_frame(vx, vy, r, fx, fy, w)
 
         fxx, fxy, fyy = surf.fxx(x, y), surf.fxy(x, y), surf.fyy(x, y)
         hess = lambda ax, ay, bx, by: (fxx * ax * bx + fxy * (ax * by + ay * bx) + fyy * ay * by) / w
@@ -198,9 +190,25 @@ class FanChart:
 
         return ChartGrid(
             s=s, theta=self.theta_nodes[::stride], r=r, dr_ds=rd, K=K, M=M, k1=k1, k2=k2,
-            dM_ds=dM_ds, dM_dtheta=dM_dt, p=p, dp_ds=dp_ds, dp_dtheta=dp_dt,
-            ii_ss=ii_ss, ii_st=ii_st, ii_tt=ii_tt,
+            dM_ds=dM_ds, dM_dtheta=dM_dt, ii_ss=ii_ss, ii_st=ii_st, ii_tt=ii_tt,
         )
+
+    def embedding(self, s_nodes, stride=1):
+        surf = self.surface
+        _, x, y, vx, vy, r, _ = self._raw(s_nodes, stride=stride)
+        fx, fy = surf.fx(x, y), surf.fy(x, y)
+        dp_ds, _, dp_dt = _ray_frame(vx, vy, r, fx, fy, np.sqrt(1.0 + fx**2 + fy**2))
+        return np.stack([x, y, surf.f(x, y)], axis=-1), dp_ds, dp_dt
+
+
+def _ray_frame(vx, vy, r, fx, fy, w):
+    """dp/ds and the Jacobi frame: unit ray tangent e_s (normalized, so the frame
+    stays orthonormal where the integrated speed drifts from 1) and dp/dtheta =
+    r e_theta, e_theta = n x e_s with the upward normal n = (-f_x, -f_y, 1)/W."""
+    dp_ds = np.stack([vx, vy, fx * vx + fy * vy], axis=-1)
+    e_s = dp_ds / np.linalg.norm(dp_ds, axis=-1, keepdims=True)
+    normal = np.stack([-fx, -fy, np.ones_like(fx)], axis=-1) / w[..., None]
+    return dp_ds, e_s, r[..., None] * np.cross(normal, e_s)
 
 
 def _pole_frame(surf):

@@ -242,37 +242,37 @@ class RevolutionChart:
         self.pole = np.zeros(3)
 
     def theta_stride_for(self, max_rays):
-        """The closed-form ring is exact and cheap; it is never thinned."""
+        """Never thinned: only the embedding spans the ring, grid fields are columns."""
         return 1
 
     def grid(self, s_nodes, stride=1):
-        th = self.theta_nodes[::stride]
         ps = self.profile.eval(np.asarray(s_nodes, dtype=float))
         col = lambda v: v[:, None]  # profile fields broadcast over theta
-        ct, st = np.cos(th), np.sin(th)
-        r, dr, z, dz = col(ps.r), col(ps.dr), col(ps.z), col(ps.dz)
-        p = np.stack([r * ct, r * st, np.broadcast_to(z, (r.shape[0], th.size))], axis=-1)
-        dp_ds = np.stack([dr * ct, dr * st, np.broadcast_to(dz, (r.shape[0], th.size))], axis=-1)
-        dp_dt = np.stack([-r * st, r * ct, np.zeros((r.shape[0], th.size))], axis=-1)
-        k_s, k_th = col(ps.k_s), col(ps.k_theta)
-        k1 = np.maximum(k_s, k_th)
-        k2 = np.minimum(k_s, k_th)
-        ones = np.ones((1, th.size))
+        r, k_s, k_th = col(ps.r), col(ps.k_s), col(ps.k_theta)
+        zero = np.broadcast_to(0.0, r.shape)
         return ChartGrid(
             s=ps.s,
-            theta=th,
-            r=r * ones,
-            dr_ds=dr * ones,
-            K=(k_s * k_th) * ones,
-            M=0.5 * (k_s + k_th) * ones,
-            k1=k1 * ones,
-            k2=k2 * ones,
-            dM_ds=col(ps.dM_ds) * ones,
-            dM_dtheta=np.zeros((r.shape[0], th.size)),
-            p=p,
-            dp_ds=dp_ds,
-            dp_dtheta=dp_dt,
-            ii_ss=k_s * ones,
-            ii_st=np.zeros((r.shape[0], th.size)),
-            ii_tt=(k_th * r**2) * ones,
+            theta=self.theta_nodes[::stride],
+            r=r,
+            dr_ds=col(ps.dr),
+            K=k_s * k_th,
+            M=0.5 * (k_s + k_th),
+            k1=np.maximum(k_s, k_th),
+            k2=np.minimum(k_s, k_th),
+            dM_ds=col(ps.dM_ds),
+            dM_dtheta=zero,
+            ii_ss=k_s,
+            ii_st=zero,
+            ii_tt=k_th * r**2,
         )
+
+    def embedding(self, s_nodes, stride=1):
+        th = self.theta_nodes[::stride]
+        ps = self.profile.eval(np.asarray(s_nodes, dtype=float))
+        ct, st = np.cos(th), np.sin(th)
+        r, dr, z, dz = (v[:, None] for v in (ps.r, ps.dr, ps.z, ps.dz))
+        ring = lambda v: np.broadcast_to(v, (ps.s.size, th.size))
+        p = np.stack([r * ct, r * st, ring(z)], axis=-1)
+        dp_ds = np.stack([dr * ct, dr * st, ring(dz)], axis=-1)
+        dp_dt = np.stack([-r * st, r * ct, ring(0.0)], axis=-1)
+        return p, dp_ds, dp_dt

@@ -101,10 +101,10 @@ def ring_integral(chart, weight, panels, stride=None):
     """Integral over the panels of 2 pi mean_theta(weight(g) r) ds, panel-adaptive.
 
     ``weight`` maps a ChartGrid on ``chart.grid(nodes, stride)`` to an array
-    of its shape; the ring average over theta_nodes[::stride] (by default the
-    stride thinning the ring to about 256 rays) times 2 pi r is the density
-    integrated by :func:`adaptive_gauss` on the given panels.  Its ``gap``
-    bounds the quadrature error of its ``value``.
+    that broadcasts to its ring; the ring average over theta_nodes[::stride]
+    (by default the stride thinning the ring to about 256 rays) times 2 pi r
+    is the density integrated by :func:`adaptive_gauss` on the given panels.
+    Its ``gap`` bounds the quadrature error of its ``value``.
     """
     if stride is None:
         stride = chart.theta_stride_for(256)
@@ -130,12 +130,10 @@ def _disk_estimate(chart, schedule, weight, stride=None):
 
     Each annulus between consecutive radii is one ring integral; the partials
     are their running sums, and the summed quadrature gap enters the bound.
-    Every weight is a chart field, so a rotation-invariant chart is read on
-    its theta = 0 column alone.
+    Every weight is a chart field, so on a rotation-invariant chart it is a
+    column and each ring average is that column.
     """
     schedule = _check_schedule(chart, schedule)
-    if chart.rotation_invariant:
-        stride = chart.theta_nodes.size
     parts = [
         ring_integral(chart, weight, panelize(lo, hi, chart.s_kinks, first=(hi - lo) / 8.0), stride)
         for lo, hi in zip(np.r_[0.0, schedule[:-1]], schedule)
@@ -243,7 +241,7 @@ def gauss_bonnet_residual(chart):
     at the sampled radii.
     """
     schedule = chart.s_max * np.array([0.125, 0.25, 0.5, 1.0])
-    drs = chart.grid(schedule, stride=chart.theta_nodes.size).dr_ds[:, 0]
+    drs = chart.grid(schedule).dr_ds[:, 0]
     if abs(drs[-1] - drs[-2]) > 1e-3 and abs(drs[-1] - drs[-2]) > 0.5 * abs(drs[-2] - drs[-3]):
         raise NoLimitError("r'(s) has not settled on the sampled radii")
     est = _disk_estimate(chart, schedule, lambda g: g.K)

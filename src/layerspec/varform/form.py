@@ -13,8 +13,8 @@ leave behind.
 Error estimates come from nested refinement.  Every radial panel is
 integrated by a coarse and a fine radial/transverse rule pair, and panels on
 which the pair disagrees (relative to the accumulated Q1, shifted Q2 and
-norm) are bisected until it agrees.  An axisymmetric integrand (chart and
-trial both theta-independent) is read on the single theta = 0 ray; any
+norm) are bisected until it agrees.  An integrand of width 1 (chart fields
+and trial terms all (Ns, 1) columns) takes the single theta weight 2 pi; any
 other is read on an angular ring that is also re-run at half resolution.
 The reported error is the sum of the remaining per-panel gaps plus the
 half-ring shift.
@@ -109,21 +109,23 @@ def _s_panels(layer, trial):
 
 
 def _evaluate(layer, trial, s_nodes, n_u, stride):
-    """Radial densities (Q1, Q2, norm, shifted Q2) at ``s_nodes``.
+    """Radial densities (Q1, Q2, norm, shifted Q2) at ``s_nodes`` and their width.
 
     Each row is integrated over theta and u but not over s, shape (4, Ns).
-    Term fields may be (Ns, 1) columns that broadcast over the grid's ring.
+    The theta rule spans the broadcast width of the chart and term fields.
     The three closed-form moment tables (norm, Q2, shifted Q2) are summed
     term pair by term pair into one (3, Ns) array; Q1 takes a Gauss rule in u.
     """
     grid = layer.chart.grid(s_nodes, stride=stride)
-    w_theta = np.full(grid.theta.size, 2.0 * np.pi / grid.theta.size)
     r = grid.r
     K, M = grid.K, grid.M
     ii_ss, ii_st, ii_tt = grid.ii_ss, grid.ii_st, grid.ii_tt
     r2 = r**2
 
     fields = [term.surface_eval(grid) for term in trial.terms]
+    integrand = (r, K, M, ii_ss, ii_st, ii_tt, *(a for f in fields for a in f))
+    width = np.broadcast_shapes(*(a.shape for a in integrand))[1]
+    w_theta = np.full(width, 2.0 * np.pi / width)
     idx = [1 if term.u_profile == "chi1" else 2 for term in trial.terms]
 
     # transverse direction analytically: Q2, the norm, and above all the
@@ -161,7 +163,7 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
         det = sqrtG**2
         grad_sq = (psi_s**2 * G22 - 2.0 * psi_s * psi_t * G12 + psi_t**2 * G11) / det
         q1 += wu * np.sum(w_theta * grad_sq * sqrtG, axis=1)
-    return np.array([q1, q2, norm, q2_shift])
+    return np.array([q1, q2, norm, q2_shift]), width
 
 
 def evaluate_form(layer, trial):
@@ -173,23 +175,23 @@ def evaluate_form(layer, trial):
     """
     if not layer.omega1_ok:
         raise InvalidInputError("form evaluation requires the layer width check to pass")
-    chart = layer.chart
-    # an axisymmetric integrand is read on the single theta = 0 ray
-    axisym = chart.rotation_invariant and trial.theta_invariant
-    stride = chart.theta_nodes.size if axisym else chart.theta_stride_for(_THETA_RAYS)
-
+    stride = layer.chart.theta_stride_for(_THETA_RAYS)
     n_u_pair = (_U_POINTS, _U_POINTS + 8)
-    adapt = adaptive_gauss(
-        lambda nodes, level: _evaluate(layer, trial, nodes, n_u_pair[level], stride),
-        _s_panels(layer, trial), orders=(_S_POINTS, _S_POINTS + 6),
-        rel_tol=_PANEL_REL_TOL, judged=(_Q1, _NORM, _Q2S),
-    )
+    width = None  # of the integrand, the same on every read
+
+    def density(nodes, level):
+        nonlocal width
+        values, width = _evaluate(layer, trial, nodes, n_u_pair[level], stride)
+        return values
+
+    adapt = adaptive_gauss(density, _s_panels(layer, trial), orders=(_S_POINTS, _S_POINTS + 6),
+                           rel_tol=_PANEL_REL_TOL, judged=(_Q1, _NORM, _Q2S))
     q1_f, q2_f, norm_f, q2s_f = map(float, adapt.value)
     err = adapt.gap[_Q1] + adapt.gap[_Q2S]
     norm_err = adapt.gap[_NORM]
-    if not axisym:
+    if width != 1:  # a one-column integrand has no angular error
         quad_h = gauss_legendre(_S_POINTS, adapt.panels)
-        half = quad_h.integrate_samples(_evaluate(layer, trial, quad_h.nodes, _U_POINTS, stride * 2))
+        half = quad_h.integrate_samples(_evaluate(layer, trial, quad_h.nodes, _U_POINTS, stride * 2)[0])
         err += abs(half[_Q1] - q1_f) + abs(half[_Q2S] - q2s_f)
         norm_err += abs(half[_NORM] - norm_f)
 

@@ -51,8 +51,8 @@ class RadialFactor:
 class SeparableTerm:
     """One product A(s, theta) * B(u); ``surface_eval(grid) -> (A, As, At)``.
 
-    A, dA/ds and dA/dtheta have the grid's (Ns, Nt) shape, or are (Ns, 1)
-    columns that broadcast over the ring when A depends on s alone.
+    A, dA/ds and dA/dtheta broadcast to the grid's ring; they are (Ns, 1)
+    columns where A does not depend on theta.
     """
 
     surface_eval: callable
@@ -64,12 +64,12 @@ class TrialFunction:
     """A sum of separable terms with its radial support and kinks.
 
     ``radial`` is the s-profile of the leading chi1 term where there is one.
+    The trial depends on theta exactly when some term's fields span the ring.
     """
 
     terms: tuple
     support: tuple
     s_breakpoints: tuple
-    theta_invariant: bool
     radial: RadialFactor = None
 
 
@@ -84,7 +84,6 @@ def combine(t1, t2, c1=1.0, c2=1.0):
         terms=tuple(_scaled(t, c1) for t in t1.terms) + tuple(_scaled(t, c2) for t in t2.terms),
         support=(min(t1.support[0], t2.support[0]), max(t1.support[1], t2.support[1])),
         s_breakpoints=tuple(sorted(set(t1.s_breakpoints) | set(t2.s_breakpoints))),
-        theta_invariant=t1.theta_invariant and t2.theta_invariant,
         radial=t1.radial,
     )
 
@@ -149,7 +148,7 @@ def gj_trial(layer, s0, sigma):
     radial = RadialFactor(value=value, derivative=derivative,
                           support=(0.0, s_hi), breakpoints=(s0,))
     return TrialFunction(terms=(_radial_term(radial),), support=radial.support,
-                         s_breakpoints=(s0,), theta_invariant=True, radial=radial)
+                         s_breakpoints=(s0,), radial=radial)
 
 
 def derphi_integral(s0, sigma):
@@ -191,7 +190,6 @@ class RadialBump:
 
     lo: float
     hi: float
-    theta_invariant: bool = True
 
     def _t(self, s):
         mid = 0.5 * (self.lo + self.hi)
@@ -222,7 +220,6 @@ class SectorBump:
     hi: float
     center: float
     width: float
-    theta_invariant: bool = False
 
     def _radial(self):
         return RadialBump(self.lo, self.hi)
@@ -269,7 +266,7 @@ def default_bump(layer, s0):
             sector = np.abs(wrapped) <= 0.5 * width
             if not sector.any():
                 continue
-            Msec = g.M[:, sector]
+            Msec = np.broadcast_to(g.M, (g.s.size, g.theta.size))[:, sector]
             if Msec.max() < -1e-12 or Msec.min() > 1e-12:
                 return SectorBump(lo=lo, hi=hi, center=float(center), width=width)
     return RadialBump(lo=candidates[0][0], hi=candidates[0][1])
@@ -281,8 +278,7 @@ def deformation_trial(layer, s0, bump=None):
     if not (0.0 < bump.lo and bump.hi < s0):
         raise InvalidInputError("bump support must lie strictly inside (0, s0)")
     return TrialFunction(terms=(SeparableTerm(surface_eval=bump.values, u_profile="u_chi1"),),
-                         support=(bump.lo, bump.hi), s_breakpoints=(bump.lo, bump.hi),
-                         theta_invariant=bump.theta_invariant)
+                         support=(bump.lo, bump.hi), s_breakpoints=(bump.lo, bump.hi))
 
 
 def deformed_trial(layer, sigma, s0, eps, bump=None):
@@ -294,7 +290,6 @@ def deformed_trial(layer, sigma, s0, eps, bump=None):
 def thin_trial(layer, sigma, s0):
     """(1 + M u) psi_sigma: the thin-layer trial; reads dM from the chart grid."""
     base = gj_trial(layer, s0, sigma)
-    chart = layer.chart
     radial = base.radial
 
     def surface_eval(grid):
@@ -307,8 +302,7 @@ def thin_trial(layer, sigma, s0):
 
     term_m = SeparableTerm(surface_eval=surface_eval, u_profile="u_chi1")
     return TrialFunction(terms=(base.terms[0], term_m), support=base.support,
-                         s_breakpoints=base.s_breakpoints,
-                         theta_invariant=chart.rotation_invariant, radial=radial)
+                         s_breakpoints=base.s_breakpoints, radial=radial)
 
 
 def _log_ramp(n):
@@ -365,7 +359,7 @@ def symmetric_log_trial(layer, n, eps):
 
     term_u = SeparableTerm(surface_eval=surface_eval, u_profile="u_chi1")
     return TrialFunction(terms=(_radial_term(radial), term_u), support=(b1, b3),
-                         s_breakpoints=(b1, b2, b3), theta_invariant=True, radial=radial)
+                         s_breakpoints=(b1, b2, b3), radial=radial)
 
 
 def log_pairing(layer, n):

@@ -1,6 +1,10 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from layerspec.numkernel import eigensolve
+from layerspec.varform import form
 
 
 @pytest.fixture
@@ -23,3 +27,51 @@ def lu_solves(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_make_solver", counted)
     return counts
+
+
+@pytest.fixture
+def form_reads(monkeypatch):
+    """(stride, integrand width) of every ring the form evaluations read."""
+    reads = []
+    evaluate = form._evaluate
+
+    def counted(layer, trial, s_nodes, n_u, stride):
+        values, width = evaluate(layer, trial, s_nodes, n_u, stride)
+        reads.append((stride, width))
+        return values, width
+
+    monkeypatch.setattr(form, "_evaluate", counted)
+    return reads
+
+
+class MaterializedChart:
+    """A chart whose grids carry every field copied out to their whole ring.
+
+    With ``one_ray`` it also reads every ring as the single theta = 0 ray
+    (the stride theta_nodes.size), as a full-ring chart had to for an
+    axisymmetric integrand.
+    """
+
+    def __init__(self, chart, one_ray=False):
+        self._chart = chart
+        self._one_ray = one_ray
+
+    def __getattr__(self, name):
+        return getattr(self._chart, name)
+
+    def theta_stride_for(self, max_rays):
+        return self._chart.theta_nodes.size if self._one_ray else self._chart.theta_stride_for(max_rays)
+
+    def grid(self, s_nodes, stride=1):
+        g = self._chart.grid(s_nodes, stride=stride)
+        ring = (g.s.size, g.theta.size)
+        return dataclasses.replace(g, **{
+            f.name: np.broadcast_to(getattr(g, f.name), ring).copy()
+            for f in dataclasses.fields(g) if f.name not in ("s", "theta")
+        })
+
+
+@pytest.fixture
+def materialized():
+    """The MaterializedChart wrapper: the full-ring route to a column chart's values."""
+    return MaterializedChart

@@ -124,7 +124,7 @@ def _radial_trial(radial):
 
     return TrialFunction(terms=(_radial_term(radial),),
                          support=radial.support, s_breakpoints=radial.breakpoints,
-                         theta_invariant=True, radial=radial)
+                         radial=radial)
 
 
 def test_criterion_4_transverse_identity(plane_layer, hyperboloid_layer, paraboloid_layer):
@@ -286,8 +286,9 @@ def test_criterion_11_property_suites(hyperboloid_layer):
     # r e_theta, so its length is r by construction)
     fan = build_chart("hyperbolic-paraboloid", {"s_max": 40.0, "theta_samples": 1024})
     gf = fan.grid(np.linspace(0.2, 8.0, 10))
+    pf, _, _ = fan.embedding(gf.s)
     k = np.fft.rfftfreq(gf.theta.size, d=1.0 / gf.theta.size) * 1j
-    p_theta = np.fft.irfft(np.fft.rfft(gf.p, axis=1) * k[None, :, None], n=gf.theta.size, axis=1)
+    p_theta = np.fft.irfft(np.fft.rfft(pf, axis=1) * k[None, :, None], n=gf.theta.size, axis=1)
     rel = np.abs(np.linalg.norm(p_theta, axis=-1) / gf.r - 1.0)
     checks["jacobi cross-check"] = float(rel.max()) <= 1e-6
 

@@ -1,5 +1,6 @@
-"""The sampling protocol every polar chart meets: grid(s, stride) and
-theta_stride_for(max_rays)."""
+"""The sampling protocol every polar chart meets: grid(s, stride),
+embedding(s, stride) and theta_stride_for(max_rays); every grid field
+broadcasts to its ring."""
 
 from dataclasses import fields
 
@@ -31,7 +32,12 @@ def test_strided_grid_samples_the_strided_ring(charts, name, stride):
     assert np.array_equal(g.theta, chart.theta_nodes[::stride])
     shape = (_S.size, chart.theta_nodes[::stride].size)
     for field in _FIELDS:
-        assert getattr(g, field).shape[:2] == shape, field
+        assert np.broadcast_shapes(getattr(g, field).shape[:2], shape) == shape, field
+        # a revolution chart's fields are columns
+        width = 1 if chart.rotation_invariant else shape[1]
+        assert getattr(g, field).shape == (_S.size, width), field
+    for points in chart.embedding(_S, stride=stride):
+        assert points.shape == shape + (3,)
 
 
 def test_fan_strided_fields_equal_full_grid_columns(charts):
@@ -42,6 +48,8 @@ def test_fan_strided_fields_equal_full_grid_columns(charts):
     strided = chart.grid(_S, stride=stride)
     for field in _FIELDS:
         assert np.array_equal(getattr(strided, field), getattr(full, field)[:, ::stride]), field
+    for points, full_points in zip(chart.embedding(_S, stride=stride), chart.embedding(_S)):
+        assert np.array_equal(points, full_points[:, ::stride])
 
 
 @pytest.mark.parametrize("stride", [1, 3, 4, 64])
@@ -81,12 +89,13 @@ def test_plane_grid_is_exactly_flat(charts):
     g = chart.grid(s)
     th = chart.theta_nodes
     flat = np.zeros((s.size, th.size))
-    assert np.array_equal(g.r, s[:, None] + flat)
-    assert np.array_equal(g.dr_ds, flat + 1.0)
+    ring = lambda v: np.broadcast_to(v, flat.shape)
+    assert np.array_equal(ring(g.r), s[:, None] + flat)
+    assert np.array_equal(ring(g.dr_ds), flat + 1.0)
     for field in ("K", "M", "k1", "k2", "dM_ds", "dM_dtheta", "ii_ss", "ii_st", "ii_tt"):
-        assert np.array_equal(getattr(g, field), flat), field
+        assert np.array_equal(ring(getattr(g, field)), flat), field
     p = np.stack([s[:, None] * np.cos(th), s[:, None] * np.sin(th), flat], axis=-1)
-    assert np.array_equal(g.p, p)
+    assert np.array_equal(chart.embedding(s)[0], p)
 
 
 def test_point_samples_on_revolution_layer_do_not_depend_on_theta(charts):
@@ -94,3 +103,17 @@ def test_point_samples_on_revolution_layer_do_not_depend_on_theta(charts):
     for s, u in ((0.5, 0.1), (3.0, -0.2)):
         assert layer_metric(layer, s, 0.0, u) == layer_metric(layer, s, 0.77, u)
         assert det_factor(layer, s, 0.0, u) == det_factor(layer, s, 0.77, u)
+
+
+@pytest.mark.parametrize("name", ["plane", "hyperboloid", "fan"])
+def test_embedding_tangents_are_the_geodesic_polar_frame(charts, name):
+    chart = charts[name]
+    g = chart.grid(_S)
+    p, dp_ds, dp_dt = chart.embedding(_S)
+    r = np.broadcast_to(g.r, dp_dt.shape[:2])
+    assert np.allclose(np.linalg.norm(dp_ds, axis=-1), 1.0, atol=1e-8)
+    assert np.allclose(np.linalg.norm(dp_dt, axis=-1), r, rtol=1e-8)
+    assert np.allclose(np.sum(dp_ds * dp_dt, axis=-1), 0.0, atol=1e-8 * r.max())
+    # every ray leaves from the one pole point
+    p0 = chart.embedding(np.array([0.0]))[0]
+    assert np.allclose(p0, p0[:, :1], rtol=0.0, atol=1e-12)

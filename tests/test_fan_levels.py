@@ -17,8 +17,7 @@ from layerspec.numkernel import integrate_ode
 from layerspec.surface import graph
 from layerspec.surface.totals import radial_gauss_partials
 
-_FIELDS = ("r", "dr_ds", "K", "M", "k1", "k2", "dM_ds", "dM_dtheta", "p", "dp_ds",
-           "dp_dtheta", "ii_ss", "ii_st", "ii_tt")
+_FIELDS = ("r", "dr_ds", "K", "M", "k1", "k2", "dM_ds", "dM_dtheta", "ii_ss", "ii_st", "ii_tt")
 _S = np.array([0.5, 3.0, 11.0, 19.5])
 
 
@@ -57,6 +56,8 @@ def test_coarse_level_is_the_768_ray_fan(fans):
     strided, full = fans[1536].grid(_S, stride=2), fans[768].grid(_S)
     for field in _FIELDS:
         assert np.array_equal(getattr(strided, field), getattr(full, field)), field
+    for points, alone_points in zip(fans[1536].embedding(_S, stride=2), fans[768].embedding(_S)):
+        assert np.array_equal(points, alone_points)
 
 
 def test_strided_grid_equals_full_grid_columns(fans):
@@ -65,13 +66,15 @@ def test_strided_grid_equals_full_grid_columns(fans):
     assert np.array_equal(strided.theta, full.theta[::2])
     for field in _FIELDS:
         assert np.array_equal(getattr(strided, field), getattr(full, field)[:, ::2]), field
+    for points, full_points in zip(fan.embedding(_S, stride=2), fan.embedding(_S)):
+        assert np.array_equal(points, full_points[:, ::2])
 
 
 def test_launch_directions_increase_around_the_full_ring(fans):
     # at the pole the ray velocity is the launch direction; a wrong interleave
     # of the two levels would break the monotone angle
-    g = fans[1536].grid(np.array([0.0]))
-    angle = np.unwrap(np.arctan2(g.dp_ds[0, :, 1], g.dp_ds[0, :, 0]))
+    _, dp_ds, _ = fans[1536].embedding(np.array([0.0]))
+    angle = np.unwrap(np.arctan2(dp_ds[0, :, 1], dp_ds[0, :, 0]))
     assert np.all(np.diff(angle) > 0.0)
     assert angle[-1] - angle[0] < 2.0 * np.pi
 

@@ -15,6 +15,7 @@ from layerspec.varform import (
     bilinear_shifted,
     bump_mean_curvature_pairing,
     combine,
+    default_bump,
     deformed_trial,
     evaluate_form,
     gj_trial,
@@ -37,7 +38,7 @@ def radial_trial(radial):
     return TrialFunction(
         terms=(_radial_term(radial),),
         support=radial.support, s_breakpoints=radial.breakpoints,
-        theta_invariant=True, radial=radial,
+        radial=radial,
     )
 
 
@@ -143,28 +144,19 @@ def test_mixed_term_sector_bump_on_saddle():
     assert abs(mixed_term(layer, sigma=0.05, s0=4.0, bump=radial)) <= 1e-8
 
 
-def test_axisymmetric_form_reads_one_ray(hyperboloid_layer, monkeypatch):
-    from layerspec.surface import RevolutionChart
-
-    widths = []
-    grid = RevolutionChart.grid
-
-    def spy(self, s_nodes, stride=1):
-        g = grid(self, s_nodes, stride=stride)
-        widths.append(g.theta.size)
-        return g
-
-    monkeypatch.setattr(RevolutionChart, "grid", spy)
+def test_axisymmetric_form_reads_one_ray(hyperboloid_layer, form_reads):
+    # the integrand is one column, and no half ring is read
     evaluate_form(hyperboloid_layer, gj_trial(hyperboloid_layer, s0=5.0, sigma=0.1))
     evaluate_form(hyperboloid_layer, thin_trial(hyperboloid_layer, sigma=0.1, s0=5.0))
-    assert widths and set(widths) == {1}
+    assert form_reads and set(form_reads) == {(1, 1)}
 
 
 def _materialized(trial):
-    """The trial with every term's fields copied out to the grid's full shape."""
+    """The trial with every term's fields copied out to the grid's full ring."""
     def full(term):
         def surface_eval(grid):
-            return tuple(np.broadcast_to(a, grid.r.shape).copy() for a in term.surface_eval(grid))
+            ring = (grid.s.size, grid.theta.size)
+            return tuple(np.broadcast_to(a, ring).copy() for a in term.surface_eval(grid))
         return SeparableTerm(surface_eval=surface_eval, u_profile=term.u_profile)
     return dataclasses.replace(trial, terms=tuple(full(t) for t in trial.terms))
 
@@ -173,22 +165,43 @@ def _hex_fields(fe):
     return [float(v).hex() for v in dataclasses.astuple(fe)]
 
 
-def test_radial_columns_give_the_materialized_form_bitwise(hyperboloid_layer):
+def test_radial_columns_give_the_materialized_form_bitwise(hyperboloid_layer, materialized,
+                                                           form_reads):
+    # the full-ring route copied every theta-independent chart field and
+    # radial factor around the ring, and read an axisymmetric integrand on
+    # its theta = 0 ray; the column route reads the same numbers off the
+    # array widths alone
+    hyp = hyperboloid_layer
     fan = LayerSpec(build_chart("monkey-saddle", {"s_max": 40.0, "theta_samples": 64}), a=0.1)
-    bump = SectorBump(1.0, 2.0, center=0.0, width=np.pi / 4.0)
+    sector = SectorBump(1.0, 2.0, center=0.0, width=np.pi / 4.0)
     cases = [
-        (fan, gj_trial(fan, s0=2.0, sigma=1.0)),
-        (fan, thin_trial(fan, sigma=1.0, s0=2.0)),
+        (hyp, gj_trial(hyp, s0=5.0, sigma=0.1), True),
+        (hyp, thin_trial(hyp, sigma=0.1, s0=5.0), True),
+        (hyp, symmetric_log_trial(hyp, 3, 0.5), True),
+        (hyp, deformed_trial(hyp, sigma=0.1, s0=5.0, eps=0.5, bump=RadialBump(1.0, 2.0)), True),
         # a theta-dependent bump puts a revolution chart's form on its ring
-        (hyperboloid_layer, deformed_trial(hyperboloid_layer, sigma=0.1, s0=5.0, eps=0.5, bump=bump)),
+        (hyp, deformed_trial(hyp, sigma=0.1, s0=5.0, eps=0.5, bump=sector), False),
+        (fan, gj_trial(fan, s0=2.0, sigma=1.0), False),
+        (fan, thin_trial(fan, sigma=1.0, s0=2.0), False),
     ]
-    for layer, trial in cases:
+    for layer, trial, axisymmetric in cases:
         grid = layer.chart.grid(np.array([1.5, 3.0]), stride=8)
         assert [a.shape for a in trial.terms[0].surface_eval(grid)] == [(2, 1)] * 3
-        # every case reads a ring, where the columns broadcast
-        assert not (trial.theta_invariant and layer.chart.rotation_invariant)
-        fe, full = evaluate_form(layer, trial), evaluate_form(layer, _materialized(trial))
-        assert _hex_fields(fe) == _hex_fields(full)
+        ring = LayerSpec(materialized(layer.chart, one_ray=axisymmetric), a=layer.a)
+        form_reads.clear()
+        fe = evaluate_form(layer, trial)
+        reads = set(form_reads)
+        assert _hex_fields(fe) == _hex_fields(evaluate_form(ring, _materialized(trial)))
+        stride = layer.chart.theta_stride_for(form._THETA_RAYS)
+        rays = layer.chart.theta_nodes[::stride].size
+        # the ring cases keep their half-ring error term, the others need none
+        assert reads == ({(stride, 1)} if axisymmetric else {(stride, rays), (2 * stride, rays // 2)})
+
+
+def test_default_bump_on_a_revolution_chart_falls_back_to_a_radial_bump(plane_layer):
+    # the plane's mean curvature is one-signed on no annulus, so every
+    # annulus and then every sector of the (column) grids is rejected
+    assert default_bump(plane_layer, 4.0) == RadialBump(2.0, 3.0)
 
 
 def test_mixed_term_planar_layer_vanishes(plane_layer):

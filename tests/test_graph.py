@@ -88,10 +88,11 @@ def test_flat_fan_is_polar_grid():
     )
     chart = geodesic_fan(surf, theta_samples=16, s_max=5.0, tol=1e-10)
     g = chart.grid(np.array([1.0, 3.0]))
+    p, _, _ = chart.embedding(g.s)
     expect_x = 1.0 + g.s[:, None] * np.cos(g.theta)[None, :]
     expect_y = -2.0 + g.s[:, None] * np.sin(g.theta)[None, :]
-    assert np.max(np.abs(g.p[:, :, 0] - expect_x)) <= 1e-9
-    assert np.max(np.abs(g.p[:, :, 1] - expect_y)) <= 1e-9
+    assert np.max(np.abs(p[:, :, 0] - expect_x)) <= 1e-9
+    assert np.max(np.abs(p[:, :, 1] - expect_y)) <= 1e-9
     assert np.max(np.abs(g.r - g.s[:, None])) <= 1e-9
 
 
@@ -112,8 +113,8 @@ def test_fan_matches_profile_chart_for_revolution_case():
 def test_unit_speed_along_rays():
     for name in ("hyperbolic-paraboloid", "monkey-saddle", "elliptic-paraboloid"):
         chart = build_chart(name, {"s_max": 40.0, "theta_samples": 64})
-        g = chart.grid(np.linspace(0.5, 35.0, 12))
-        speed = np.linalg.norm(g.dp_ds, axis=-1)
+        _, dp_ds, _ = chart.embedding(np.linspace(0.5, 35.0, 12))
+        speed = np.linalg.norm(dp_ds, axis=-1)
         assert np.max(np.abs(speed - 1.0)) <= 1e-8, name
 
 
@@ -137,8 +138,9 @@ def test_jacobi_consistency_cross_check():
     ]:
         chart = build_chart(name, {"s_max": 40.0, "theta_samples": 1024})
         g = chart.grid(np.linspace(0.2, s_hi, 10))
+        p, _, _ = chart.embedding(g.s)
         assert g.theta.size == 1024
-        r_theta = np.linalg.norm(ring_derivative(g.p), axis=-1)
+        r_theta = np.linalg.norm(ring_derivative(p), axis=-1)
         rel = np.abs(r_theta / g.r - 1.0)
         assert rel.max() <= 1e-6, (name, rel.max())
 

@@ -62,7 +62,7 @@ def test_det_factor_factored_form_on_catalog_samples():
         g = chart.grid(np.sort(rng.uniform(0.3, 30.0, size=12)))
         for _ in range(30):
             i = rng.integers(0, g.s.size)
-            j = rng.integers(0, g.theta.size)
+            j = rng.integers(0, g.M.shape[1])  # a revolution chart's fields are columns
             u = rng.uniform(-layer.a, layer.a)
             f = 1 - 2 * g.M[i, j] * u + g.K[i, j] * u**2
             factored = (1 - u * g.k1[i, j]) * (1 - u * g.k2[i, j])

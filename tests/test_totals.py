@@ -18,18 +18,16 @@ TWO_PI = 2.0 * np.pi
 GRAPH_SCHEDULE = np.array([2.65, 5.3, 10.6, 21.2, 42.5, 85.0, 170.0, 340.0])
 
 
-def test_revolution_disk_integrals_read_one_column(monkeypatch):
+def test_revolution_disk_integrals_read_one_column(monkeypatch, materialized):
     chart = build_chart("sine-meridian", {"s_max": 250.0})
     schedule = chart.s_max * np.geomspace(1.0 / 64.0, 1.0, 8)
-    with monkeypatch.context() as m:  # the same chart read on its whole ring
-        m.setattr(RevolutionChart, "rotation_invariant", False)
-        ring = total_mean_sq(chart, schedule)
+    ring = total_mean_sq(materialized(chart), schedule)  # the same chart read on its whole ring
     widths = []
     grid = RevolutionChart.grid
 
     def spy(self, s_nodes, stride=1):
         g = grid(self, s_nodes, stride=stride)
-        widths.append(g.theta.size)
+        widths.append(np.broadcast_shapes(g.r.shape, g.M.shape)[1])
         return g
 
     monkeypatch.setattr(RevolutionChart, "grid", spy)

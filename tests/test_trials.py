@@ -110,7 +110,9 @@ def test_deformed_trial_with_a_sector_bump_matches_its_combination():
                        deformation_trial(layer, 5.0, bump=bump), 1.0, 0.5)
     fe, ref = evaluate_form(layer, trial), evaluate_form(layer, combined)
     assert abs(fe.q_tilde - ref.q_tilde) <= fe.error + ref.error
-    assert not trial.theta_invariant
+    grid = layer.chart.grid(np.array([1.5]))
+    widths = {a.shape[1] for term in trial.terms for a in term.surface_eval(grid)}
+    assert max(widths) == grid.theta.size  # the sector term spans the full ring
 
 
 def test_default_bump_sign_logic():
