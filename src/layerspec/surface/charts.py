@@ -10,7 +10,6 @@ surface (the flat plane is the profile with k_s = 0) and a FanChart of shot
 geodesics for graphs.  Every chart has
 
     s_max               validity radius; grids are sampled on [0, s_max]
-    pole                embedded pole point, shape (3,)
     theta_nodes         the uniform angular ring on [0, 2pi)
     s_kinks             radii where the curvatures jump (panels break there)
     rotation_invariant  True on a RevolutionChart (it carries .profile),

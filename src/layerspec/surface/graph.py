@@ -105,8 +105,6 @@ class FanChart:
         self._fine_traj = fine  # None until a read needs the fine level
         self.s_max = float(s_max)
         self.truncated = truncated
-        x0, y0 = surf.pole
-        self.pole = np.array([x0, y0, float(surf.f(np.float64(x0), np.float64(y0)))])
 
     @property
     def n_theta(self):

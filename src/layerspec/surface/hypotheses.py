@@ -67,16 +67,19 @@ def _integral_verdict(estimate):
     return "pass"
 
 
-def _sigma0_probe(chart, radii, samples_per_annulus, stride, safety):
-    """sup|K|, sup|M| per annulus (times ``safety``), their decay verdicts
-    and the combined verdict: fail if either fails, pass if both pass."""
+def _sigma0_probe(chart, radii, samples_per_annulus, stride, safety, from_pole=False):
+    """sup|K|, sup|M| per annulus (times ``safety``), their decay verdicts, the combined
+    verdict (fail if either fails, pass if both pass) and whether K keeps one sign on the
+    samples, which ``from_pole`` extends over the disk inside the first annulus."""
     sup_K, sup_M = [], []
-    edges = np.concatenate([[radii[0] * 0.5], radii])
+    K_max, K_min = -np.inf, np.inf
+    edges = np.concatenate([[0.0] if from_pole else [], [radii[0] * 0.5], radii])
     for lo, hi in zip(edges[:-1], edges[1:]):
         g = chart.grid(np.linspace(lo, hi, samples_per_annulus), stride=stride)
         sup_K.append(safety * float(np.abs(g.K).max()))
         sup_M.append(safety * float(np.abs(g.M).max()))
-    sup_K, sup_M = np.asarray(sup_K), np.asarray(sup_M)
+        K_max, K_min = max(K_max, g.K.max()), min(K_min, g.K.min())
+    sup_K, sup_M = np.asarray(sup_K[-radii.size:]), np.asarray(sup_M[-radii.size:])
     v_K, v_M = _decay_verdict(sup_K), _decay_verdict(sup_M)
     if "fail" in (v_K, v_M):
         verdict = "fail"
@@ -84,7 +87,7 @@ def _sigma0_probe(chart, radii, samples_per_annulus, stride, safety):
         verdict = "pass"
     else:
         verdict = "undecided"
-    return verdict, sup_K, sup_M, v_K, v_M
+    return verdict, sup_K, sup_M, v_K, v_M, K_max <= 1e-12 or K_min >= -1e-12
 
 
 def asymptotic_flatness_verdict(chart):
@@ -126,20 +129,16 @@ def hypotheses_report(chart, probe_radii):
             "fan ring integrals are not angularly resolved there"
         )
         probe_radii = probe_radii[:n_ok]
-    sigma0, sup_K, sup_M, v_K, v_M = _sigma0_probe(
-        chart, probe_radii, _REPORT_SAMPLES, 1, _SUP_SAFETY)
+    sigma0, sup_K, sup_M, v_K, v_M, sign_definite = _sigma0_probe(
+        chart, probe_radii, _REPORT_SAMPLES, 1, _SUP_SAFETY, from_pole=True)
     if sigma0 != "pass":
         notes.append(f"sup|K| verdict {v_K}, sup|M| verdict {v_M}")
 
     stride = chart.theta_stride_for(768)
 
-    # K-integrability: when K has one sign on the chart (every catalog graph
-    # does), |K| integrals equal |K integrals| and can use the exact per-ray
+    # K-integrability: when K sampled from the pole out keeps one sign (every
+    # catalog graph does), |K| integrals equal |K integrals| and can use the exact per-ray
     # radial antiderivative, which is far more resolution-tolerant.
-    sign_definite = False
-    if not chart.rotation_invariant:
-        g_probe = chart.grid(probe_radii, stride=stride)
-        sign_definite = g_probe.K.max() <= 1e-12 or g_probe.K.min() >= -1e-12
     if sign_definite:
         est1 = total_gauss(chart, probe_radii)
         est1 = replace(est1, value=abs(est1.value), partials=np.abs(est1.partials))
@@ -147,12 +146,11 @@ def hypotheses_report(chart, probe_radii):
         est1 = total_abs_gauss(chart, probe_radii, stride=stride)
     sigma1 = _integral_verdict(est1)
 
-    # keep only radii where the grad-M ring integral is stride-converged
-    # (closed-form rings give equal values, so only fans are ever capped)
+    # keep only radii where the grad-M ring integral agrees on every other ray
+    # (closed-form rings are one column, so only fans are ever capped)
     sigma2_radii = probe_radii
-    ring = lambda g: 2.0 * np.pi * (g.grad_M_sq * g.r).mean(axis=1)
-    v1 = ring(chart.grid(probe_radii, stride=stride))
-    v2 = ring(chart.grid(probe_radii, stride=2 * stride))
+    g = chart.grid(probe_radii, stride=stride)
+    v1, v2 = (2.0 * np.pi * (g.grad_M_sq * g.r)[:, ::step].mean(axis=1) for step in (1, 2))
     ok = np.abs(v1 - v2) <= 0.02 * np.maximum(np.abs(v1), _ZERO_FLOOR)
     n_ok = int(np.argmin(ok)) if not ok.all() else ok.size
     if 4 <= n_ok < probe_radii.size:

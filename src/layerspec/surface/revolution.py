@@ -239,7 +239,6 @@ class RevolutionChart:
         self.s_max = profile.s_max
         self.s_kinks = profile.breakpoints
         self.theta_nodes = uniform_theta(_N_THETA)
-        self.pole = np.zeros(3)
 
     def theta_stride_for(self, max_rays):
         """Never thinned: only the embedding spans the ring, grid fields are columns."""

@@ -184,9 +184,9 @@ def total_gauss(chart, schedule, stride=1):
     return replace(est, error_bound=max(est.error_bound, res_err))
 
 
-def total_mean_sq(chart, schedule, stride=None):
+def total_mean_sq(chart, schedule):
     """Total squared mean curvature: integral of M^2 (may be infinite)."""
-    return _disk_estimate(chart, schedule, lambda g: g.M**2, stride)
+    return _disk_estimate(chart, schedule, lambda g: g.M**2)
 
 
 def total_abs_gauss(chart, schedule, stride=None):

@@ -13,11 +13,11 @@ leave behind.
 Error estimates come from nested refinement.  Every radial panel is
 integrated by a coarse and a fine radial/transverse rule pair, and panels on
 which the pair disagrees (relative to the accumulated Q1, shifted Q2 and
-norm) are bisected until it agrees.  An integrand of width 1 (chart fields
-and trial terms all (Ns, 1) columns) takes the single theta weight 2 pi; any
-other is read on an angular ring that is also re-run at half resolution.
-The reported error is the sum of the remaining per-panel gaps plus the
-half-ring shift.
+norm) are bisected until it agrees.  Every read also sums Q1, the norm and
+the shifted Q2 on every other ray of its ring, and the reported error is the
+sum of the remaining per-panel gaps plus the shift between the two rings.
+An integrand of width 1 (chart fields and trial terms all (Ns, 1) columns)
+takes the single theta weight 2 pi, and its half ring is its full ring.
 """
 
 from dataclasses import dataclass
@@ -38,8 +38,9 @@ _S_POINTS = 14
 _PANEL_REL_TOL = 1e-7
 # rays of the angular ring a form evaluation reads (about this many)
 _THETA_RAYS = 192
-# components of the radial densities returned by _evaluate
-_Q1, _Q2, _NORM, _Q2S = range(4)
+# components of the radial densities returned by _evaluate: the full ring,
+# then Q1, the norm and the shifted Q2 on every other ray of it
+_Q1, _Q2, _NORM, _Q2S, _Q1_HALF, _NORM_HALF, _Q2S_HALF = range(7)
 
 
 @dataclass(frozen=True)
@@ -109,12 +110,13 @@ def _s_panels(layer, trial):
 
 
 def _evaluate(layer, trial, s_nodes, n_u, stride):
-    """Radial densities (Q1, Q2, norm, shifted Q2) at ``s_nodes`` and their width.
+    """Radial densities at ``s_nodes``, shape (7, Ns), rows ``_Q1`` ... ``_Q2S_HALF``.
 
-    Each row is integrated over theta and u but not over s, shape (4, Ns).
-    The theta rule spans the broadcast width of the chart and term fields.
-    The three closed-form moment tables (norm, Q2, shifted Q2) are summed
-    term pair by term pair into one (3, Ns) array; Q1 takes a Gauss rule in u.
+    Each row is integrated over theta and u but not over s.  The theta rule
+    spans the broadcast width of the chart and term fields; a half-ring row
+    sums every other column of the same weighted products and rescales by
+    width / ceil(width / 2), exactly 1 at width 1.  The moment tables (norm,
+    Q2, shifted Q2) are summed term pair by term pair; Q1 takes a Gauss rule in u.
     """
     grid = layer.chart.grid(s_nodes, stride=stride)
     r = grid.r
@@ -133,21 +135,25 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
     # whose (chi1, chi1) shift entry removes the threshold-scale bulk
     # exactly per surface point
     tables = transverse_moments(layer)
-    norm_q2_shift = np.zeros((len(tables), r.shape[0]))
+    full = np.zeros((len(tables), r.shape[0]))
+    half = np.zeros((len(tables), r.shape[0]))  # every other ray
     for ia, (Ai, _, _) in zip(idx, fields):
         for jb, (Aj, _, _) in zip(idx, fields):
             key = (min(ia, jb), max(ia, jb))
             pair = w_theta * Ai * Aj * r
-            for row, moments in zip(norm_q2_shift, tables):
+            for t, moments in enumerate(tables):
                 p0, p1, p2 = moments[key]
-                row += np.sum(pair * (p0 - 2.0 * M * p1 + K * p2), axis=1)
-    norm, q2, q2_shift = norm_q2_shift
+                product = pair * (p0 - 2.0 * M * p1 + K * p2)
+                full[t] += np.sum(product, axis=1)
+                if t != 1:  # no error bar reads Q2's half ring, so it is left 0
+                    half[t] += np.sum(product[:, ::2], axis=1)
+    (norm, q2, q2_shift), (norm_h, _, q2_shift_h) = full, half
 
     # longitudinal part by transverse quadrature (no cancellation there):
     # contract the surface gradient with the inverse metric block weighted
     # by sqrt(G) at each u node
     u_nodes, w_u, profiles = _u_rule(layer, n_u)
-    q1 = 0.0
+    q1 = q1_h = 0.0
     for iu, (u, wu) in enumerate(zip(u_nodes, w_u)):
         psi_s = psi_t = 0.0
         for (A, As, At), term in zip(fields, trial.terms):
@@ -162,8 +168,11 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
         G22 = r2 - 2.0 * u * ii_tt + u**2 * (ii_st**2 + ii_tt**2 / r2)
         det = sqrtG**2
         grad_sq = (psi_s**2 * G22 - 2.0 * psi_s * psi_t * G12 + psi_t**2 * G11) / det
-        q1 += wu * np.sum(w_theta * grad_sq * sqrtG, axis=1)
-    return np.array([q1, q2, norm, q2_shift]), width
+        product = w_theta * grad_sq * sqrtG
+        q1 += wu * np.sum(product, axis=1)
+        q1_h += wu * np.sum(product[:, ::2], axis=1)
+    scale = width / ((width + 1) // 2)  # every other ray's weight over 2 pi / width
+    return np.array([q1, q2, norm, q2_shift, q1_h * scale, norm_h * scale, q2_shift_h * scale])
 
 
 def evaluate_form(layer, trial):
@@ -177,23 +186,18 @@ def evaluate_form(layer, trial):
         raise InvalidInputError("form evaluation requires the layer width check to pass")
     stride = layer.chart.theta_stride_for(_THETA_RAYS)
     n_u_pair = (_U_POINTS, _U_POINTS + 8)
-    width = None  # of the integrand, the same on every read
 
     def density(nodes, level):
-        nonlocal width
-        values, width = _evaluate(layer, trial, nodes, n_u_pair[level], stride)
-        return values
+        return _evaluate(layer, trial, nodes, n_u_pair[level], stride)
 
     adapt = adaptive_gauss(density, _s_panels(layer, trial), orders=(_S_POINTS, _S_POINTS + 6),
                            rel_tol=_PANEL_REL_TOL, judged=(_Q1, _NORM, _Q2S))
-    q1_f, q2_f, norm_f, q2s_f = map(float, adapt.value)
-    err = adapt.gap[_Q1] + adapt.gap[_Q2S]
-    norm_err = adapt.gap[_NORM]
-    if width != 1:  # a one-column integrand has no angular error
-        quad_h = gauss_legendre(_S_POINTS, adapt.panels)
-        half = quad_h.integrate_samples(_evaluate(layer, trial, quad_h.nodes, _U_POINTS, stride * 2)[0])
-        err += abs(half[_Q1] - q1_f) + abs(half[_Q2S] - q2s_f)
-        norm_err += abs(half[_NORM] - norm_f)
+    value, gap = adapt.value, adapt.gap
+    q1_f, q2_f, norm_f, q2s_f = map(float, value[:_Q1_HALF])
+    # the half-ring shift, 0 on a one-column integrand
+    err = (gap[_Q1] + gap[_Q2S] + abs(value[_Q1_HALF] - value[_Q1])
+           + abs(value[_Q2S_HALF] - value[_Q2S]))
+    norm_err = gap[_NORM] + abs(value[_NORM_HALF] - value[_NORM])
 
     q_tilde = q1_f + q2s_f
     if not np.isfinite(q_tilde):

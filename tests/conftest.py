@@ -31,14 +31,30 @@ def lu_solves(monkeypatch):
 
 @pytest.fixture
 def form_reads(monkeypatch):
-    """(stride, integrand width) of every ring the form evaluations read."""
+    """(stride, integrand width) of every ring the form evaluations read.
+
+    The width is the broadcast width of the read's chart fields and of the
+    trial's term fields on that grid.
+    """
     reads = []
     evaluate = form._evaluate
 
     def counted(layer, trial, s_nodes, n_u, stride):
-        values, width = evaluate(layer, trial, s_nodes, n_u, stride)
-        reads.append((stride, width))
-        return values, width
+        widths = []
+
+        def watched(term):
+            def surface_eval(grid):
+                fields = term.surface_eval(grid)
+                chart_shapes = [getattr(grid, f.name).shape for f in dataclasses.fields(grid)
+                                if f.name not in ("s", "theta")]
+                widths.append(np.broadcast_shapes(*chart_shapes, *(a.shape for a in fields))[1])
+                return fields
+            return dataclasses.replace(term, surface_eval=surface_eval)
+
+        values = evaluate(layer, dataclasses.replace(trial, terms=tuple(map(watched, trial.terms))),
+                          s_nodes, n_u, stride)
+        reads.append((stride, max(widths)))
+        return values
 
     monkeypatch.setattr(form, "_evaluate", counted)
     return reads

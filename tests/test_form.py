@@ -145,7 +145,7 @@ def test_mixed_term_sector_bump_on_saddle():
 
 
 def test_axisymmetric_form_reads_one_ray(hyperboloid_layer, form_reads):
-    # the integrand is one column, and no half ring is read
+    # the integrand is one column, read at the form's stride and no other
     evaluate_form(hyperboloid_layer, gj_trial(hyperboloid_layer, s0=5.0, sigma=0.1))
     evaluate_form(hyperboloid_layer, thin_trial(hyperboloid_layer, sigma=0.1, s0=5.0))
     assert form_reads and set(form_reads) == {(1, 1)}
@@ -194,8 +194,26 @@ def test_radial_columns_give_the_materialized_form_bitwise(hyperboloid_layer, ma
         assert _hex_fields(fe) == _hex_fields(evaluate_form(ring, _materialized(trial)))
         stride = layer.chart.theta_stride_for(form._THETA_RAYS)
         rays = layer.chart.theta_nodes[::stride].size
-        # the ring cases keep their half-ring error term, the others need none
-        assert reads == ({(stride, 1)} if axisymmetric else {(stride, rays), (2 * stride, rays // 2)})
+        # every read is at the form's stride (its half ring is every other
+        # column of the same read, never a read at twice the stride)
+        assert reads == {(stride, 1 if axisymmetric else rays)}
+
+
+@pytest.mark.parametrize("name, s0, sigma",
+                         [("monkey-saddle", 5.0, 0.1), ("hyperbolic-paraboloid", 2.0, 0.5)])
+def test_fan_form_error_covers_the_full_ring(monkeypatch, name, s0, sigma):
+    # the form reads 192 of the fan's 768 rays and checks them against 96;
+    # the reference reads all 768 with its panels converged to 1e-11
+    layer = LayerSpec(build_chart(name, {"s_max": 40.0, "theta_samples": 768}), a=0.1)
+    assert layer.chart.theta_stride_for(form._THETA_RAYS) > 1
+    trial = gj_trial(layer, s0=s0, sigma=sigma)
+    fe = evaluate_form(layer, trial)
+    with monkeypatch.context() as m:
+        m.setattr(form, "_THETA_RAYS", layer.chart.theta_nodes.size)
+        m.setattr(form, "_PANEL_REL_TOL", 1e-11)
+        ref = evaluate_form(layer, trial)
+    assert abs(fe.q_tilde - ref.q_tilde) <= fe.error
+    assert abs(fe.norm_sq - ref.norm_sq) <= fe.norm_error
 
 
 def test_default_bump_on_a_revolution_chart_falls_back_to_a_radial_bump(plane_layer):

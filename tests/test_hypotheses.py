@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from layerspec.catalog import build_chart
-from layerspec.surface import hypotheses_report
+from layerspec.surface import (
+    MeridianSpec,
+    RevolutionChart,
+    hypotheses_report,
+    revolution_from_meridian,
+    total_abs_gauss,
+    total_gauss,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,6 +35,36 @@ def test_sine_meridian_sigma1_pass_sigma2_fail():
     assert rep.sigma1 == "pass"
     assert rep.sigma2 == "fail"
     assert rep.sigma0 == "pass"
+
+
+def _one_sign_change_chart():
+    # k_s = (1 - s^2) exp(-s^2) keeps the turning angle positive, so K > 0
+    # for s < 1 and K < 0 beyond
+    k_s = lambda s: (1.0 - np.asarray(s) ** 2) * np.exp(-np.asarray(s) ** 2)
+    return RevolutionChart(revolution_from_meridian(MeridianSpec(k_s=k_s, s_max=12.0)))
+
+
+@pytest.mark.parametrize(
+    "make_chart, radii",
+    [
+        # K changes sign all along the sine meridian, and is positive at the
+        # check command's default radii
+        (lambda: build_chart("sine-meridian", {"s_max": 60.0}), 60.0 * np.array([0.06, 0.12, 0.24, 0.48, 0.96])),
+        # K changes sign once, inside the probe annuli's inner edge s = 2
+        (_one_sign_change_chart, np.array([4.0, 6.0, 8.0, 10.0, 12.0])),
+    ],
+    ids=["sine-meridian", "sign-change-inside-the-first-annulus"],
+)
+def test_sigma1_integrates_abs_gauss_where_K_changes_sign(make_chart, radii):
+    # the sigma1 partials are the ring integrals of |K|, not |int K|, though
+    # K sampled on the probe radii alone keeps one sign
+    chart = make_chart()
+    K = chart.grid(radii).K
+    assert K.max() < 0.0 or K.min() > 0.0
+    rep = hypotheses_report(chart, radii)
+    abs_partials = total_abs_gauss(chart, radii).partials
+    assert np.array_equal(rep.sigma1_partials, abs_partials)
+    assert np.abs(total_gauss(chart, radii).partials).max() < 0.9 * abs_partials.min()
 
 
 @pytest.mark.parametrize(
