@@ -26,6 +26,12 @@ ring: a theta-independent field may be an (Ns, 1) column, as every
 RevolutionChart field is.  The array's width is the one record of
 axisymmetry; consumers broadcast what they combine and average over the
 width they get.
+
+A grid has the fields of ChartGrid, by name; it need not be one.  s, theta,
+r and dr_ds are read when grid() is called, and a grid may compute any
+other field on its first read and keep it (a FanChart grid does), so a read
+costs only the fields it touches.  A grid is immutable to its readers: they
+never write to it or to its arrays.
 """
 
 from dataclasses import dataclass

@@ -23,10 +23,17 @@ a short centered difference, gives dM/ds = grad M . (dx/ds, dy/ds) and
 dM/dtheta = grad M . (dx/dtheta, dy/dtheta) on each ray independently.  A
 strided grid therefore evaluates the dense ODE solution on its own rays
 only.
+
+A grid reads the dense solution when it is made; every other field is
+computed on its first read.  A grid evaluates the derivatives of f at its
+points once, for all of its curvatures and its second fundamental form,
+and takes the grad M stencil (four more evaluations) only when dM_ds,
+dM_dtheta or grad_M_sq is read.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,8 +70,20 @@ def _derivatives(surf, x, y):
     return fx, fy, surf.fxx(x, y), surf.fxy(x, y), surf.fyy(x, y), 1.0 + fx**2 + fy**2
 
 
+def _gauss(fxx, fxy, fyy, w2):
+    return (fxx * fyy - fxy**2) / w2**2
+
+
 def _mean(fx, fy, fxx, fxy, fyy, w2):
     return ((1.0 + fy**2) * fxx - 2.0 * fx * fy * fxy + (1.0 + fx**2) * fyy) / (2.0 * w2**1.5)
+
+
+def _curvatures(fx, fy, fxx, fxy, fyy, w2):
+    """(K, M, k1, k2) from a :func:`_derivatives` tuple."""
+    K = _gauss(fxx, fxy, fyy, w2)
+    M = _mean(fx, fy, fxx, fxy, fyy, w2)
+    disc = np.sqrt(np.maximum(M**2 - K, 0.0))
+    return K, M, M + disc, M - disc
 
 
 def graph_mean_curvature(surf, x, y):
@@ -74,11 +93,7 @@ def graph_mean_curvature(surf, x, y):
 
 def graph_curvatures(surf, x, y):
     """(K, M, k1, k2) of a graph at (x, y), upward normal convention."""
-    fx, fy, fxx, fxy, fyy, w2 = _derivatives(surf, x, y)
-    K = (fxx * fyy - fxy**2) / w2**2
-    M = _mean(fx, fy, fxx, fxy, fyy, w2)
-    disc = np.sqrt(np.maximum(M**2 - K, 0.0))
-    return K, M, M + disc, M - disc
+    return _curvatures(*_derivatives(surf, x, y))
 
 
 def _thinning_stride(n_rays, max_rays):
@@ -160,36 +175,10 @@ class FanChart:
         return _thinning_stride(self.n_theta, max_rays)
 
     def grid(self, s_nodes, stride=1):
-        surf = self.surface
         # C order, so that ring averages downstream sum in a fixed order
         s, *state = self._raw(s_nodes, stride=stride)
-        x, y, vx, vy, r, rd = (np.ascontiguousarray(v) for v in state)
-
-        fx, fy = surf.fx(x, y), surf.fy(x, y)
-        K, M, k1, k2 = graph_curvatures(surf, x, y)
-        w = np.sqrt(1.0 + fx**2 + fy**2)
-        _, e_s, dp_dt = _ray_frame(vx, vy, r, fx, fy, w)
-
-        fxx, fxy, fyy = surf.fxx(x, y), surf.fxy(x, y), surf.fyy(x, y)
-        hess = lambda ax, ay, bx, by: (fxx * ax * bx + fxy * (ax * by + ay * bx) + fyy * ay * by) / w
-        sx, sy, tx, ty = e_s[..., 0], e_s[..., 1], dp_dt[..., 0], dp_dt[..., 1]
-        ii_ss = hess(sx, sy, sx, sy)
-        ii_st = hess(sx, sy, tx, ty)
-        ii_tt = hess(tx, ty, tx, ty)
-
-        # grad M in the plane by centered differences, then along the ray
-        # velocity and along d_theta p
-        h = _DM_STEP * (1.0 + np.hypot(x, y))
-        mean = lambda u, v: graph_mean_curvature(surf, u, v)
-        dM_dx = (mean(x + h, y) - mean(x - h, y)) / (2.0 * h)
-        dM_dy = (mean(x, y + h) - mean(x, y - h)) / (2.0 * h)
-        dM_ds = dM_dx * vx + dM_dy * vy
-        dM_dt = dM_dx * tx + dM_dy * ty
-
-        return ChartGrid(
-            s=s, theta=self.theta_nodes[::stride], r=r, dr_ds=rd, K=K, M=M, k1=k1, k2=k2,
-            dM_ds=dM_ds, dM_dtheta=dM_dt, ii_ss=ii_ss, ii_st=ii_st, ii_tt=ii_tt,
-        )
+        return _FanGrid(self.surface, s, self.theta_nodes[::stride],
+                        *(np.ascontiguousarray(v) for v in state))
 
     def embedding(self, s_nodes, stride=1):
         surf = self.surface
@@ -197,6 +186,62 @@ class FanChart:
         fx, fy = surf.fx(x, y), surf.fy(x, y)
         dp_ds, _, dp_dt = _ray_frame(vx, vy, r, fx, fy, np.sqrt(1.0 + fx**2 + fy**2))
         return np.stack([x, y, surf.f(x, y)], axis=-1), dp_ds, dp_dt
+
+
+class _FanGrid:
+    """A FanChart grid, with the fields of ChartGrid: s, theta, r and dr_ds are
+    set from the dense ODE read, every other field is computed from the ray
+    states on its first read and kept.
+
+    The fields come in groups that share work: K, M, k1 and k2 from the one
+    derivative evaluation; the second fundamental form from it and the ray
+    frame; dM_ds and dM_dtheta from the grad M stencil and the frame.
+    """
+
+    def __init__(self, surf, s, theta, x, y, vx, vy, r, dr_ds):
+        self.s, self.theta, self.r, self.dr_ds = s, theta, r, dr_ds
+        self._surf, self._x, self._y, self._vx, self._vy = surf, x, y, vx, vy
+
+    K = property(lambda g: g._curvatures[0])
+    M = property(lambda g: g._curvatures[1])
+    k1 = property(lambda g: g._curvatures[2])
+    k2 = property(lambda g: g._curvatures[3])
+    ii_ss = property(lambda g: g._second_form[0])
+    ii_st = property(lambda g: g._second_form[1])
+    ii_tt = property(lambda g: g._second_form[2])
+    dM_ds = property(lambda g: g._grad_M[0])
+    dM_dtheta = property(lambda g: g._grad_M[1])
+    grad_M_sq = ChartGrid.grad_M_sq
+
+    @cached_property
+    def _derivs(self):
+        return _derivatives(self._surf, self._x, self._y)
+
+    @cached_property
+    def _curvatures(self):
+        return _curvatures(*self._derivs)
+
+    @cached_property
+    def _second_form(self):
+        """(ii_ss, ii_st, ii_tt, d_theta p): the graph Hessian / W on (e_s, r e_theta)."""
+        fx, fy, fxx, fxy, fyy, w2 = self._derivs
+        w = np.sqrt(w2)
+        _, e_s, dp_dt = _ray_frame(self._vx, self._vy, self.r, fx, fy, w)
+        hess = lambda ax, ay, bx, by: (fxx * ax * bx + fxy * (ax * by + ay * bx) + fyy * ay * by) / w
+        sx, sy, tx, ty = e_s[..., 0], e_s[..., 1], dp_dt[..., 0], dp_dt[..., 1]
+        return hess(sx, sy, sx, sy), hess(sx, sy, tx, ty), hess(tx, ty, tx, ty), dp_dt
+
+    @cached_property
+    def _grad_M(self):
+        """grad M in the plane by centered differences, then along the ray
+        velocity and along d_theta p."""
+        surf, x, y = self._surf, self._x, self._y
+        h = _DM_STEP * (1.0 + np.hypot(x, y))
+        mean = lambda u, v: graph_mean_curvature(surf, u, v)
+        dM_dx = (mean(x + h, y) - mean(x - h, y)) / (2.0 * h)
+        dM_dy = (mean(x, y + h) - mean(x, y - h)) / (2.0 * h)
+        dp_dt = self._second_form[3]
+        return dM_dx * self._vx + dM_dy * self._vy, dM_dx * dp_dt[..., 0] + dM_dy * dp_dt[..., 1]
 
 
 def _ray_frame(vx, vy, r, fx, fy, w):
@@ -245,8 +290,7 @@ def _shoot(surf, dirs, s_max, tol):
         x, y, vx, vy, r, rd = ys.reshape(6, nt)
         fx, fy, fxx, fxy, fyy, w2 = _derivatives(surf, x, y)
         acc = -(fxx * vx**2 + 2.0 * fxy * vx * vy + fyy * vy**2) / w2
-        K = (fxx * fyy - fxy**2) / w2**2
-        return np.concatenate([vx, vy, acc * fx, acc * fy, rd, -K * r])
+        return np.concatenate([vx, vy, acc * fx, acc * fy, rd, -_gauss(fxx, fxy, fyy, w2) * r])
 
     def min_r(s, ys):
         return ys.reshape(6, nt)[4].min()

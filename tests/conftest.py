@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from layerspec.numkernel import eigensolve
+from layerspec.surface import ChartGrid
 from layerspec.varform import form
+
+# the chart fields of a grid, by name
+_CHART_FIELDS = [f.name for f in dataclasses.fields(ChartGrid) if f.name not in ("s", "theta")]
 
 
 @pytest.fixture
@@ -45,8 +49,7 @@ def form_reads(monkeypatch):
         def watched(term):
             def surface_eval(grid):
                 fields = term.surface_eval(grid)
-                chart_shapes = [getattr(grid, f.name).shape for f in dataclasses.fields(grid)
-                                if f.name not in ("s", "theta")]
+                chart_shapes = [getattr(grid, name).shape for name in _CHART_FIELDS]
                 widths.append(np.broadcast_shapes(*chart_shapes, *(a.shape for a in fields))[1])
                 return fields
             return dataclasses.replace(term, surface_eval=surface_eval)
@@ -81,9 +84,8 @@ class MaterializedChart:
     def grid(self, s_nodes, stride=1):
         g = self._chart.grid(s_nodes, stride=stride)
         ring = (g.s.size, g.theta.size)
-        return dataclasses.replace(g, **{
-            f.name: np.broadcast_to(getattr(g, f.name), ring).copy()
-            for f in dataclasses.fields(g) if f.name not in ("s", "theta")
+        return ChartGrid(s=g.s, theta=g.theta, **{
+            name: np.broadcast_to(getattr(g, name), ring).copy() for name in _CHART_FIELDS
         })
 
 

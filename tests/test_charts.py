@@ -52,6 +52,17 @@ def test_fan_strided_fields_equal_full_grid_columns(charts):
         assert np.array_equal(points, full_points[:, ::stride])
 
 
+def test_fan_grid_fields_do_not_depend_on_read_order(charts):
+    # a fan grid computes its fields on first read and keeps them
+    chart = charts["fan"]
+    forward, backward = chart.grid(_S, stride=2), chart.grid(_S, stride=2)
+    first = {field: getattr(forward, field) for field in _FIELDS}
+    last = {field: getattr(backward, field) for field in reversed(_FIELDS)}
+    for field in _FIELDS:
+        assert np.array_equal(first[field], last[field]), field
+        assert getattr(forward, field) is first[field], field
+
+
 @pytest.mark.parametrize("stride", [1, 3, 4, 64])
 def test_fan_grid_evaluates_the_dense_solution_once_on_its_own_rays(charts, stride, monkeypatch):
     chart = charts["fan"]

@@ -1,8 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from layerspec.catalog import build_chart, graph_surface
-from layerspec.surface import GraphSurface, geodesic_fan, graph_curvatures, profile_from_height
+from layerspec.layer import rho_m
+from layerspec.surface import (
+    GraphSurface,
+    asymptotic_flatness_verdict,
+    geodesic_fan,
+    graph_curvatures,
+    profile_from_height,
+    total_gauss,
+)
 
 
 def shape_operator_oracle(surf, x, y, h=1e-5):
@@ -189,3 +199,24 @@ def test_conjugate_point_truncates_fan():
         chart = geodesic_fan(surf, theta_samples=64, s_max=8.0, tol=1e-9)
     assert chart.truncated
     assert chart.s_max < 8.0
+
+
+def test_fan_grid_evaluates_second_derivatives_only_for_the_fields_read():
+    # rho_m reads k1 and k2, the flatness verdict K and M: one evaluation of
+    # the second derivatives per grid, none for the grad M stencil; a
+    # total_gauss read takes only dr_ds from the ODE solution
+    surf = graph_surface("monkey-saddle")
+    fxx_calls = []
+    counted = dataclasses.replace(surf, fxx=lambda x, y: fxx_calls.append(1) or surf.fxx(x, y))
+    chart = geodesic_fan(counted, theta_samples=64, s_max=10.0)
+    grid, grids = chart.grid, []
+    chart.grid = lambda *args, **kw: grids.append(1) or grid(*args, **kw)
+    for read in (rho_m, asymptotic_flatness_verdict):
+        fxx_calls.clear()
+        grids.clear()
+        read(chart)
+        assert grids and len(fxx_calls) == len(grids), read.__name__
+    fxx_calls.clear()
+    total_gauss(chart, [2.0, 4.0, 8.0])
+    assert fxx_calls == []
+
