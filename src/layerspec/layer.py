@@ -22,6 +22,9 @@ from .numkernel import gauss_legendre
 _SUP_SAFETY = 1.05
 _PLANAR_SUP = 1e-12
 _RHO_PROBES = 400  # radii sampled by rho_m, half geometric and half uniform
+# points (radii x rays) per chart.grid read in rho_m: bounds the read's
+# temporaries, several arrays of this size each
+_RHO_READ_POINTS = 2**15
 # collision_scan's sample counts in s, theta and u
 _SCAN_S, _SCAN_THETA, _SCAN_U = 48, 24, 5
 # transverse modes and Gauss nodes of check_mode_orthonormality
@@ -32,19 +35,31 @@ def rho_m(chart):
     """Minimal normal curvature radius: 1 / sup(|k1|, |k2|), sampled.
 
     Dense sampling over the chart with a 5% safety factor on the supremum;
-    returns inf for (numerically) planar charts.
+    returns inf for (numerically) planar charts.  The sample radii are read
+    in consecutive blocks of at most _RHO_READ_POINTS points (radii x rays)
+    under a running maximum, which is the supremum of one whole read.
     """
-    lo = min(1e-3, chart.s_max * 1e-4)
-    s = np.concatenate([
-        np.geomspace(lo, chart.s_max, _RHO_PROBES // 2),
-        np.linspace(lo, chart.s_max, _RHO_PROBES // 2),
-    ])
-    g = chart.grid(np.sort(s), stride=chart.theta_stride_for(512))
-    sup = float(np.max(np.maximum(np.abs(g.k1), np.abs(g.k2))))
-    sup *= _SUP_SAFETY
+    s = _rho_radii(chart)
+    stride = chart.theta_stride_for(512)
+    per_read = max(1, _RHO_READ_POINTS // chart.theta_nodes[::stride].size)
+    sup = 0.0
+    for block in np.array_split(s, -(-s.size // per_read)):
+        g = chart.grid(block, stride=stride)
+        sup = np.maximum(sup, np.max(np.maximum(np.abs(g.k1), np.abs(g.k2))))  # keeps a NaN
+        del g  # freed before the next block is read
+    sup = float(sup) * _SUP_SAFETY
     if sup <= _PLANAR_SUP:
         return np.inf
     return 1.0 / sup
+
+
+def _rho_radii(chart):
+    """rho_m's sample radii in increasing order, half geometric and half uniform."""
+    lo = min(1e-3, chart.s_max * 1e-4)
+    return np.sort(np.concatenate([
+        np.geomspace(lo, chart.s_max, _RHO_PROBES // 2),
+        np.linspace(lo, chart.s_max, _RHO_PROBES // 2),
+    ]))
 
 
 @dataclass(frozen=True)

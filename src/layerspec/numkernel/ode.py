@@ -121,8 +121,8 @@ class OdeTrajectory:
         order = np.argsort(pts)
         seg = np.searchsorted(self._sol.ts, pts[order], side="left") - 1
         np.clip(seg, 0, len(pieces) - 1, out=seg)
-        cuts = np.flatnonzero(np.diff(seg)) + 1
-        for a, b in zip(np.r_[0, cuts], np.r_[cuts, pts.size]):
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))  # none for no points
+        for a, b in zip(starts, np.r_[starts[1:], pts.size]):
             piece = pieces[seg[a]]
             idx = order[a:b]
             x = (pts[idx] - piece.t_old) / piece.h

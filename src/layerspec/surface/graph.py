@@ -157,8 +157,9 @@ class FanChart:
         coarse = rays % k == 0
 
         def read(traj, rows, n_level):
+            n = rows.size
             rows = (np.arange(6)[:, None] * n_level + rows).ravel()
-            return traj.eval(s_eval, rows=rows).T.reshape(s.size, 6, -1)
+            return traj.eval(s_eval, rows=rows).T.reshape(s.size, 6, n)
 
         n_coarse = -(-nt // k)
         if coarse.all():

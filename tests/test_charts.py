@@ -79,6 +79,16 @@ def test_fan_grid_evaluates_the_dense_solution_once_on_its_own_rays(charts, stri
     assert sizes == [6 * -(-chart.n_theta // stride) * _S.size]
 
 
+@pytest.mark.parametrize("name", ["plane", "hyperboloid", "fan"])
+def test_grid_of_no_radii_is_empty(charts, name):
+    chart = charts[name]
+    g = chart.grid(np.array([]))
+    assert g.s.shape == (0,)
+    for field in _FIELDS:
+        assert np.broadcast_shapes(getattr(g, field).shape, (0, g.theta.size)) == (0, g.theta.size), field
+    assert all(v.shape == (0, g.theta.size, 3) for v in chart.embedding(np.array([])))
+
+
 @pytest.mark.parametrize("name", ["plane", "hyperboloid"])
 def test_closed_form_rings_are_never_thinned(charts, name):
     for max_rays in (1, 24, 256, 10**6):

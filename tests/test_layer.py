@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from layerspec.layer import (
     det_factor,
     layer_metric,
     rho_m,
+    _RHO_READ_POINTS,
+    _rho_radii,
 )
 from layerspec.surface import MeridianSpec, revolution_from_meridian, RevolutionChart
 
@@ -33,6 +37,78 @@ def test_rho_m_hyperbolic_paraboloid():
     chart = build_chart("hyperbolic-paraboloid", {"s_max": 40.0, "theta_samples": 128})
     # sup |k| = 2, attained at the origin
     assert rho_m(chart) == pytest.approx(0.5, rel=0.05)
+
+
+@pytest.fixture(scope="module")
+def fan():
+    # the certify fan's read: 768 rays at stride 2, 10 reads of 40 radii
+    return build_chart("monkey-saddle", {"s_max": 40.0, "theta_samples": 1536})
+
+
+def _whole_read(chart):
+    """One chart.grid read of every sample radius of rho_m."""
+    return chart.grid(_rho_radii(chart), stride=chart.theta_stride_for(512))
+
+
+def _spy_reads(chart, monkeypatch):
+    reads = []
+    grid = chart.grid
+
+    def spy(s_nodes, stride=1):
+        g = grid(s_nodes, stride=stride)
+        reads.append((g.s, g.s.size * g.theta.size))
+        return g
+
+    monkeypatch.setattr(chart, "grid", spy)
+    return reads
+
+
+@pytest.mark.parametrize("name", ["fan", "hyperbolic-paraboloid", "hyperboloid", "sphere"])
+def test_rho_m_is_the_supremum_of_one_whole_read(fan, name):
+    chart = {
+        "fan": lambda: fan,
+        "hyperbolic-paraboloid": lambda: build_chart(
+            "hyperbolic-paraboloid", {"s_max": 40.0, "theta_samples": 128}),
+        "hyperboloid": lambda: build_chart("hyperboloid", {"s_max": 40.0}),
+        "sphere": unit_sphere_chart,
+    }[name]()
+    g = _whole_read(chart)
+    assert rho_m(chart) == 1.0 / (1.05 * float(np.max(np.maximum(np.abs(g.k1), np.abs(g.k2)))))
+
+
+def test_rho_m_reads_each_radius_once_within_the_points_budget(fan, monkeypatch):
+    reads = _spy_reads(fan, monkeypatch)
+    rho_m(fan)
+    assert len(reads) > 1
+    assert max(points for _, points in reads) <= _RHO_READ_POINTS
+    assert np.array_equal(np.concatenate([s for s, _ in reads]), _rho_radii(fan))
+
+
+def test_rho_m_reads_a_revolution_chart_once(monkeypatch):
+    chart = build_chart("hyperboloid", {"s_max": 40.0})
+    reads = _spy_reads(chart, monkeypatch)
+    rho_m(chart)
+    assert len(reads) == 1
+    assert np.array_equal(reads[0][0], _rho_radii(chart))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rho_m_peak_memory_is_a_fraction_of_one_whole_read(fan):
+    def whole():
+        g = _whole_read(fan)
+        g.k1, g.k2
+
+    rho_m(fan)  # any first-read set-up is paid before measuring
+    # numpy reports its buffers to tracemalloc: measured ratio 0.11
+    assert _traced_peak(lambda: rho_m(fan)) <= 0.25 * _traced_peak(whole)
 
 
 def test_omega1_enforced_with_force_escape():

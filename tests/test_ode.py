@@ -71,6 +71,15 @@ def test_bad_arguments():
         traj.eval(2.0)
 
 
+def test_eval_of_no_points_is_empty():
+    rhs, initial = _linear_problem(2)
+    traj = integrate_ode(rhs, initial, (0.0, 5.0), tol=1e-9)
+    for rows, n in ((None, 2), ([1], 1)):
+        out = traj.eval(np.array([]), rows=rows)
+        assert out.shape == (n, 0)
+        assert out.flags.f_contiguous == traj.eval(np.array([1.0, 2.0]), rows=rows).flags.f_contiguous
+
+
 def _linear_problem(dim):
     # y' = A y + sin(s): a 2-state oscillator and a coupled 12-state system
     rng = np.random.default_rng(dim)
