@@ -63,15 +63,17 @@ def _spy_reads(chart, monkeypatch):
     return reads
 
 
-@pytest.mark.parametrize("name", ["fan", "hyperbolic-paraboloid", "hyperboloid", "sphere"])
+_RHO_CHARTS = {
+    "hyperbolic-paraboloid": lambda: build_chart(
+        "hyperbolic-paraboloid", {"s_max": 40.0, "theta_samples": 128}),
+    "hyperboloid": lambda: build_chart("hyperboloid", {"s_max": 40.0}),
+    "sphere": unit_sphere_chart,
+}
+
+
+@pytest.mark.parametrize("name", ["fan", *_RHO_CHARTS])
 def test_rho_m_is_the_supremum_of_one_whole_read(fan, name):
-    chart = {
-        "fan": lambda: fan,
-        "hyperbolic-paraboloid": lambda: build_chart(
-            "hyperbolic-paraboloid", {"s_max": 40.0, "theta_samples": 128}),
-        "hyperboloid": lambda: build_chart("hyperboloid", {"s_max": 40.0}),
-        "sphere": unit_sphere_chart,
-    }[name]()
+    chart = fan if name == "fan" else _RHO_CHARTS[name]()
     g = _whole_read(chart)
     assert rho_m(chart) == 1.0 / (1.05 * float(np.max(np.maximum(np.abs(g.k1), np.abs(g.k2)))))
 

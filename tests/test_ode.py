@@ -74,10 +74,10 @@ def test_bad_arguments():
 def test_eval_of_no_points_is_empty():
     rhs, initial = _linear_problem(2)
     traj = integrate_ode(rhs, initial, (0.0, 5.0), tol=1e-9)
-    for rows, n in ((None, 2), ([1], 1)):
+    for rows in (None, [1]):
+        full = traj.eval(np.array([1.0, 2.0]), rows=rows)
         out = traj.eval(np.array([]), rows=rows)
-        assert out.shape == (n, 0)
-        assert out.flags.f_contiguous == traj.eval(np.array([1.0, 2.0]), rows=rows).flags.f_contiguous
+        assert out.shape == (full.shape[0], 0) and out.dtype == full.dtype
 
 
 def _linear_problem(dim):
