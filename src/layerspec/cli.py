@@ -186,7 +186,6 @@ def cmd_spectrum(config, writer, force):
             layer, m, S=S,
             n_s=config.get("spectrum.n_s"), n_u=config.get("spectrum.n_u"),
             k=config.get("spectrum.k"), levels=config.get("spectrum.levels"),
-            tol=config.get("solver.eigen_tol"),
         )
         payload.append({
             "m": m,

@@ -32,7 +32,6 @@ SCHEMA = [
     _Key("layer.a", "float", 0.1, "layer half-width"),
     _Key("layer.force", "bool", False, "keep going when a >= rho_m (records the violation)"),
     _Key("solver.ode_tol", "float", 1e-10, "ODE local tolerance of fan shooting and height profiles"),
-    _Key("solver.eigen_tol", "float", 1e-9, "eigensolver backward-error tolerance"),
     _Key("totals.schedule", "float_list", _UNSET, "truncation radii (default: geometric to s_max)"),
     _Key("check.probe_radii", "float_list", _UNSET, "annulus radii for the hypothesis checks"),
     _Key("certify.strategies", "str_list",

@@ -18,8 +18,16 @@ nearest the shift (largest |theta| of the tridiagonal T_j) has residual
 bound beta_j |y_{j,i}| <= 1e-13 |theta_i| (the convergence test of ARPACK;
 Parlett, The Symmetric Eigenvalue Problem, ch. 13), and otherwise at a cap
 of m steps.  The true residual of each returned pair is then checked
-against ``tol``; a failed check moves the shift under the cluster and
-restarts with a larger cap.
+against ``tol``.
+
+The shift moves in one place, the attempt loop of ``lowest_eigenpairs``.
+It reruns a run just below its lowest Ritz value, with a larger step cap,
+for three reasons: a residual fails its check; the lowest Ritz value lies
+at or below the shift, where it may shadow deeper eigenvalues; or ``splu``
+finds ``A - sigma B`` exactly singular, and then sigma steps down by
+1e-3 max(1, |sigma|).  The reruns only move down from what a run found, so
+the caller must still place the shift below the sought eigenvalues: from a
+shift inside the spectrum the k values returned need not be the k smallest.
 
 Deterministic: the start vector comes from a fixed-seed generator and the
 algorithm is serial, so repeated runs on identical inputs are bitwise
@@ -103,23 +111,14 @@ def _make_solver(C):
 
 
 def _lanczos_shift_invert(A, B, sigma, k, m, rng):
-    """B-Lanczos on (A - sigma B)^{-1} B; return Ritz pairs.
+    """B-Lanczos on (A - sigma B)^{-1} B; return Ritz values and vectors, ascending.
 
     Runs until the k Ritz pairs of largest |theta| pass the _RITZ_TOL test,
-    or until m steps.
+    or until m steps.  Factors A - sigma B once; ``splu``'s RuntimeError on
+    an exactly singular matrix passes to the caller.
     """
     n = A.shape[0]
-    solve = None
-    shift = sigma
-    for attempt in range(3):
-        try:
-            solve = _make_solver(A - shift * B)
-            break
-        except RuntimeError:
-            # singular at this shift: nudge and retry, then give up
-            shift = shift - (1e-3 + attempt * 1e-2) * max(1.0, abs(shift))
-    if solve is None:
-        raise EigenSolveError(f"factorization failed at shift {sigma:g} and two perturbations")
+    solve = _make_solver(A - sigma * B)
 
     v = rng.standard_normal(n)
     Bv = B @ v
@@ -163,7 +162,7 @@ def _lanczos_shift_invert(A, B, sigma, k, m, rng):
     alphas = alphas[:steps]
     betas = betas[: max(steps - 1, 0)]
     theta, y = eigh_tridiagonal(alphas, betas)
-    # lam = shift + 1/theta; |theta| ranks proximity to the shift, and
+    # lam = sigma + 1/theta; |theta| ranks proximity to the shift, and
     # negative theta (eigenvalues below the shift) are kept so a shift that
     # lands inside the spectrum cannot hide anything beneath it
     order = np.argsort(-np.abs(theta))
@@ -171,18 +170,22 @@ def _lanczos_shift_invert(A, B, sigma, k, m, rng):
     for idx in order[: min(k + 4, steps)]:
         if theta[idx] == 0:
             continue
-        lam = shift + 1.0 / theta[idx]
+        lam = sigma + 1.0 / theta[idx]
         x = V[:steps].T @ y[:, idx]
         Bx = B @ x
         x /= np.sqrt(x @ Bx)
         lams.append(lam)
         vecs.append(x)
     order = np.argsort(lams)
-    return [lams[i] for i in order], [vecs[i] for i in order], shift
+    return [lams[i] for i in order], [vecs[i] for i in order]
 
 
 def lowest_eigenpairs(pair, k, shift, tol=1e-9):
     """k smallest generalized eigenvalues of a SparseSymmetricPair, ascending.
+
+    At most 8 Lanczos runs in one loop, rerun below the lowest Ritz value
+    for the three reasons of the module docstring.  From a shift inside the
+    spectrum the values returned need not be the k smallest.
 
     Parameters
     ----------
@@ -212,32 +215,34 @@ def lowest_eigenpairs(pair, k, shift, tol=1e-9):
     m_cap = min(max(8 * k + 80, 320), pair.dimension)
     norm_A = abs(A).sum(axis=0).max()
     norm_B = abs(B).sum(axis=0).max()
-    last_err = None
-    for attempt in range(8):
-        lams, vecs, used_shift = _lanczos_shift_invert(
-            A, B, sigma, k, m, np.random.default_rng(_SEED)
-        )
-        if len(lams) >= k:
-            pairs = []
-            ok = True
-            for lam, x in zip(lams[:k], vecs[:k]):
-                res = np.linalg.norm(A @ x - lam * (B @ x)) / (
-                    (norm_A + abs(lam) * norm_B) * np.linalg.norm(x)
-                )
-                if res > tol:
-                    ok = False
-                    last_err = f"residual {res:.2e} above tol for eigenvalue {lam:.6g}"
-                    break
-                pairs.append(EigenPair(value=float(lam), vector=x, residual=float(res)))
-            if ok:
-                return pairs
-        else:
+    for _ in range(8):
+        try:
+            lams, vecs = _lanczos_shift_invert(A, B, sigma, k, m, np.random.default_rng(_SEED))
             last_err = f"only {len(lams)} Ritz values converged"
-        # move the shift right below the current cluster estimate: proximity
-        # is what makes shift-invert Lanczos separate clustered eigenvalues
+        except RuntimeError:
+            # splu: A - sigma B is exactly singular, so sigma is an eigenvalue
+            lams, vecs = [], []
+            last_err = f"A - sigma B is singular at shift {sigma:g}"
+        pairs = []
+        for lam, x in zip(lams[:k], vecs[:k]):
+            res = np.linalg.norm(A @ x - lam * (B @ x)) / (
+                (norm_A + abs(lam) * norm_B) * np.linalg.norm(x)
+            )
+            if res > tol:
+                last_err = f"residual {res:.2e} above tol for eigenvalue {lam:.6g}"
+                break
+            pairs.append(EigenPair(value=float(lam), vector=x, residual=float(res)))
+        if len(pairs) == k:
+            if lams[0] > sigma + 1e-12 * max(1.0, abs(sigma)):
+                return pairs
+            # a value at or below the shift may shadow deeper ones
+            last_err = f"eigenvalue {lams[0]:.6g} at or below the shift {sigma:g}"
+        # move the shift right below the lowest Ritz value: proximity is
+        # what makes shift-invert Lanczos separate clustered eigenvalues
         if lams:
-            lo = min(lams[: max(k, 1)])
-            gap = max(abs(lo - used_shift), 1e-8 * max(1.0, abs(lo)))
-            sigma = lo - 0.05 * gap
+            gap = max(abs(lams[0] - sigma), 1e-8 * max(1.0, abs(lams[0])))
+            sigma = lams[0] - 0.05 * gap
+        else:
+            sigma -= 1e-3 * max(1.0, abs(sigma))
         m = min(int(1.5 * m) + 8, m_cap)
     raise EigenSolveError(f"Lanczos failed to converge: {last_err}")

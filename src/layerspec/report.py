@@ -3,12 +3,14 @@
 Reports are reproducible: identical configuration and package version give
 byte-identical JSON.  Wall-clock timestamps and timings therefore live in a
 separate sidecar file.  Every numeric result carries either an error
-estimate or an explicit "exact" marker.
+estimate or an explicit "exact" marker.  A non-finite number is written as
+null, so every report is strict JSON (RFC 8259).
 """
 
 import csv
 import datetime
 import json
+import math
 import os
 
 from . import __version__
@@ -35,7 +37,7 @@ def _jsonify(obj):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         val = float(obj)
-        return None if val != val else val  # NaN -> null
+        return val if math.isfinite(val) else None  # NaN, +-inf -> null
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -73,7 +75,7 @@ class ReportWriter:
     def finalize(self):
         path = os.path.join(self.out_dir, f"{self.command}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.document, fh, indent=2, sort_keys=True)
+            json.dump(self.document, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         end = datetime.datetime.now(datetime.timezone.utc)
         sidecar = {
@@ -83,6 +85,6 @@ class ReportWriter:
             "wall_seconds": (end - self._start).total_seconds(),
         }
         with open(os.path.join(self.out_dir, f"{self.command}.meta.json"), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            json.dump(sidecar, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return path

@@ -58,26 +58,19 @@ class SpectrumResult:
         return float(np.log2(num / den))
 
 
-def solve_spectrum(op, k, tol=1e-9, floor=None):
+def solve_spectrum(op, k, floor=None):
     """k lowest eigenvalues of a partial-wave operator with threshold flags.
 
-    The shift starts at 0.9 times the mesh threshold, or, given a ``floor``
-    below the mesh threshold that the eigenvalues are expected to lie above
-    (the counterexample passes its measured eps_1 on the same u grid), just
-    under it at floor - 0.05 (threshold - floor).  Either way it walks down
-    whenever an eigenvalue lands at or below it, so the smallest eigenvalues
-    are never shadowed by the shift choice and one under the floor is still
-    found.
+    One eigensolve at a shift of 0.9 times the mesh threshold, or, given a
+    ``floor`` below the mesh threshold that the eigenvalues are expected to
+    lie above (the counterexample passes its measured eps_1 on the same u
+    grid), just under it at floor - 0.05 (threshold - floor).  A bound state
+    under a misplaced floor is still found, by the eigensolver's rerun below
+    it, but a shift deep inside the spectrum can hide the smallest ones.
     """
     thr_mesh = mesh_threshold(op.mesh)
     sigma = 0.9 * thr_mesh if floor is None else floor - 0.05 * (thr_mesh - floor)
-    for _ in range(8):
-        pairs = lowest_eigenpairs(op.pair, k, shift=sigma, tol=tol)
-        # anything at or below the shift means it may shadow deeper states:
-        # drop the shift under the smallest find and re-run
-        if pairs[0].value > sigma + 1e-12 * max(1.0, abs(sigma)):
-            break
-        sigma = pairs[0].value - 0.1 * max(abs(pairs[0].value), 1e-6)
+    pairs = lowest_eigenpairs(op.pair, k, shift=sigma)
     lam = np.array([p.value for p in pairs])
     res = np.array([p.residual for p in pairs])
     return SpectrumResult(
@@ -87,13 +80,13 @@ def solve_spectrum(op, k, tol=1e-9, floor=None):
     )
 
 
-def spectrum_with_refinement(layer, m, S, n_s, n_u, k, levels, tol=1e-9):
+def spectrum_with_refinement(layer, m, S, n_s, n_u, k, levels):
     """Solve on a sequence of halved meshes and report the refinement table."""
     table = []
     result = None
     for lev in range(levels):
         mesh = build_mesh(S, layer.a, n_s * 2**lev, n_u * 2**lev)
         op = assemble_partial_wave(layer, m, mesh)
-        result = solve_spectrum(op, k, tol=tol)
+        result = solve_spectrum(op, k)
         table.append((mesh.h_s, mesh.h_u, float(result.eigenvalues[0]), result.threshold_mesh))
     return replace(result, convergence=tuple(table))

@@ -46,6 +46,10 @@ def test_plane_reports_as_a_revolution_chart(tmp_path):
     out = str(tmp_path / "out")
     assert main(["describe", "--config", cfg, "--out", out]) == 0
     assert load(out, "describe")["results"]["surface"]["provenance_chart"] == "revolution"
+    # strict JSON: rho_m is infinite on a planar chart and is written as null
+    with open(os.path.join(out, "describe.json")) as fh:
+        doc = json.load(fh, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+    assert doc["results"]["surface"]["rho_m"]["value"] is None
     assert main(["totals", "--config", cfg, "--out", out]) == 0
     assert load(out, "totals")["results"]["gauss_bonnet_residual"]["value"] == 0.0
 
@@ -136,8 +140,9 @@ def test_poleless_rejected_exit_three(tmp_path):
 
 
 def test_unknown_key_exit_four(tmp_path):
-    cfg = write_cfg(tmp_path, "surface.nam = plane\n")
-    assert main(["describe", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    for idx, line in enumerate(["surface.nam = plane", "solver.eigen_tol = 1e-9"]):
+        cfg = write_cfg(tmp_path, line + "\n", name=f"run{idx}.cfg")
+        assert main(["describe", "--config", cfg, "--out", str(tmp_path / f"o{idx}")]) == 4, line
 
 
 def test_bad_value_and_duplicate_key(tmp_path):

@@ -125,8 +125,7 @@ def test_full_pipeline_no_spectrum_below_eps1(monkeypatch):
     for res in rep.spectra:
         assert res.eigenvalues[0] >= rep.eps1_mesh - _eigen_error(res.eigenvalues[0], res.residuals[0])
     # one eigensolve per truncation and one for the cap: each strip's
-    # lambda_0 lies above the shift under eps1_mesh it was solved at, so the
-    # shift never walked down
+    # lambda_0 lies above the shift under eps1_mesh it was solved at
     assert len(solves) == 4
     for res, (shift, lam0) in zip(rep.spectra, solves):
         assert shift < rep.eps1_mesh < lam0 == res.eigenvalues[0]

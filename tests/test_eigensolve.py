@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from layerspec.catalog import build_chart
 from layerspec.errors import InvalidInputError
 from layerspec.layer import LayerSpec
-from layerspec.numkernel import SparseSymmetricPair, lowest_eigenpairs
+from layerspec.numkernel import SparseSymmetricPair, eigensolve, lowest_eigenpairs
 from layerspec.spectrum import assemble_partial_wave, build_mesh, mesh_threshold
 
 
@@ -37,6 +37,28 @@ def test_diagonal_case():
         sp.diags([1.0, 2.0, 3.0]).tocsr(), sp.identity(3, format="csr")
     )
     got = lowest_eigenpairs(pair, 1, shift=0.0)
+    assert got[0].value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_shift_at_an_eigenvalue_steps_below_it(monkeypatch):
+    # A - sigma B = diag(0, 1, 2) is exactly singular: the factorization
+    # fails, and the rerun one step below the shift finds the eigenvalue
+    failed = []
+    make_solver = eigensolve._make_solver
+
+    def recorded(C):
+        try:
+            return make_solver(C)
+        except RuntimeError:
+            failed.append(C)
+            raise
+
+    monkeypatch.setattr(eigensolve, "_make_solver", recorded)
+    pair = SparseSymmetricPair.build(
+        sp.diags([1.0, 2.0, 3.0]).tocsr(), sp.identity(3, format="csr")
+    )
+    got = lowest_eigenpairs(pair, 1, shift=1.0)
+    assert failed
     assert got[0].value == pytest.approx(1.0, rel=1e-12)
 
 

@@ -11,6 +11,7 @@ from layerspec.spectrum import (
     solve_spectrum,
     spectrum_with_refinement,
 )
+from layerspec.spectrum import solve as spectrum_solve
 
 J01 = 2.404825557695773
 
@@ -64,15 +65,25 @@ def test_hyperboloid_bound_state_stable_gap(hyperboloid_layer):
     assert res.below_threshold[0]
 
 
-def test_floor_above_a_bound_state_still_finds_it(hyperboloid_layer):
+def test_floor_above_a_bound_state_still_finds_it(hyperboloid_layer, monkeypatch):
     # a floor between lambda_0 and the threshold puts the first shift above
-    # the bound state, which is still found and reported
+    # the bound state, which is still found and reported, by the
+    # eigensolver's own rerun below it: one eigensolve
     op = assemble_partial_wave(hyperboloid_layer, 0, build_mesh(60.0, 0.3, n_s=300, n_u=16))
     ref = solve_spectrum(op, 1)
     assert ref.below_threshold[0]
     floor = 0.5 * (ref.eigenvalues[0] + ref.threshold_mesh)
     assert floor - 0.05 * (ref.threshold_mesh - floor) > ref.eigenvalues[0]
+    calls = []
+    lowest = spectrum_solve.lowest_eigenpairs
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["shift"])
+        return lowest(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum_solve, "lowest_eigenpairs", counted)
     res = solve_spectrum(op, 1, floor=floor)
+    assert len(calls) == 1
     assert res.eigenvalues[0] == pytest.approx(ref.eigenvalues[0], rel=1e-12)
     assert res.below_threshold[0]
 
