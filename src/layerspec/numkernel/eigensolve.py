@@ -2,34 +2,30 @@
 
 Shift-invert Lanczos for ``A x = lam B x`` with symmetric ``A`` and
 symmetric positive-definite ``B``.  The Krylov recurrence runs in the
-B-inner product with full reorthogonalization, so the smallest eigenvalues
-come out with near-machine residuals after a modest number of steps when
-the shift sits below them.  The inner solves use one sparse LU factorization
-of ``A - sigma B`` per Lanczos run.  Its columns are ordered by minimum
-degree on the pattern of ``A^T + A`` (SuperLU's ``MMD_AT_PLUS_A`` in
-symmetric mode): every pencil here is symmetric, so the symmetric ordering
-models the fill of the factorization, whereas the default COLAMD orders
-for ``A^T A`` and fills L and U with about 40 % more nonzeros on the 2-d
-strips.  Partial pivoting keeps its default threshold, so a shift inside
-the spectrum (``A - sigma B`` indefinite) is still factored stably.
+B-inner product with full reorthogonalization, so the eigenvalues nearest
+the shift come out with near-machine residuals after a modest number of
+steps.  Each solve factors ``A - sigma B`` once, by a sparse LU with columns
+in minimum-degree order on the pattern of ``A^T + A`` (SuperLU's
+``MMD_AT_PLUS_A`` in symmetric mode; the default COLAMD fills L and U with
+about 40 % more nonzeros on the 2-d strips).
 
-A run stops at the first step j >= k at which each of the k Ritz pairs
-nearest the shift (largest |theta| of the tridiagonal T_j) has residual
-bound beta_j |y_{j,i}| <= 1e-13 |theta_i| (the convergence test of ARPACK;
-Parlett, The Symmetric Eigenvalue Problem, ch. 13), and otherwise at a cap
-of m steps.  The true residual of each returned pair is then checked
-against ``tol``.
+Pivots stay on the diagonal, so the LU is an L D L^T, and with B positive
+definite its negative pivots number the eigenvalues below sigma (Sylvester's
+law of inertia; Parlett, The Symmetric Eigenvalue Problem, ch. 3; Grimes,
+Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994).  The count is exact
+for eigenvalues further from sigma than the factorization's rounding,
+about eps |A - sigma B| times the pivot growth.  A zero pivot that SuperLU
+must take off the diagonal raises EigenSolveError.
 
-The shift moves in one place, the attempt loop of ``lowest_eigenpairs``.
-It reruns a run just below its lowest Ritz value, with a larger step cap,
-for three reasons: a residual fails its check; the lowest Ritz value lies
-at or below the shift, where it may shadow deeper eigenvalues; or ``splu``
-finds ``A - sigma B`` exactly singular, and then sigma steps down by
-1e-3 max(1, |sigma|).  The reruns only move down from what a run found, so
-the caller must still place the shift below the sought eigenvalues: from a
-shift inside the spectrum the k values returned need not be the k smallest.
+With c eigenvalues below sigma, a run wants the c Ritz pairs with theta < 0
+and the k - c of largest theta > 0 (lam = sigma + 1/theta).  It stops at the
+first step at which T_j has exactly c negative Ritz values and each wanted
+pair has residual bound beta_j |y_{j,i}| <= 1e-13 |theta_i| (ARPACK's test;
+Parlett, ch. 13), or at a cap of m steps.  A run is accepted if it returns
+exactly c values below sigma and its k lowest pass ``tol``: the inertia and
+the Krylov space are two routes to the count, and they must agree.
 
-Deterministic: the start vector comes from a fixed-seed generator and the
+Deterministic: the start vectors come from a fixed-seed generator and the
 algorithm is serial, so repeated runs on identical inputs are bitwise
 identical.
 """
@@ -103,27 +99,38 @@ class EigenPair:
 
 
 def _make_solver(C):
-    """Return x -> C^{-1} x from a sparse LU of the symmetric matrix C."""
+    """Return x -> C^{-1} x and the number of negative pivots of C = A - sigma B.
+
+    With perm_r == perm_c the LU of P C P^T has U = D L^T, so the negative
+    entries of U's diagonal are the eigenvalues below sigma.  ``splu``'s
+    RuntimeError on an exactly singular C passes to the caller.
+    """
     lu = spla.splu(
-        sp.csc_matrix(C), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+        sp.csc_matrix(C), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
     )
-    return lu.solve
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigenSolveError("the LU of A - sigma B pivoted off its diagonal: inertia unknown")
+    return lu.solve, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def _lanczos_shift_invert(A, B, sigma, k, m, rng):
-    """B-Lanczos on (A - sigma B)^{-1} B; return Ritz values and vectors, ascending.
+def _wanted(theta, count, k):
+    """Indices into the ascending theta of every theta < 0 and the k - count largest theta > 0."""
+    below = np.flatnonzero(theta < 0.0)
+    above = np.flatnonzero(theta > 0.0)[::-1][: max(k - count, 0)]
+    return np.concatenate([below, above])
 
-    Runs until the k Ritz pairs of largest |theta| pass the _RITZ_TOL test,
-    or until m steps.  Factors A - sigma B once; ``splu``'s RuntimeError on
-    an exactly singular matrix passes to the caller.
+
+def _lanczos_shift_invert(A, B, sigma, solve, count, k, m, rng):
+    """B-Lanczos on (A - sigma B)^{-1} B; return the wanted Ritz values and vectors, ascending.
+
+    ``solve`` applies (A - sigma B)^{-1}, whose inertia is ``count``.  Runs
+    until T_j has ``count`` negative Ritz values and every _wanted pair
+    passes the _RITZ_TOL test, or until m steps.
     """
     n = A.shape[0]
-    solve = _make_solver(A - sigma * B)
-
     v = rng.standard_normal(n)
-    Bv = B @ v
-    nrm = np.sqrt(v @ Bv)
-    v /= nrm
+    v /= np.sqrt(v @ (B @ v))
     V = np.zeros((m, n))
     alphas = np.zeros(m)
     betas = np.zeros(max(m - 1, 0))
@@ -146,12 +153,14 @@ def _lanczos_shift_invert(A, B, sigma, k, m, rng):
         if beta < 1e-14 * max(1.0, abs(alphas[j])):
             steps = j + 1
             break
-        if j + 1 >= k:
-            # the Ritz residual of pair i is beta |y_{j,i}|; stop once the k
-            # pairs nearest the shift (largest |theta|) are all converged
+        if j + 1 >= max(k, count):
+            # the Ritz residual of pair i is beta |y_{j,i}|; stop once the
+            # count values below the shift are all present and every wanted
+            # pair is converged
             theta, y = eigh_tridiagonal(alphas[: j + 1], betas[:j])
-            wanted = np.argsort(-np.abs(theta))[:k]
-            if np.all(beta * np.abs(y[-1, wanted]) <= _RITZ_TOL * np.abs(theta[wanted])):
+            wanted = _wanted(theta, count, k)
+            if np.count_nonzero(theta < 0.0) == count and np.all(
+                    beta * np.abs(y[-1, wanted]) <= _RITZ_TOL * np.abs(theta[wanted])):
                 steps = j + 1
                 break
         betas[j] = beta
@@ -159,33 +168,27 @@ def _lanczos_shift_invert(A, B, sigma, k, m, rng):
         beta_prev = beta
         V[j + 1] = w / beta
 
-    alphas = alphas[:steps]
-    betas = betas[: max(steps - 1, 0)]
-    theta, y = eigh_tridiagonal(alphas, betas)
-    # lam = sigma + 1/theta; |theta| ranks proximity to the shift, and
-    # negative theta (eigenvalues below the shift) are kept so a shift that
-    # lands inside the spectrum cannot hide anything beneath it
-    order = np.argsort(-np.abs(theta))
-    lams, vecs = [], []
-    for idx in order[: min(k + 4, steps)]:
-        if theta[idx] == 0:
-            continue
-        lam = sigma + 1.0 / theta[idx]
+    theta, y = eigh_tridiagonal(alphas[:steps], betas[: max(steps - 1, 0)])
+    wanted = _wanted(theta, count, k)
+    lams = sigma + 1.0 / theta[wanted]
+    vecs = []
+    for idx in wanted:
         x = V[:steps].T @ y[:, idx]
         Bx = B @ x
         x /= np.sqrt(x @ Bx)
-        lams.append(lam)
         vecs.append(x)
     order = np.argsort(lams)
     return [lams[i] for i in order], [vecs[i] for i in order]
 
 
 def lowest_eigenpairs(pair, k, shift, tol=1e-9):
-    """k smallest generalized eigenvalues of a SparseSymmetricPair, ascending.
+    """k smallest generalized eigenvalues of a SparseSymmetricPair, and the count below the shift.
 
-    At most 8 Lanczos runs in one loop, rerun below the lowest Ritz value
-    for the three reasons of the module docstring.  From a shift inside the
-    spectrum the values returned need not be the k smallest.
+    One factorization of A - sigma B counts the eigenvalues below sigma.
+    Lanczos runs on it until one run is accepted (module docstring), at
+    most 8 times, each rerun with a larger step cap and a fresh start
+    vector.  Sigma moves, down by 1e-3 max(1, |sigma|), only off an exactly
+    singular A - sigma B.
 
     Parameters
     ----------
@@ -193,8 +196,8 @@ def lowest_eigenpairs(pair, k, shift, tol=1e-9):
     k : int
         Number of eigenpairs, 1 <= k < dimension.
     shift : float
-        A value below the sought eigenvalues, which the caller derives from
-        what it knows of the spectrum (a threshold, a floor, a bound).
+        Where to factor and count; runs are shortest with few eigenvalues
+        below it and the k lowest near it.
     tol : float
         Target for the scale-free backward error
         ``|A v - lam B v| / ((|A|_1 + |lam| |B|_1) |v|)`` of every returned
@@ -202,7 +205,8 @@ def lowest_eigenpairs(pair, k, shift, tol=1e-9):
 
     Returns
     -------
-    list of EigenPair
+    (list of EigenPair, int)
+        The k lowest pairs, ascending, and the count below the final sigma.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -210,19 +214,27 @@ def lowest_eigenpairs(pair, k, shift, tol=1e-9):
         raise InvalidInputError("k must be smaller than the pair dimension")
     A, B = pair.stiffness, pair.mass
     sigma = float(shift)
-
-    m = min(max(2 * k + 24, 48), pair.dimension)
-    m_cap = min(max(8 * k + 80, 320), pair.dimension)
-    norm_A = abs(A).sum(axis=0).max()
-    norm_B = abs(B).sum(axis=0).max()
     for _ in range(8):
         try:
-            lams, vecs = _lanczos_shift_invert(A, B, sigma, k, m, np.random.default_rng(_SEED))
-            last_err = f"only {len(lams)} Ritz values converged"
+            solve, count = _make_solver(A - sigma * B)
+            break
         except RuntimeError:
             # splu: A - sigma B is exactly singular, so sigma is an eigenvalue
-            lams, vecs = [], []
-            last_err = f"A - sigma B is singular at shift {sigma:g}"
+            sigma -= 1e-3 * max(1.0, abs(sigma))
+    else:
+        raise EigenSolveError(f"A - sigma B is singular at every shift down to {sigma:g}")
+
+    n_wanted = max(k, count)
+    m = min(max(2 * n_wanted + 24, 48), pair.dimension)
+    m_cap = min(max(8 * n_wanted + 80, 320), pair.dimension)
+    norm_A = abs(A).sum(axis=0).max()
+    norm_B = abs(B).sum(axis=0).max()
+    rng = np.random.default_rng(_SEED)
+    for _ in range(8):
+        lams, vecs = _lanczos_shift_invert(A, B, sigma, solve, count, k, m, rng)
+        below = sum(lam < sigma for lam in lams)
+        last_err = (f"{len(lams)} Ritz values, {below} below the shift {sigma:g} "
+                    f"where the inertia counts {count}")
         pairs = []
         for lam, x in zip(lams[:k], vecs[:k]):
             res = np.linalg.norm(A @ x - lam * (B @ x)) / (
@@ -232,17 +244,7 @@ def lowest_eigenpairs(pair, k, shift, tol=1e-9):
                 last_err = f"residual {res:.2e} above tol for eigenvalue {lam:.6g}"
                 break
             pairs.append(EigenPair(value=float(lam), vector=x, residual=float(res)))
-        if len(pairs) == k:
-            if lams[0] > sigma + 1e-12 * max(1.0, abs(sigma)):
-                return pairs
-            # a value at or below the shift may shadow deeper ones
-            last_err = f"eigenvalue {lams[0]:.6g} at or below the shift {sigma:g}"
-        # move the shift right below the lowest Ritz value: proximity is
-        # what makes shift-invert Lanczos separate clustered eigenvalues
-        if lams:
-            gap = max(abs(lams[0] - sigma), 1e-8 * max(1.0, abs(lams[0])))
-            sigma = lams[0] - 0.05 * gap
-        else:
-            sigma -= 1e-3 * max(1.0, abs(sigma))
+        if below == count and len(pairs) == k:
+            return pairs, count
         m = min(int(1.5 * m) + 8, m_cap)
     raise EigenSolveError(f"Lanczos failed to converge: {last_err}")

@@ -22,7 +22,7 @@ from ..layer import LayerSpec
 from ..numkernel import SparseSymmetricPair, lowest_eigenpairs
 from .assemble import assemble_partial_wave
 from .mesh import build_mesh
-from .solve import SpectrumResult, mesh_threshold, solve_spectrum
+from .solve import solve_spectrum
 
 
 # coarsest cell counts of the interval solves (the extrapolated eps_1 and
@@ -64,7 +64,8 @@ def _interval_ground(R, a, n, potential=None, weight=None):
     radius[1:] += np.abs(off)
     radius[:-1] += np.abs(off)
     shift = float(((main - radius) / w_node).min() - 1.0)
-    return lowest_eigenpairs(pair, 1, shift=shift)[0].value
+    pairs, _ = lowest_eigenpairs(pair, 1, shift=shift)
+    return pairs[0].value
 
 
 def _interval_levels(R, a, n, kind):
@@ -173,9 +174,9 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
     Reports the analytic bracket for eps_1, the extrapolated interval value,
     the shell and cap grounds, and the truncated spectra.  The interval
     values' errors are their last Richardson steps.  Each truncation is
-    solved with ``eps1_mesh``, eps_1 measured on the strip's own u grid, as
-    the ``floor`` of its shift: the eigenvalues are expected above it, and
-    a shift just below them converges in few Lanczos steps.
+    shifted at ``eps1_mesh``, eps_1 measured on the strip's own u grid, so
+    its ``count`` is the number of eigenvalues below it: 0 is the absence
+    claim.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
@@ -183,7 +184,7 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
     kap2 = (np.pi / (2.0 * a)) ** 2
     bracket = (kap2 - 1.0 / (4.0 * (R - a) ** 2), kap2 - 1.0 / (4.0 * (R + a) ** 2))
     # the truncated 2-d eigenvalues inherit the transverse grid's O(h_u^2)
-    # bias; the honest floor to compare them against is the same interval
+    # bias; the honest bottom to count them against is the same interval
     # operator discretized on that grid
     eps1_mesh = _interval_ground(R, a, n_u, **_INTERVAL_PROBLEMS["radial"])
     junction = np.pi * R / 2.0
@@ -193,7 +194,7 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
         layer = capped_layer(R, a, S_here)
         mesh = build_mesh(S_here, a, int(n_s_per_R * S_here / R), n_u, align_face=junction)
         op = assemble_partial_wave(layer, 0, mesh)
-        spectra.append(solve_spectrum(op, _TRUNCATION_EIGS, floor=eps1_mesh))
+        spectra.append(solve_spectrum(op, _TRUNCATION_EIGS, shift=eps1_mesh))
     shell = spherical_shell_ground(R, a)
     return CounterexampleReport(
         R=R, a=a, eps1=float(eps1), eps1_error=eps1.step, eps1_mesh=eps1_mesh,

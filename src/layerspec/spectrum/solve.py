@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ..numkernel import lowest_eigenpairs
 from .assemble import assemble_partial_wave
@@ -11,18 +10,14 @@ from .mesh import build_mesh
 
 
 def mesh_threshold(mesh):
-    """Lowest eigenvalue of the discrete transverse operator on the u grid.
+    """Lowest eigenvalue (4 / h_u^2) sin^2(pi / (2 n_u)) of the u grid's second difference.
 
     This is the mesh-consistent version of the continuum threshold: flags
     for "below the essential spectrum" compare against it, otherwise the
     O(h_u^2) discretization bias of the transverse energy would masquerade
     as binding.
     """
-    nu = mesh.n_u - 1
-    main = np.full(nu, 2.0 / mesh.h_u**2)
-    off = np.full(nu - 1, -1.0 / mesh.h_u**2)
-    vals = eigh_tridiagonal(main, off, select="i", select_range=(0, 0), eigvals_only=True)
-    return float(vals[0])
+    return float(4.0 / mesh.h_u**2 * np.sin(np.pi / (2 * mesh.n_u)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -38,6 +33,8 @@ class SpectrumResult:
     h_s: float
     h_u: float
     below_threshold: np.ndarray
+    shift: float             # where the pencil was factored
+    count: int               # eigenvalues below shift, by the factorization's inertia
     convergence: tuple = field(default_factory=tuple)  # (h_s, h_u, lambda_0, mesh thr) rows
 
     @property
@@ -58,25 +55,24 @@ class SpectrumResult:
         return float(np.log2(num / den))
 
 
-def solve_spectrum(op, k, floor=None):
+def solve_spectrum(op, k, shift=None):
     """k lowest eigenvalues of a partial-wave operator with threshold flags.
 
-    One eigensolve at a shift of 0.9 times the mesh threshold, or, given a
-    ``floor`` below the mesh threshold that the eigenvalues are expected to
-    lie above (the counterexample passes its measured eps_1 on the same u
-    grid), just under it at floor - 0.05 (threshold - floor).  A bound state
-    under a misplaced floor is still found, by the eigensolver's rerun below
-    it, but a shift deep inside the spectrum can hide the smallest ones.
+    One eigensolve, shifted at threshold_mesh (1 - 1e-10), the cut of
+    ``below_threshold``, so that ``count`` is the number of eigenvalues
+    below the mesh threshold; or at a given ``shift`` (the counterexample
+    passes eps_1 measured on the same u grid).
     """
     thr_mesh = mesh_threshold(op.mesh)
-    sigma = 0.9 * thr_mesh if floor is None else floor - 0.05 * (thr_mesh - floor)
-    pairs = lowest_eigenpairs(op.pair, k, shift=sigma)
+    cut = thr_mesh * (1.0 - 1e-10)
+    sigma = cut if shift is None else float(shift)
+    pairs, count = lowest_eigenpairs(op.pair, k, shift=sigma)
     lam = np.array([p.value for p in pairs])
     res = np.array([p.residual for p in pairs])
     return SpectrumResult(
         m=op.m, eigenvalues=lam, residuals=res, threshold=op.kappa1_sq,
         threshold_mesh=thr_mesh, S=op.mesh.S, h_s=op.mesh.h_s, h_u=op.mesh.h_u,
-        below_threshold=lam < thr_mesh * (1.0 - 1e-10),
+        below_threshold=lam < cut, shift=sigma, count=count,
     )
 
 

@@ -15,19 +15,20 @@ _CHART_FIELDS = [f.name for f in dataclasses.fields(ChartGrid) if f.name not in 
 def lu_solves(monkeypatch):
     """Solves made with each LU factorization, one list entry per factorization.
 
-    A Lanczos step makes one solve, so each entry is the step count of one run.
+    A Lanczos step makes one solve, so each entry is the step count of the
+    runs made on one factorization.
     """
     counts = []
     make_solver = eigensolve._make_solver
 
     def counted(C):
-        solve = make_solver(C)
+        solve, count = make_solver(C)
         counts.append(0)
 
         def counted_solve(x):
             counts[-1] += 1
             return solve(x)
-        return counted_solve
+        return counted_solve, count
 
     monkeypatch.setattr(eigensolve, "_make_solver", counted)
     return counts

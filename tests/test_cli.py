@@ -131,6 +131,11 @@ def test_spectrum_csv_columns(tmp_path):
     with open(os.path.join(out, "spectrum.csv")) as fh:
         header = fh.readline().strip()
     assert header == "m,index,eigenvalue,threshold,below_threshold,mesh_h_s,mesh_h_u,S"
+    # the flags agree with the inertia count below threshold_mesh
+    with open(os.path.join(out, "spectrum.json")) as fh:
+        (wave,) = json.load(fh)["results"]["spectra"]
+    assert isinstance(wave["below_threshold_count"], int)
+    assert sum(wave["below_threshold"]) == min(wave["below_threshold_count"], 2)
 
 
 def test_poleless_rejected_exit_three(tmp_path):

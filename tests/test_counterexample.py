@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from layerspec.cli import _eigen_error
 from layerspec.errors import InvalidInputError
 from layerspec.numkernel import eigensolve
 from layerspec.spectrum import solve as spectrum_solve
@@ -82,8 +81,7 @@ def test_interval_solves_stop_early(lu_solves):
 
 def test_full_pipeline_lu_work(lu_solves):
     # 11 eigensolves, one factorization each; fixed 48-step runs made 511
-    # solves, early stopping and the eps1_mesh floor of the strip shifts
-    # leave 122
+    # solves, early stopping and the strip shifts at eps1_mesh leave 116
     counterexample_full(1.0, 0.29, S=10, n_s_per_R=50, n_u=32)
     assert len(lu_solves) == 11
     assert sum(lu_solves) <= 150
@@ -107,28 +105,27 @@ def test_bad_geometry_rejected():
 
 
 def test_full_pipeline_no_spectrum_below_eps1(monkeypatch):
-    solves = []  # (shift, lambda_0) of every eigensolve behind solve_spectrum
+    shifts = []  # shift of every eigensolve behind solve_spectrum
     lowest = spectrum_solve.lowest_eigenpairs
 
     def recorded(pair, k, shift, **kw):
-        pairs = lowest(pair, k, shift=shift, **kw)
-        solves.append((shift, pairs[0].value))
-        return pairs
+        shifts.append(shift)
+        return lowest(pair, k, shift=shift, **kw)
 
     monkeypatch.setattr(spectrum_solve, "lowest_eigenpairs", recorded)
     rep = counterexample_full(1.0, 0.3, S=10.0, n_s_per_R=40, n_u=32)
     assert rep.bracket[0] < rep.eps1 < rep.bracket[1]
-    # truncated spectra: monotone in S, never below the mesh-consistent eps1
-    # by more than lambda_0's own reported error
+    # truncated spectra: monotone in S, and each strip factored at the
+    # mesh-consistent eps1, where its inertia counts no eigenvalue below
     lams = [res.eigenvalues[0] for res in rep.spectra]
     assert lams[0] >= lams[1] >= lams[2]
     for res in rep.spectra:
-        assert res.eigenvalues[0] >= rep.eps1_mesh - _eigen_error(res.eigenvalues[0], res.residuals[0])
-    # one eigensolve per truncation and one for the cap: each strip's
-    # lambda_0 lies above the shift under eps1_mesh it was solved at
-    assert len(solves) == 4
-    for res, (shift, lam0) in zip(rep.spectra, solves):
-        assert shift < rep.eps1_mesh < lam0 == res.eigenvalues[0]
+        assert res.shift == rep.eps1_mesh and res.count == 0
+        assert res.eigenvalues[0] > rep.eps1_mesh
+    # one eigensolve per truncation and one for the cap, which counts no
+    # eigenvalue below its own mesh threshold
+    assert shifts == [rep.eps1_mesh] * 3 + [rep.cap_neumann.shift]
+    assert rep.cap_neumann.count == 0
     # the S-limit approaches the cylinder bottom from above
     assert lams[2] - rep.eps1_mesh <= 0.05 * (rep.kappa1_sq - rep.eps1)
 

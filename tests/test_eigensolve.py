@@ -4,7 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from layerspec.catalog import build_chart
-from layerspec.errors import InvalidInputError
+from layerspec.errors import EigenSolveError, InvalidInputError
 from layerspec.layer import LayerSpec
 from layerspec.numkernel import SparseSymmetricPair, eigensolve, lowest_eigenpairs
 from layerspec.spectrum import assemble_partial_wave, build_mesh, mesh_threshold
@@ -36,8 +36,9 @@ def test_diagonal_case():
     pair = SparseSymmetricPair.build(
         sp.diags([1.0, 2.0, 3.0]).tocsr(), sp.identity(3, format="csr")
     )
-    got = lowest_eigenpairs(pair, 1, shift=0.0)
+    got, count = lowest_eigenpairs(pair, 1, shift=0.0)
     assert got[0].value == pytest.approx(1.0, rel=1e-12)
+    assert count == 0
 
 
 def test_shift_at_an_eigenvalue_steps_below_it(monkeypatch):
@@ -57,15 +58,15 @@ def test_shift_at_an_eigenvalue_steps_below_it(monkeypatch):
     pair = SparseSymmetricPair.build(
         sp.diags([1.0, 2.0, 3.0]).tocsr(), sp.identity(3, format="csr")
     )
-    got = lowest_eigenpairs(pair, 1, shift=1.0)
-    assert failed
+    got, count = lowest_eigenpairs(pair, 1, shift=1.0)
+    assert failed and count == 0
     assert got[0].value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_fd_second_difference_closed_form():
     n, h = 400, 1.0 / 401
     pair = fd_dirichlet_pair(n, h)
-    lam = lowest_eigenpairs(pair, 3, shift=0.0)
+    lam, _ = lowest_eigenpairs(pair, 3, shift=0.0)
     for j, p in enumerate(lam, start=1):
         closed = (4.0 / h**2) * np.sin(np.pi * j * h / 2.0) ** 2
         assert p.value == pytest.approx(closed, rel=1e-11)
@@ -75,8 +76,8 @@ def test_mass_scaling_halves_eigenvalues():
     n, h = 150, 1.0 / 151
     pair = fd_dirichlet_pair(n, h)
     pair2 = SparseSymmetricPair.build(pair.stiffness, 2.0 * pair.mass)
-    v1 = [p.value for p in lowest_eigenpairs(pair, 4, shift=0.0)]
-    v2 = [p.value for p in lowest_eigenpairs(pair2, 4, shift=0.0)]
+    v1 = [p.value for p in lowest_eigenpairs(pair, 4, shift=0.0)[0]]
+    v2 = [p.value for p in lowest_eigenpairs(pair2, 4, shift=0.0)[0]]
     assert np.allclose(np.asarray(v2), 0.5 * np.asarray(v1), rtol=1e-12)
 
 
@@ -84,13 +85,13 @@ def test_mass_scaling_halves_eigenvalues():
 def test_random_pairs_match_dense_oracle(seed, n, k):
     A, B, pair = random_pair(n, seed)
     ref = sla.eigh(A, B, eigvals_only=True)[:k]
-    got = [p.value for p in lowest_eigenpairs(pair, k, shift=oracle_shift(A, B))]
+    got = [p.value for p in lowest_eigenpairs(pair, k, shift=oracle_shift(A, B))[0]]
     assert np.max(np.abs(np.asarray(got) / ref - 1.0)) <= 1e-10
 
 
 def test_residuals_and_normalization():
     A, B, pair = random_pair(80, 5)
-    for p in lowest_eigenpairs(pair, 3, shift=oracle_shift(A, B), tol=1e-9):
+    for p in lowest_eigenpairs(pair, 3, shift=oracle_shift(A, B), tol=1e-9)[0]:
         assert p.residual <= 1e-9
         assert p.vector @ (pair.mass @ p.vector) == pytest.approx(1.0, abs=1e-12)
 
@@ -98,25 +99,60 @@ def test_residuals_and_normalization():
 def test_deterministic_across_runs():
     A, B, pair = random_pair(90, 11)
     sigma = oracle_shift(A, B)
-    a = [p.value for p in lowest_eigenpairs(pair, 4, shift=sigma)]
-    b = [p.value for p in lowest_eigenpairs(pair, 4, shift=sigma)]
+    a = [p.value for p in lowest_eigenpairs(pair, 4, shift=sigma)[0]]
+    b = [p.value for p in lowest_eigenpairs(pair, 4, shift=sigma)[0]]
     assert a == b  # bitwise identical
 
 
-def test_shift_inside_spectrum_of_a_2d_pencil():
-    # plane partial wave on a coarse strip: a 2-d FD pattern with a
-    # non-uniform diagonal mass; the shift between the first two
-    # eigenvalues makes A - sigma B indefinite, so the symmetric-mode LU
-    # must still pivot
+@pytest.fixture(scope="module")
+def plane_strip():
+    """Plane partial wave on a coarse strip and its dense spectrum.
+
+    A 2-d FD pattern with a non-uniform diagonal mass.
+    """
     layer = LayerSpec(build_chart("plane", {"s_max": 20.0}), a=0.3)
     pair = assemble_partial_wave(layer, 0, build_mesh(6.0, 0.3, n_s=24, n_u=16)).pair
     assert np.unique(pair.mass.diagonal()).size > 1
-    ref = sla.eigh(pair.stiffness.toarray(), pair.mass.toarray(), eigvals_only=True)[:3]
-    sigma = 0.5 * (ref[0] + ref[1])
-    got = [p.value for p in lowest_eigenpairs(pair, 3, shift=sigma)]
-    assert np.max(np.abs(np.asarray(got) / ref - 1.0)) <= 1e-10
-    again = [p.value for p in lowest_eigenpairs(pair, 3, shift=sigma)]
-    assert got == again  # bitwise identical
+    full = sla.eigh(pair.stiffness.toarray(), pair.mass.toarray(), eigvals_only=True)
+    return pair, full
+
+
+def in_gap(full, j):
+    """A shift midway between the j-th and (j+1)-th eigenvalues: j of them lie below it."""
+    return 0.5 * (full[j - 1] + full[j])
+
+
+@pytest.mark.parametrize("gap", [0, 7])
+def test_inertia_counts_a_dense_pencil(gap):
+    A, B, pair = random_pair(60, 0)
+    full = sla.eigh(A, B, eigvals_only=True)
+    sigma = oracle_shift(A, B) if gap == 0 else in_gap(full, gap)
+    _, count = eigensolve._make_solver(pair.stiffness - sigma * pair.mass)
+    assert count == np.count_nonzero(full < sigma) == gap
+
+
+def test_shift_inside_spectrum_of_a_2d_pencil(plane_strip):
+    # a shift among the eigenvalues makes A - sigma B indefinite: the
+    # diagonal-pivot LU counts the gap eigenvalues below it, and every
+    # accepted run has found them all, so the k returned are the k smallest
+    pair, full = plane_strip
+    for gap in (1, 19, 73):
+        sigma = in_gap(full, gap)
+        for k in (1, 3):
+            got, count = lowest_eigenpairs(pair, k, shift=sigma)
+            assert count == np.count_nonzero(full < sigma) == gap
+            assert np.max(np.abs(np.asarray([p.value for p in got]) / full[:k] - 1.0)) <= 1e-10
+            again, _ = lowest_eigenpairs(pair, k, shift=sigma)
+            assert [p.value for p in got] == [p.value for p in again]  # bitwise identical
+
+
+def test_zero_pivot_raises():
+    # A - 0 B has a zero diagonal where the LU must pivot off it: the
+    # inertia is unknown, so the solve fails rather than count
+    A = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]))
+    pair = SparseSymmetricPair.build(A, sp.identity(3, format="csr"))
+    with pytest.raises(EigenSolveError):
+        lowest_eigenpairs(pair, 1, shift=0.0)
 
 
 def test_early_stop_on_a_clustered_strip_matches_dense_oracle(lu_solves):
@@ -132,11 +168,12 @@ def test_early_stop_on_a_clustered_strip_matches_dense_oracle(lu_solves):
     # the four lowest lie within a tenth of their distance to the shift
     assert ref[3] - ref[0] < 0.1 * (ref[0] - sigma)
 
-    got = lowest_eigenpairs(pair, 3, shift=sigma, tol=1e-9)
+    got, count = lowest_eigenpairs(pair, 3, shift=sigma, tol=1e-9)
+    assert count == 0
     assert len(lu_solves) == 1 and lu_solves[0] < 48  # one run, stopped before its cap
     assert np.max(np.abs(np.asarray([p.value for p in got]) / ref[:3] - 1.0)) <= 1e-10
     assert all(p.residual <= 1e-9 for p in got)
-    again = lowest_eigenpairs(pair, 3, shift=sigma, tol=1e-9)
+    again, _ = lowest_eigenpairs(pair, 3, shift=sigma, tol=1e-9)
     assert [p.value for p in got] == [p.value for p in again]  # bitwise identical
     assert all(np.array_equal(p.vector, q.vector) for p, q in zip(got, again))
 

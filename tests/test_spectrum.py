@@ -11,7 +11,7 @@ from layerspec.spectrum import (
     solve_spectrum,
     spectrum_with_refinement,
 )
-from layerspec.spectrum import solve as spectrum_solve
+from layerspec.numkernel import eigensolve
 
 J01 = 2.404825557695773
 
@@ -66,24 +66,23 @@ def test_hyperboloid_bound_state_stable_gap(hyperboloid_layer):
 
 
 def test_floor_above_a_bound_state_still_finds_it(hyperboloid_layer, monkeypatch):
-    # a floor between lambda_0 and the threshold puts the first shift above
-    # the bound state, which is still found and reported, by the
-    # eigensolver's own rerun below it: one eigensolve
+    # a shift between lambda_0 and the threshold has the bound state below
+    # it: the inertia counts it, and one Lanczos run returns it
     op = assemble_partial_wave(hyperboloid_layer, 0, build_mesh(60.0, 0.3, n_s=300, n_u=16))
     ref = solve_spectrum(op, 1)
-    assert ref.below_threshold[0]
-    floor = 0.5 * (ref.eigenvalues[0] + ref.threshold_mesh)
-    assert floor - 0.05 * (ref.threshold_mesh - floor) > ref.eigenvalues[0]
-    calls = []
-    lowest = spectrum_solve.lowest_eigenpairs
+    assert ref.below_threshold[0] and ref.count == 1
+    shift = 0.5 * (ref.eigenvalues[0] + ref.threshold_mesh)
+    runs = []
+    lanczos = eigensolve._lanczos_shift_invert
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["shift"])
-        return lowest(*args, **kwargs)
+    def counted(*args):
+        runs.append(args[2])
+        return lanczos(*args)
 
-    monkeypatch.setattr(spectrum_solve, "lowest_eigenpairs", counted)
-    res = solve_spectrum(op, 1, floor=floor)
-    assert len(calls) == 1
+    monkeypatch.setattr(eigensolve, "_lanczos_shift_invert", counted)
+    res = solve_spectrum(op, 1, shift=shift)
+    assert runs == [shift]
+    assert res.shift == shift and res.count == 1
     assert res.eigenvalues[0] == pytest.approx(ref.eigenvalues[0], rel=1e-12)
     assert res.below_threshold[0]
 
@@ -158,7 +157,30 @@ def test_capability_and_hypothesis_errors():
 
 
 def test_mesh_threshold_matches_closed_form():
-    mesh = build_mesh(10.0, 0.3, n_s=32, n_u=64)
-    h = mesh.h_u
-    closed = (4.0 / h**2) * np.sin(np.pi * h / (2 * 0.6)) ** 2
-    assert mesh_threshold(mesh) == pytest.approx(closed, rel=1e-12)
+    for n_u in (64, 128):
+        mesh = build_mesh(10.0, 0.3, n_s=32, n_u=n_u)
+        h = mesh.h_u
+        closed = (4.0 / h**2) * np.sin(np.pi * h / (2 * 0.6)) ** 2
+        assert mesh_threshold(mesh) == pytest.approx(closed, rel=1e-15), n_u
+
+
+@pytest.mark.parametrize("name,a,s_max,bound", [
+    ("hyperboloid", 0.3, 1.6e8, True),
+    ("sine-meridian", 0.1, 250.0, True),
+    ("plane", 0.1, 400.0, False),
+])
+def test_certificate_and_fd_count_agree(name, a, s_max, bound):
+    # two routes to a bound state below kappa_1^2: a negative shifted form
+    # of a thin-family trial (variational, the whole layer) and the m = 0
+    # inertia count below threshold_mesh (FD, truncated at S = 60)
+    from layerspec.varform import certify
+
+    layer = LayerSpec(build_chart(name, {"s_max": s_max}), a=a)
+    cert = certify(layer, strategies=("thin",))
+    res = solve_spectrum(assemble_partial_wave(layer, 0, build_mesh(60.0, a, n_s=400, n_u=32)), 1)
+    assert cert.certified == bound
+    if bound:
+        assert cert.family == "thin"
+        assert res.count >= 1
+    else:
+        assert res.count == 0
