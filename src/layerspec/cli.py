@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    layerspec <subcommand> --config <path> [--out <dir>] [--force]
+    layerspec <subcommand> --config <path> [--out <dir>]
 
 Subcommands: describe, check, totals, certify, spectrum, counterexample,
 catalog.  Each compute subcommand writes ``<out>/<subcommand>.json`` (plus
@@ -50,11 +50,6 @@ def _build(config, command):
     return name, chart
 
 
-def _layer(config, chart, force_flag):
-    return LayerSpec(chart, a=config.get("layer.a"),
-                     force=config.get("layer.force") or force_flag)
-
-
 def _estimate_payload(est):
     return {
         "value": est.value,
@@ -71,7 +66,7 @@ def _eigen_error(value, residual):
     return float(residual) * max(1.0, abs(float(value)))
 
 
-def cmd_describe(config, writer, force):
+def cmd_describe(config, writer):
     name, chart = _build(config, "describe")
     entry = None if name == "plane" else catalog_entry(name)
     ss = np.geomspace(chart.s_max / 256.0, chart.s_max * 0.98, 48)
@@ -104,7 +99,7 @@ def cmd_describe(config, writer, force):
     return 0
 
 
-def cmd_check(config, writer, force):
+def cmd_check(config, writer):
     name, chart = _build(config, "check")
     radii = config.get("check.probe_radii")
     if radii is None:
@@ -126,7 +121,7 @@ def cmd_check(config, writer, force):
     return 0
 
 
-def cmd_totals(config, writer, force):
+def cmd_totals(config, writer):
     name, chart = _build(config, "totals")
     schedule = config.get("totals.schedule")
     if schedule is None:
@@ -150,9 +145,9 @@ def cmd_totals(config, writer, force):
     return 0
 
 
-def cmd_certify(config, writer, force):
+def cmd_certify(config, writer):
     name, chart = _build(config, "certify")
-    layer = _layer(config, chart, force)
+    layer = LayerSpec(chart, a=config.get("layer.a"), force=config.get("layer.force"))
     kwargs = {"budget": config.get("certify.budget"),
               "strategies": tuple(config.get("certify.strategies"))}
     if config.get("certify.s0") is not None:
@@ -173,9 +168,9 @@ def cmd_certify(config, writer, force):
     return 0
 
 
-def cmd_spectrum(config, writer, force):
+def cmd_spectrum(config, writer):
     name, chart = _build(config, "spectrum")
-    layer = _layer(config, chart, force)
+    layer = LayerSpec(chart, a=config.get("layer.a"), force=config.get("layer.force"))
     S = config.get("spectrum.S")
     if S is None:
         S = min(40.0, 0.9 * chart.s_max)
@@ -210,7 +205,7 @@ def cmd_spectrum(config, writer, force):
     return 0
 
 
-def cmd_counterexample(config, writer, force):
+def cmd_counterexample(config, writer):
     rep = counterexample_full(
         config.get("counterexample.R"), config.get("counterexample.a"),
         S=config.get("counterexample.S"),
@@ -243,7 +238,7 @@ def cmd_counterexample(config, writer, force):
     return 0
 
 
-def cmd_catalog(config, writer, force):
+def cmd_catalog(config, writer):
     entries = [{
         "name": e.name,
         "construction": e.construction,
@@ -273,8 +268,6 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="path to the key-value configuration file")
     parser.add_argument("--out", default="layerspec-out", help="output directory")
-    parser.add_argument("--force", action="store_true",
-                        help="continue when the half-width check fails (recorded)")
     parser.add_argument("--defaults", action="store_true",
                         help="print all configuration defaults and exit")
     args = parser.parse_args(argv)
@@ -286,7 +279,7 @@ def main(argv=None):
     try:
         config = load_config(args.config) if args.config else RunConfig()
         writer = ReportWriter(args.out, args.command, config)
-        code = _COMMANDS[args.command](config, writer, args.force)
+        code = _COMMANDS[args.command](config, writer)
         path = writer.finalize()
         print(f"wrote {path}")
         return code

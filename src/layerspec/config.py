@@ -2,10 +2,11 @@
 
 Format: one ``section.key = value`` per line; ``#`` starts a comment.
 Values are typed per the schema below (floats, ints, booleans, strings, or
-comma-separated lists); unknown keys and malformed values are rejected
-before any computation starts.
+comma-separated lists); unknown keys and malformed values, non-finite
+floats among them, are rejected before any computation starts.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -59,11 +60,18 @@ _SURFACE_PARAMS = {k.name.split(".", 1)[1]: k.name for k in SCHEMA
                    if k.name.startswith("surface.") and k.name != "surface.name"}
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw} is not finite")
+    return value
+
+
 def _parse_value(key, raw):
     raw = raw.strip()
     try:
         if key.kind == "float":
-            return float(raw)
+            return _finite(raw)
         if key.kind == "int":
             return int(raw)
         if key.kind == "bool":
@@ -77,7 +85,7 @@ def _parse_value(key, raw):
             return raw
         items = [x.strip() for x in raw.split(",") if x.strip()]
         if key.kind == "float_list":
-            return [float(x) for x in items]
+            return [_finite(x) for x in items]
         if key.kind == "int_list":
             return [int(x) for x in items]
         if key.kind == "str_list":

@@ -21,11 +21,12 @@ With c eigenvalues below sigma, a run wants the c Ritz pairs with theta < 0
 and the k - c of largest theta > 0 (lam = sigma + 1/theta).  It stops at the
 first step at which T_j has exactly c negative Ritz values and each wanted
 pair has residual bound beta_j |y_{j,i}| <= 1e-13 |theta_i| (ARPACK's test;
-Parlett, ch. 13), or at a cap of m steps.  A run is accepted if it returns
-exactly c values below sigma and its k lowest pass ``tol``: the inertia and
-the Krylov space are two routes to the count, and they must agree.
+Parlett, ch. 13), or at its step cap.  A solve is one factorization and one
+run, which must return exactly c values below sigma (the inertia and the
+Krylov space are two routes to the count) and its k lowest within _TOL;
+else, as on an exactly singular A - sigma B, it raises EigenSolveError.
 
-Deterministic: the start vectors come from a fixed-seed generator and the
+Deterministic: the start vector comes from a fixed-seed generator and the
 algorithm is serial, so repeated runs on identical inputs are bitwise
 identical.
 """
@@ -40,6 +41,7 @@ from scipy.linalg import eigh_tridiagonal
 from ..errors import EigenSolveError, InvalidInputError
 
 _SEED = 20080601
+_TOL = 1e-9  # bound on the scale-free residual of every returned pair
 
 # Early-stop level of the Lanczos recurrence.  After j steps,
 # Op V_j = V_j T_j + beta_j v_{j+1} e_j^T with Op = (A - sigma B)^{-1} B, so a
@@ -49,11 +51,11 @@ _SEED = 20080601
 # A x - lam B x = -(A - sigma B) r / theta, so beta_j |y_j| <= c |theta|
 # bounds |A x - lam B x| by about c (|A| + |sigma| |B|) |x|, up to the
 # conditioning of the diagonal mass: a backward error of order c on the
-# scale-free residual that lowest_eigenpairs tests against tol.  The Ritz
+# scale-free residual that lowest_eigenpairs tests against _TOL.  The Ritz
 # value errs by the square of the residual over the gap.  c = 1e-13 (about
-# 450 ulps) stays four orders under the default tol = 1e-9, and on the
+# 450 ulps) stays four orders under _TOL = 1e-9, and on the
 # counterexample's strips and intervals it moves eigenvalues by at most
-# 1.1e-14 relative against runs of the full m steps.
+# 1.1e-14 relative against runs of a fixed 48 steps.
 _RITZ_TOL = 1e-13
 
 # largest relative asymmetry |M - M^T| / max|M| a stiffness or mass may carry
@@ -121,24 +123,24 @@ def _wanted(theta, count, k):
     return np.concatenate([below, above])
 
 
-def _lanczos_shift_invert(A, B, sigma, solve, count, k, m, rng):
+def _lanczos_shift_invert(A, B, sigma, solve, count, k, cap):
     """B-Lanczos on (A - sigma B)^{-1} B; return the wanted Ritz values and vectors, ascending.
 
     ``solve`` applies (A - sigma B)^{-1}, whose inertia is ``count``.  Runs
     until T_j has ``count`` negative Ritz values and every _wanted pair
-    passes the _RITZ_TOL test, or until m steps.
+    passes the _RITZ_TOL test, or until ``cap`` steps.
     """
     n = A.shape[0]
-    v = rng.standard_normal(n)
+    v = np.random.default_rng(_SEED).standard_normal(n)
     v /= np.sqrt(v @ (B @ v))
-    V = np.zeros((m, n))
-    alphas = np.zeros(m)
-    betas = np.zeros(max(m - 1, 0))
+    V = np.zeros((min(48, cap), n))
+    alphas = np.zeros(cap)
+    betas = np.zeros(max(cap - 1, 0))
     V[0] = v
     v_prev = np.zeros(n)
     beta_prev = 0.0
-    steps = m
-    for j in range(m):
+    steps = cap
+    for j in range(cap):
         BV = B @ V[j]
         w = solve(BV)
         w -= beta_prev * v_prev
@@ -147,7 +149,7 @@ def _lanczos_shift_invert(A, B, sigma, solve, count, k, m, rng):
         # full reorthogonalization (twice) in the B-inner product
         for _ in range(2):
             w -= V[: j + 1].T @ (V[: j + 1] @ (B @ w))
-        if j == m - 1:
+        if j == cap - 1:
             break
         beta = np.sqrt(max(w @ (B @ w), 0.0))
         if beta < 1e-14 * max(1.0, abs(alphas[j])):
@@ -166,6 +168,8 @@ def _lanczos_shift_invert(A, B, sigma, solve, count, k, m, rng):
         betas[j] = beta
         v_prev = V[j]
         beta_prev = beta
+        if j + 1 == len(V):  # double the basis: a run holds about the steps it takes
+            V = np.concatenate([V, np.zeros((min(len(V), cap - len(V)), n))])
         V[j + 1] = w / beta
 
     theta, y = eigh_tridiagonal(alphas[:steps], betas[: max(steps - 1, 0)])
@@ -181,14 +185,12 @@ def _lanczos_shift_invert(A, B, sigma, solve, count, k, m, rng):
     return [lams[i] for i in order], [vecs[i] for i in order]
 
 
-def lowest_eigenpairs(pair, k, shift, tol=1e-9):
+def lowest_eigenpairs(pair, k, shift):
     """k smallest generalized eigenvalues of a SparseSymmetricPair, and the count below the shift.
 
-    One factorization of A - sigma B counts the eigenvalues below sigma.
-    Lanczos runs on it until one run is accepted (module docstring), at
-    most 8 times, each rerun with a larger step cap and a fresh start
-    vector.  Sigma moves, down by 1e-3 max(1, |sigma|), only off an exactly
-    singular A - sigma B.
+    One factorization of A - sigma B counts the eigenvalues below sigma, and
+    one Lanczos run on it finds the k lowest, or EigenSolveError is raised
+    (module docstring).
 
     Parameters
     ----------
@@ -197,16 +199,12 @@ def lowest_eigenpairs(pair, k, shift, tol=1e-9):
         Number of eigenpairs, 1 <= k < dimension.
     shift : float
         Where to factor and count; runs are shortest with few eigenvalues
-        below it and the k lowest near it.
-    tol : float
-        Target for the scale-free backward error
-        ``|A v - lam B v| / ((|A|_1 + |lam| |B|_1) |v|)`` of every returned
-        pair, the ``EigenPair.residual``.
+        below it and the k lowest near it.  It must not be an eigenvalue.
 
     Returns
     -------
     (list of EigenPair, int)
-        The k lowest pairs, ascending, and the count below the final sigma.
+        The k lowest pairs, ascending, and the count below the shift.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -214,37 +212,27 @@ def lowest_eigenpairs(pair, k, shift, tol=1e-9):
         raise InvalidInputError("k must be smaller than the pair dimension")
     A, B = pair.stiffness, pair.mass
     sigma = float(shift)
-    for _ in range(8):
-        try:
-            solve, count = _make_solver(A - sigma * B)
-            break
-        except RuntimeError:
-            # splu: A - sigma B is exactly singular, so sigma is an eigenvalue
-            sigma -= 1e-3 * max(1.0, abs(sigma))
-    else:
-        raise EigenSolveError(f"A - sigma B is singular at every shift down to {sigma:g}")
+    try:
+        solve, count = _make_solver(A - sigma * B)
+    except RuntimeError:
+        # splu: A - sigma B is exactly singular, so sigma is an eigenvalue
+        raise EigenSolveError(f"A - sigma B is singular at sigma = {sigma:g}") from None
 
-    n_wanted = max(k, count)
-    m = min(max(2 * n_wanted + 24, 48), pair.dimension)
-    m_cap = min(max(8 * n_wanted + 80, 320), pair.dimension)
+    cap = min(max(8 * max(k, count) + 80, 320), pair.dimension)
+    lams, vecs = _lanczos_shift_invert(A, B, sigma, solve, count, k, cap)
+    below = sum(lam < sigma for lam in lams)
+    if below != count or len(lams) < k:
+        raise EigenSolveError(f"Lanczos found {len(lams)} values, {below} below the shift "
+                              f"{sigma:g} where the inertia counts {count}")
     norm_A = abs(A).sum(axis=0).max()
     norm_B = abs(B).sum(axis=0).max()
-    rng = np.random.default_rng(_SEED)
-    for _ in range(8):
-        lams, vecs = _lanczos_shift_invert(A, B, sigma, solve, count, k, m, rng)
-        below = sum(lam < sigma for lam in lams)
-        last_err = (f"{len(lams)} Ritz values, {below} below the shift {sigma:g} "
-                    f"where the inertia counts {count}")
-        pairs = []
-        for lam, x in zip(lams[:k], vecs[:k]):
-            res = np.linalg.norm(A @ x - lam * (B @ x)) / (
-                (norm_A + abs(lam) * norm_B) * np.linalg.norm(x)
-            )
-            if res > tol:
-                last_err = f"residual {res:.2e} above tol for eigenvalue {lam:.6g}"
-                break
-            pairs.append(EigenPair(value=float(lam), vector=x, residual=float(res)))
-        if below == count and len(pairs) == k:
-            return pairs, count
-        m = min(int(1.5 * m) + 8, m_cap)
-    raise EigenSolveError(f"Lanczos failed to converge: {last_err}")
+    pairs = []
+    for lam, x in zip(lams[:k], vecs[:k]):
+        res = np.linalg.norm(A @ x - lam * (B @ x)) / (
+            (norm_A + abs(lam) * norm_B) * np.linalg.norm(x)
+        )
+        if res > _TOL:
+            raise EigenSolveError(f"Lanczos residual {res:.2e} above {_TOL:g} "
+                                  f"for eigenvalue {lam:.6g}")
+        pairs.append(EigenPair(value=float(lam), vector=x, residual=float(res)))
+    return pairs, count

@@ -90,6 +90,12 @@ def _sigma0_probe(chart, radii, samples_per_annulus, stride, safety, from_pole=F
     return verdict, sup_K, sup_M, v_K, v_M, K_max <= 1e-12 or K_min >= -1e-12
 
 
+def _kept_unresolved(what, radii):
+    """Note for the radii a resolution cut keeps, as it may not leave fewer than 4."""
+    listed = ", ".join(f"{r:g}" for r in radii)
+    return f"probe radii s = {listed} kept though {what} are not angularly resolved there"
+
+
 def asymptotic_flatness_verdict(chart):
     """Quick decay verdict for sup|K|, sup|M| on a few annuli.
 
@@ -129,6 +135,8 @@ def hypotheses_report(chart, probe_radii):
             "fan ring integrals are not angularly resolved there"
         )
         probe_radii = probe_radii[:n_ok]
+    elif n_ok < probe_radii.size:
+        notes.append(_kept_unresolved("fan ring integrals", probe_radii[n_ok:]))
     sigma0, sup_K, sup_M, v_K, v_M, sign_definite = _sigma0_probe(
         chart, probe_radii, _REPORT_SAMPLES, 1, _SUP_SAFETY, from_pole=True)
     if sigma0 != "pass":
@@ -156,6 +164,8 @@ def hypotheses_report(chart, probe_radii):
     if 4 <= n_ok < probe_radii.size:
         sigma2_radii = probe_radii[:n_ok]
         notes.append(f"grad-M probe capped at s = {sigma2_radii[-1]:g} by fan resolution")
+    elif n_ok < probe_radii.size:
+        notes.append(_kept_unresolved("grad-M ring integrals", probe_radii[n_ok:]))
     est2 = total_grad_mean_sq(chart, sigma2_radii, stride=stride)
     sigma2 = _integral_verdict(est2)
 

@@ -16,7 +16,7 @@ def lu_solves(monkeypatch):
     """Solves made with each LU factorization, one list entry per factorization.
 
     A Lanczos step makes one solve, so each entry is the step count of the
-    runs made on one factorization.
+    run made on one factorization.
     """
     counts = []
     make_solver = eigensolve._make_solver

@@ -157,6 +157,27 @@ def test_bad_value_and_duplicate_key(tmp_path):
     assert main(["describe", "--config", cfg, "--out", str(tmp_path / "o2")]) == 4
 
 
+def test_non_finite_value_exit_four(tmp_path):
+    cfg = write_cfg(tmp_path, "surface.name = hyperboloid\nlayer.a = 0.3\nspectrum.S = nan\n")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
+def test_layer_force_is_the_only_force_and_is_echoed(tmp_path):
+    # a = 1.0 is at least the hyperboloid's minimal normal curvature radius
+    lines = ["surface.name = hyperboloid", "layer.a = 1.0", "spectrum.S = 20",
+             "spectrum.n_s = 100", "spectrum.n_u = 16", "spectrum.m_list = 0",
+             "spectrum.k = 1", "spectrum.levels = 1"]
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    forced = write_cfg(tmp_path, "\n".join(lines + ["layer.force = true"]) + "\n", name="forced.cfg")
+    out = str(tmp_path / "forced")
+    assert main(["spectrum", "--config", forced, "--out", out]) == 0
+    assert load(out, "spectrum")["config"]["layer.force"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", cfg, "--out", out, "--force"])
+    assert exc.value.code == 2  # argparse: unrecognized argument
+
+
 def test_cap_neumann_error_is_its_eigen_error(tmp_path, monkeypatch):
     from layerspec.cli import _eigen_error
     from layerspec.spectrum import counterexample

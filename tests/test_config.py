@@ -1,0 +1,22 @@
+import pytest
+
+from layerspec.config import parse_config_text
+from layerspec.errors import ConfigError
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(value):
+    with pytest.raises(ConfigError, match="surface.s_max"):
+        parse_config_text(f"surface.s_max = {value}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_list_item_rejected(value):
+    with pytest.raises(ConfigError, match="totals.schedule"):
+        parse_config_text(f"totals.schedule = 1, {value}, 3\n")
+
+
+def test_finite_floats_parse():
+    config = parse_config_text("surface.s_max = 1e300\ntotals.schedule = 1, 2.5, 3\n")
+    assert config.get("surface.s_max") == 1e300
+    assert config.get("totals.schedule") == [1.0, 2.5, 3.0]

@@ -72,7 +72,7 @@ def test_interval_solves_do_not_restart(monkeypatch):
 
 def test_interval_solves_stop_early(lu_solves):
     # a shift under the ground state converges each run well before the
-    # 48-step cap
+    # step cap of 320
     counterexample_radial(1.0, 0.3)
     spherical_shell_ground(1.0, 0.3)
     assert len(lu_solves) == 6

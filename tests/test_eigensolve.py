@@ -41,26 +41,14 @@ def test_diagonal_case():
     assert count == 0
 
 
-def test_shift_at_an_eigenvalue_steps_below_it(monkeypatch):
-    # A - sigma B = diag(0, 1, 2) is exactly singular: the factorization
-    # fails, and the rerun one step below the shift finds the eigenvalue
-    failed = []
-    make_solver = eigensolve._make_solver
-
-    def recorded(C):
-        try:
-            return make_solver(C)
-        except RuntimeError:
-            failed.append(C)
-            raise
-
-    monkeypatch.setattr(eigensolve, "_make_solver", recorded)
+def test_shift_at_an_eigenvalue_raises():
+    # A - sigma B = diag(0, 1, 2) is exactly singular: sigma is an
+    # eigenvalue, so there is no inertia to count and the solve fails
     pair = SparseSymmetricPair.build(
         sp.diags([1.0, 2.0, 3.0]).tocsr(), sp.identity(3, format="csr")
     )
-    got, count = lowest_eigenpairs(pair, 1, shift=1.0)
-    assert failed and count == 0
-    assert got[0].value == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(EigenSolveError, match="singular"):
+        lowest_eigenpairs(pair, 1, shift=1.0)
 
 
 def test_fd_second_difference_closed_form():
@@ -91,7 +79,7 @@ def test_random_pairs_match_dense_oracle(seed, n, k):
 
 def test_residuals_and_normalization():
     A, B, pair = random_pair(80, 5)
-    for p in lowest_eigenpairs(pair, 3, shift=oracle_shift(A, B), tol=1e-9)[0]:
+    for p in lowest_eigenpairs(pair, 3, shift=oracle_shift(A, B))[0]:
         assert p.residual <= 1e-9
         assert p.vector @ (pair.mass @ p.vector) == pytest.approx(1.0, abs=1e-12)
 
@@ -131,15 +119,25 @@ def test_inertia_counts_a_dense_pencil(gap):
     assert count == np.count_nonzero(full < sigma) == gap
 
 
-def test_shift_inside_spectrum_of_a_2d_pencil(plane_strip):
+def test_shift_inside_spectrum_of_a_2d_pencil(plane_strip, monkeypatch):
     # a shift among the eigenvalues makes A - sigma B indefinite: the
-    # diagonal-pivot LU counts the gap eigenvalues below it, and every
-    # accepted run has found them all, so the k returned are the k smallest
+    # diagonal-pivot LU counts the gap eigenvalues below it, and the one
+    # Lanczos run has found them all, so the k returned are the k smallest
     pair, full = plane_strip
+    runs = []
+    lanczos = eigensolve._lanczos_shift_invert
+
+    def counted(*args):
+        runs.append(args[2])
+        return lanczos(*args)
+
+    monkeypatch.setattr(eigensolve, "_lanczos_shift_invert", counted)
     for gap in (1, 19, 73):
         sigma = in_gap(full, gap)
         for k in (1, 3):
+            runs.clear()
             got, count = lowest_eigenpairs(pair, k, shift=sigma)
+            assert runs == [sigma]
             assert count == np.count_nonzero(full < sigma) == gap
             assert np.max(np.abs(np.asarray([p.value for p in got]) / full[:k] - 1.0)) <= 1e-10
             again, _ = lowest_eigenpairs(pair, k, shift=sigma)
@@ -168,12 +166,12 @@ def test_early_stop_on_a_clustered_strip_matches_dense_oracle(lu_solves):
     # the four lowest lie within a tenth of their distance to the shift
     assert ref[3] - ref[0] < 0.1 * (ref[0] - sigma)
 
-    got, count = lowest_eigenpairs(pair, 3, shift=sigma, tol=1e-9)
+    got, count = lowest_eigenpairs(pair, 3, shift=sigma)
     assert count == 0
     assert len(lu_solves) == 1 and lu_solves[0] < 48  # one run, stopped before its cap
     assert np.max(np.abs(np.asarray([p.value for p in got]) / ref[:3] - 1.0)) <= 1e-10
     assert all(p.residual <= 1e-9 for p in got)
-    again, _ = lowest_eigenpairs(pair, 3, shift=sigma, tol=1e-9)
+    again, _ = lowest_eigenpairs(pair, 3, shift=sigma)
     assert [p.value for p in got] == [p.value for p in again]  # bitwise identical
     assert all(np.array_equal(p.vector, q.vector) for p, q in zip(got, again))
 

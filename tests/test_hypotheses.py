@@ -10,6 +10,7 @@ from layerspec.surface import (
     total_abs_gauss,
     total_gauss,
 )
+from layerspec.surface.totals import radial_gauss_partials, resolved_prefix
 
 TWO_PI = 2.0 * np.pi
 
@@ -92,3 +93,18 @@ def test_linear_growth_estimate_bounds_circumference():
     g = chart.grid(np.sort(ss))
     circ = TWO_PI * g.r.mean(axis=1)
     assert np.all(circ <= rep.growth_constant * np.sort(ss) * (1 + 1e-12))
+
+
+def test_resolution_cuts_name_the_unresolved_radii_they_keep():
+    # at the check command's default radii the monkey saddle's fan resolves
+    # the Gauss-Bonnet disks out to the third radius only; with 4 radii
+    # needed, both cuts keep every radius and say which are unresolved
+    chart = build_chart("monkey-saddle")
+    radii = chart.s_max * np.array([0.06, 0.12, 0.24, 0.48, 0.96])
+    assert resolved_prefix(*radial_gauss_partials(chart, radii)) == 3
+    rep = hypotheses_report(chart, radii)
+    assert np.array_equal(rep.annuli, radii)
+    fan, grad_m = rep.notes
+    assert "fan ring integrals" in fan and "grad-M" in grad_m
+    assert f"s = {radii[3]:g}, {radii[4]:g} kept" in fan
+    assert f"{radii[2]:g}" not in fan
