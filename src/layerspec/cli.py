@@ -131,16 +131,17 @@ def cmd_totals(config, writer):
     writer.add("total_gauss", _estimate_payload(est_k))
     writer.add("total_mean_sq", _estimate_payload(est_m))
     if chart.rotation_invariant:
-        residual = gauss_bonnet_residual(chart)
-        writer.add("gauss_bonnet_residual", measured(residual, residual.bar))
+        writer.add("gauss_bonnet_residual", measured(*gauss_bonnet_residual(chart)))
     else:  # independent Cartesian route
         plane_radii = np.geomspace(2.0, max(4.0, np.sqrt(chart.s_max)), 5)
         cart = total_gauss_cartesian(chart.surface, plane_radii)
         writer.add("total_gauss_cartesian", _estimate_payload(cart))
+    # one row per scheduled radius; partial_gauss is empty beyond the
+    # Gauss-Bonnet resolution cut
     rows = []
-    for i, radius in enumerate(est_k.truncations):
-        m_part = est_m.partials[i] if i < len(est_m.partials) else ""
-        rows.append((float(radius), float(est_k.partials[i]), m_part))
+    for i, radius in enumerate(est_m.truncations):
+        k_part = float(est_k.partials[i]) if i < len(est_k.partials) else ""
+        rows.append((float(radius), k_part, est_m.partials[i]))
     writer.write_csv("totals", ["radius", "partial_gauss", "partial_mean_sq"], rows)
     return 0
 

@@ -74,32 +74,22 @@ def _interval_levels(R, a, n, kind):
     return [_interval_ground(R, a, n * 2**lev, **problem) for lev in range(_LEVELS)]
 
 
-class Extrapolated(float):
-    """A Richardson-extrapolated value that carries its last step.
-
-    ``step`` is |value - finest level|, the correction the extrapolation
-    made: the error bar of the value.
-    """
-
-    def __new__(cls, value, step):
-        obj = super().__new__(cls, value)
-        obj.step = float(step)
-        return obj
-
-
 def _richardson(values):
-    """Second-order Richardson extrapolation of the two finest levels."""
+    """Second-order Richardson extrapolation of the two finest levels.
+
+    Returns the value and its last step |value - finest level|, the
+    correction the extrapolation made: the error bar of the value.
+    """
     lam_h, lam_h2 = values[-2], values[-1]
     value = lam_h2 + (lam_h2 - lam_h) / 3.0
-    return Extrapolated(value, abs(value - lam_h2))
+    return value, abs(value - lam_h2)
 
 
 def counterexample_radial(R, a):
     """eps_1: ground state of -d^2/dr^2 - 1/(4 r^2) on (R-a, R+a).
 
     Second-order finite differences with Richardson extrapolation over
-    halved meshes; the result carries its last extrapolation step as
-    ``.step``.
+    halved meshes; returns the value and its last extrapolation step.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
@@ -111,8 +101,8 @@ def spherical_shell_ground(R, a):
 
     Computed from the l = 0 radial reduction with the rho^2 weight; the
     substitution f = g/rho removes the curvature term exactly, so the limit
-    is the flat interval value (pi/(2a))^2 independently of R.  The result
-    carries its last extrapolation step as ``.step``.
+    is the flat interval value (pi/(2a))^2 independently of R.  Returns the
+    value and its last extrapolation step.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
@@ -180,7 +170,7 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    eps1 = counterexample_radial(R, a)
+    eps1, eps1_error = counterexample_radial(R, a)
     kap2 = (np.pi / (2.0 * a)) ** 2
     bracket = (kap2 - 1.0 / (4.0 * (R - a) ** 2), kap2 - 1.0 / (4.0 * (R + a) ** 2))
     # the truncated 2-d eigenvalues inherit the transverse grid's O(h_u^2)
@@ -195,10 +185,10 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
         mesh = build_mesh(S_here, a, int(n_s_per_R * S_here / R), n_u, align_face=junction)
         op = assemble_partial_wave(layer, 0, mesh)
         spectra.append(solve_spectrum(op, _TRUNCATION_EIGS, shift=eps1_mesh))
-    shell = spherical_shell_ground(R, a)
+    shell, shell_error = spherical_shell_ground(R, a)
     return CounterexampleReport(
-        R=R, a=a, eps1=float(eps1), eps1_error=eps1.step, eps1_mesh=eps1_mesh,
-        bracket=bracket, kappa1_sq=kap2, shell_ground=float(shell), shell_error=shell.step,
+        R=R, a=a, eps1=eps1, eps1_error=eps1_error, eps1_mesh=eps1_mesh,
+        bracket=bracket, kappa1_sq=kap2, shell_ground=shell, shell_error=shell_error,
         cap_neumann=cap_neumann_ground(R, a),
         spectra=tuple(spectra),
     )

@@ -2,7 +2,8 @@
 
 All verdicts here are sampled evidence with safety factors, reported as
 estimates, never as proofs.  A verdict is "pass", "fail", or "undecided"
-when the evidence is non-monotone.
+when the evidence is non-monotone or rests on ring integrals that are not
+angularly resolved.
 """
 
 from dataclasses import dataclass, field, replace
@@ -90,10 +91,24 @@ def _sigma0_probe(chart, radii, samples_per_annulus, stride, safety, from_pole=F
     return verdict, sup_K, sup_M, v_K, v_M, K_max <= 1e-12 or K_min >= -1e-12
 
 
-def _kept_unresolved(what, radii):
-    """Note for the radii a resolution cut keeps, as it may not leave fewer than 4."""
-    listed = ", ".join(f"{r:g}" for r in radii)
-    return f"probe radii s = {listed} kept though {what} are not angularly resolved there"
+def _resolution_cut(radii, full, half, what, notes):
+    """The leading radii at which the ring read ``what`` is angularly resolved.
+
+    ``full`` and ``half`` are the read on its rays and on every other one,
+    judged by :func:`resolved_prefix`.  A cut may not leave fewer than 4
+    radii, so then it keeps them all.  Returns the kept radii and whether
+    every kept radius is resolved; a note in ``notes`` says what was cut or kept.
+    """
+    n_ok = resolved_prefix(full, half)
+    if n_ok == radii.size:
+        return radii, True
+    if n_ok >= 4:
+        notes.append(f"probe radii beyond s = {radii[n_ok - 1]:g} dropped: "
+                     f"{what} are not angularly resolved there")
+        return radii[:n_ok], True
+    listed = ", ".join(f"{r:g}" for r in radii[n_ok:])
+    notes.append(f"probe radii s = {listed} kept though {what} are not angularly resolved there")
+    return radii, False
 
 
 def asymptotic_flatness_verdict(chart):
@@ -127,16 +142,9 @@ def hypotheses_report(chart, probe_radii):
 
     notes = []
     # drop radii beyond the ring's angular-resolution trust range (only a
-    # fan's ring can fall short of it)
-    n_ok = resolved_prefix(*radial_gauss_partials(chart, probe_radii))
-    if 4 <= n_ok < probe_radii.size:
-        notes.append(
-            f"probe radii beyond s = {probe_radii[n_ok - 1]:g} dropped: "
-            "fan ring integrals are not angularly resolved there"
-        )
-        probe_radii = probe_radii[:n_ok]
-    elif n_ok < probe_radii.size:
-        notes.append(_kept_unresolved("fan ring integrals", probe_radii[n_ok:]))
+    # fan's ring can fall short of it: a revolution ring is one column)
+    probe_radii, _ = _resolution_cut(probe_radii, *radial_gauss_partials(chart, probe_radii),
+                                     "fan ring integrals", notes)
     sigma0, sup_K, sup_M, v_K, v_M, sign_definite = _sigma0_probe(
         chart, probe_radii, _REPORT_SAMPLES, 1, _SUP_SAFETY, from_pole=True)
     if sigma0 != "pass":
@@ -154,20 +162,13 @@ def hypotheses_report(chart, probe_radii):
         est1 = total_abs_gauss(chart, probe_radii, stride=stride)
     sigma1 = _integral_verdict(est1)
 
-    # keep only radii where the grad-M ring integral agrees on every other ray
-    # (closed-form rings are one column, so only fans are ever capped)
-    sigma2_radii = probe_radii
+    # the same cut on the grad-M ring, whose integrability evidence is void
+    # where the fan does not resolve it
     g = chart.grid(probe_radii, stride=stride)
-    v1, v2 = (2.0 * np.pi * (g.grad_M_sq * g.r)[:, ::step].mean(axis=1) for step in (1, 2))
-    ok = np.abs(v1 - v2) <= 0.02 * np.maximum(np.abs(v1), _ZERO_FLOOR)
-    n_ok = int(np.argmin(ok)) if not ok.all() else ok.size
-    if 4 <= n_ok < probe_radii.size:
-        sigma2_radii = probe_radii[:n_ok]
-        notes.append(f"grad-M probe capped at s = {sigma2_radii[-1]:g} by fan resolution")
-    elif n_ok < probe_radii.size:
-        notes.append(_kept_unresolved("grad-M ring integrals", probe_radii[n_ok:]))
+    full, half = (2.0 * np.pi * (g.grad_M_sq * g.r)[:, ::step].mean(axis=1) for step in (1, 2))
+    sigma2_radii, resolved = _resolution_cut(probe_radii, full, half, "grad-M ring integrals", notes)
     est2 = total_grad_mean_sq(chart, sigma2_radii, stride=stride)
-    sigma2 = _integral_verdict(est2)
+    sigma2 = _integral_verdict(est2) if resolved else "undecided"
 
     # growth estimate for the circumference: int r dtheta <= C s
     quad = gauss_legendre(8, panelize(probe_radii[0] * 1e-3, probe_radii[-1], first=probe_radii[0] / 4))

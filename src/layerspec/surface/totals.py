@@ -143,13 +143,14 @@ def _disk_estimate(chart, schedule, weight, stride=None):
 
 
 def resolved_prefix(full, half):
-    """Count of leading radii whose full- and half-ring integrals agree.
+    """Count of leading radii at which a ring read is angularly resolved.
 
-    Agreement is to 0.1% of the largest full-ring value (at least 1); the
-    radii after the first disagreement are not angularly resolved.
+    ``full`` is the ring value at each radius and ``half`` the same ring on
+    every other ray; a radius is resolved while they agree to 0.1% of the
+    largest |full|, and the radii after the first disagreement are not.
+    This is the package's one angular-resolution rule.
     """
-    scale = max(float(np.max(np.abs(full))), 1.0)
-    ok = np.abs(full - half) <= 1e-3 * scale
+    ok = np.abs(full - half) <= 1e-3 * float(np.max(np.abs(full)))
     return int(np.argmin(ok)) if not ok.all() else ok.size
 
 
@@ -171,10 +172,9 @@ def total_gauss(chart, schedule, stride=1):
     """Total Gauss curvature: integral of K over the surface.
 
     The disk integrals come from :func:`radial_gauss_partials` on the rays
-    theta_nodes[::stride]; only the leading radii on which they are
-    resolution-converged (full vs half ray count agreeing to 0.1%) enter the
-    truncation analysis, as the others would contaminate the tail
-    extrapolation with angular aliasing.
+    theta_nodes[::stride]; only the leading radii that :func:`resolved_prefix`
+    finds angularly resolved (at least 3) enter the truncation analysis, as
+    the others would contaminate the tail extrapolation with angular aliasing.
     """
     schedule = _check_schedule(chart, schedule)
     full, half = radial_gauss_partials(chart, schedule, stride=stride)
@@ -222,28 +222,18 @@ def total_gauss_cartesian(surf, plane_radii):
     return analyze_truncations(plane_radii, np.asarray(cumulative))
 
 
-class GaussBonnetResidual(float):
-    """A Gauss-Bonnet residual that carries the ring route's error bound as ``bar``."""
-
-    def __new__(cls, value, bar):
-        obj = super().__new__(cls, value)
-        obj.bar = float(bar)
-        return obj
-
-
 def gauss_bonnet_residual(chart):
     """Self-consistency residual |total_K + 2 pi r'(S) - 2 pi| for a revolution chart.
 
     total_K is the ring quadrature of K, not r' (a tautology).  The Jacobi
     equation makes the identity exact at every finite S, so the residual
-    measures quadrature plus tail-extrapolation error; the ring route's
-    error bound is its bar.  Raises NoLimitError when r'(S) still oscillates
-    at the sampled radii.
+    measures quadrature plus tail-extrapolation error.  Returns the residual
+    and its bar, the ring route's error bound.  Raises NoLimitError when
+    r'(S) still oscillates at the sampled radii.
     """
     schedule = chart.s_max * np.array([0.125, 0.25, 0.5, 1.0])
     drs = chart.grid(schedule).dr_ds[:, 0]
     if abs(drs[-1] - drs[-2]) > 1e-3 and abs(drs[-1] - drs[-2]) > 0.5 * abs(drs[-2] - drs[-3]):
         raise NoLimitError("r'(s) has not settled on the sampled radii")
     est = _disk_estimate(chart, schedule, lambda g: g.K)
-    return GaussBonnetResidual(abs(est.value + 2.0 * np.pi * float(drs[-1]) - 2.0 * np.pi),
-                               est.error_bound)
+    return abs(est.value + 2.0 * np.pi * float(drs[-1]) - 2.0 * np.pi), est.error_bound

@@ -39,8 +39,8 @@ _PANEL_REL_TOL = 1e-7
 # rays of the angular ring a form evaluation reads (about this many)
 _THETA_RAYS = 192
 # components of the radial densities returned by _evaluate: the full ring,
-# then Q1, the norm and the shifted Q2 on every other ray of it
-_Q1, _Q2, _NORM, _Q2S, _Q1_HALF, _NORM_HALF, _Q2S_HALF = range(7)
+# then the same three on every other ray of it
+_Q1, _NORM, _Q2S, _Q1_HALF, _NORM_HALF, _Q2S_HALF = range(6)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class FormEvaluation:
     """
 
     q1: float
-    q2: float
     norm_sq: float
     kappa1_sq: float
     q_tilde: float
@@ -80,24 +79,19 @@ def transverse_moments(layer):
     """Closed-form u-moments of the profile pairs over (-a, a).
 
     For B1 = chi1 and B2 = u chi1, returns, per ordered pair, the moments
-    (m0, m1, m2) of B_i B_j u^m ("mass"), of B_i' B_j' u^m ("prime"), and of
-    (B_i' B_j' - kappa1^2 B_i B_j) u^m ("shift").  Contracting (m0, m1, m2)
-    with (1, -2M, K) integrates the pair against the determinant factor.
+    (m0, m1, m2) of B_i B_j u^m ("mass") and of (B_i' B_j' - kappa1^2 B_i B_j)
+    u^m ("shift").  Contracting (m0, m1, m2) with (1, -2M, K) integrates the
+    pair against the determinant factor.
     The shifted moments are the reason the threshold-scale bulk cancels
     exactly: their (1,1) entry is (0, 0, 1), leaving only curvature terms.
     """
     a = layer.a
-    kap2 = layer.kappa1_sq
     pi2 = np.pi**2
     c2 = a**2 * (pi2 - 6.0) / (3.0 * pi2)
     c4 = a**4 / 5.0 - 4.0 * a**4 * (pi2 - 6.0) / pi2**2
-    s2 = kap2 * a**2 * (1.0 / 3.0 + 2.0 / pi2)
-    t4 = 6.0 * c2
-    s4 = t4 + kap2 * c4
     mass = {(1, 1): (1.0, 0.0, c2), (1, 2): (0.0, c2, 0.0), (2, 2): (c2, 0.0, c4)}
-    prime = {(1, 1): (kap2, 0.0, s2), (1, 2): (0.0, s2 - 0.5, 0.0), (2, 2): (s2, 0.0, s4 - 2.0 * c2)}
     shift = {(1, 1): (0.0, 0.0, 1.0), (1, 2): (0.0, 0.5, 0.0), (2, 2): (1.0, 0.0, 4.0 * c2)}
-    return mass, prime, shift
+    return mass, shift
 
 
 def _s_panels(layer, trial):
@@ -110,13 +104,13 @@ def _s_panels(layer, trial):
 
 
 def _evaluate(layer, trial, s_nodes, n_u, stride):
-    """Radial densities at ``s_nodes``, shape (7, Ns), rows ``_Q1`` ... ``_Q2S_HALF``.
+    """Radial densities at ``s_nodes``, shape (6, Ns), rows ``_Q1`` ... ``_Q2S_HALF``.
 
     Each row is integrated over theta and u but not over s.  The theta rule
     spans the broadcast width of the chart and term fields; a half-ring row
     sums every other column of the same weighted products and rescales by
     width / ceil(width / 2), exactly 1 at width 1.  The moment tables (norm,
-    Q2, shifted Q2) are summed term pair by term pair; Q1 takes a Gauss rule in u.
+    shifted Q2) are summed term pair by term pair; Q1 takes a Gauss rule in u.
     """
     grid = layer.chart.grid(s_nodes, stride=stride)
     r = grid.r
@@ -130,7 +124,7 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
     w_theta = np.full(width, 2.0 * np.pi / width)
     idx = [1 if term.u_profile == "chi1" else 2 for term in trial.terms]
 
-    # transverse direction analytically: Q2, the norm, and above all the
+    # transverse direction analytically: the norm and above all the
     # shifted combination Q2 - kappa1^2 |Psi|^2 use the closed u-moments,
     # whose (chi1, chi1) shift entry removes the threshold-scale bulk
     # exactly per surface point
@@ -145,9 +139,8 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
                 p0, p1, p2 = moments[key]
                 product = pair * (p0 - 2.0 * M * p1 + K * p2)
                 full[t] += np.sum(product, axis=1)
-                if t != 1:  # no error bar reads Q2's half ring, so it is left 0
-                    half[t] += np.sum(product[:, ::2], axis=1)
-    (norm, q2, q2_shift), (norm_h, _, q2_shift_h) = full, half
+                half[t] += np.sum(product[:, ::2], axis=1)
+    (norm, q2_shift), (norm_h, q2_shift_h) = full, half
 
     # longitudinal part by transverse quadrature (no cancellation there):
     # contract the surface gradient with the inverse metric block weighted
@@ -172,11 +165,11 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
         q1 += wu * np.sum(product, axis=1)
         q1_h += wu * np.sum(product[:, ::2], axis=1)
     scale = width / ((width + 1) // 2)  # every other ray's weight over 2 pi / width
-    return np.array([q1, q2, norm, q2_shift, q1_h * scale, norm_h * scale, q2_shift_h * scale])
+    return np.array([q1, norm, q2_shift, q1_h * scale, norm_h * scale, q2_shift_h * scale])
 
 
 def evaluate_form(layer, trial):
-    """Q1, Q2, |Psi|^2 and the shifted form for one trial, with error bars.
+    """Q1, |Psi|^2 and the shifted form for one trial, with error bars.
 
     The integration domain is the trial's support (clipped to the chart)
     times the full angle times (-a, a); radial panels break at the trial's
@@ -193,7 +186,7 @@ def evaluate_form(layer, trial):
     adapt = adaptive_gauss(density, _s_panels(layer, trial), orders=(_S_POINTS, _S_POINTS + 6),
                            rel_tol=_PANEL_REL_TOL, judged=(_Q1, _NORM, _Q2S))
     value, gap = adapt.value, adapt.gap
-    q1_f, q2_f, norm_f, q2s_f = map(float, value[:_Q1_HALF])
+    q1_f, norm_f, q2s_f = map(float, value[:_Q1_HALF])
     # the half-ring shift, 0 on a one-column integrand
     err = (gap[_Q1] + gap[_Q2S] + abs(value[_Q1_HALF] - value[_Q1])
            + abs(value[_Q2S_HALF] - value[_Q2S]))
@@ -203,7 +196,7 @@ def evaluate_form(layer, trial):
     if not np.isfinite(q_tilde):
         raise InvalidInputError("non-finite integrand in form evaluation")
     return FormEvaluation(
-        q1=q1_f, q2=q2_f, norm_sq=norm_f, kappa1_sq=layer.kappa1_sq,
+        q1=q1_f, norm_sq=norm_f, kappa1_sq=layer.kappa1_sq,
         q_tilde=q_tilde, error=float(err), norm_error=float(norm_err),
     )
 

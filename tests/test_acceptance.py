@@ -100,7 +100,7 @@ def test_criterion_3_gauss_bonnet_residuals():
     details = []
     ok = True
     for name, params in cases.items():
-        residual = gauss_bonnet_residual(build_chart(name, params))
+        residual, _ = gauss_bonnet_residual(build_chart(name, params))
         ok &= residual <= 1e-3
         details.append(f"{name}: {residual:.2e}")
     report(3, ok, "; ".join(details))

@@ -94,6 +94,23 @@ def test_totals_hyperboloid(tmp_path):
     assert doc["results"]["gauss_bonnet_residual"]["value"] <= 1e-3
 
 
+def test_totals_csv_has_a_row_per_scheduled_radius(tmp_path):
+    # at 256 rays the fan resolves the Gauss-Bonnet disks out to the third
+    # of the 8 default radii only; the mean-curvature partials go on beyond
+    cfg = write_cfg(tmp_path, "surface.name = monkey-saddle\nsurface.theta_samples = 256\n")
+    out = str(tmp_path / "out")
+    assert main(["totals", "--config", cfg, "--out", out]) == 0
+    doc = load(out, "totals")["results"]
+    with open(os.path.join(out, "totals.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["radius"]) for row in rows] == doc["total_mean_sq"]["truncations"]
+    assert [float(row["partial_mean_sq"]) for row in rows] == doc["total_mean_sq"]["partials"]
+    n_gauss = len(doc["total_gauss"]["partials"])
+    assert n_gauss == 3 < len(rows) == 8
+    assert [float(row["partial_gauss"]) for row in rows[:n_gauss]] == doc["total_gauss"]["partials"]
+    assert all(row["partial_gauss"] == "" for row in rows[n_gauss:])
+
+
 def test_certify_plane_not_found(tmp_path):
     cfg = write_cfg(tmp_path, "surface.name = plane\nlayer.a = 0.1\ncertify.budget = 2\n")
     out = str(tmp_path / "out")

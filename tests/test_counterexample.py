@@ -16,7 +16,7 @@ KAP2 = (np.pi / 0.6) ** 2  # threshold for a = 0.3
 
 def test_radial_ground_in_analytic_bracket():
     # constant-potential comparison on the interval (R-a, R+a)
-    eps1 = counterexample_radial(1.0, 0.3)
+    eps1, _ = counterexample_radial(1.0, 0.3)
     lower = KAP2 - 1.0 / (4.0 * 0.7**2)
     upper = KAP2 - 1.0 / (4.0 * 1.3**2)
     assert lower < eps1 < upper
@@ -30,26 +30,26 @@ def test_radial_ground_flattening_trend():
     # kappa1^2 - 1/(4R^2) with an error falling at least like R^{-3}
     devs = []
     for R in (2.0, 4.0, 8.0):
-        eps1 = counterexample_radial(R, 0.3)
+        eps1, _ = counterexample_radial(R, 0.3)
         devs.append(abs(eps1 - (KAP2 - 1.0 / (4.0 * R**2))))
     assert devs[1] <= devs[0] / 4.0
     assert devs[2] <= devs[1] / 4.0
 
 
 def test_spherical_shell_is_flat_interval():
-    val = spherical_shell_ground(1.0, 0.3)
+    val, _ = spherical_shell_ground(1.0, 0.3)
     assert val == pytest.approx(KAP2, rel=1e-4)
     # independent of the shell radius at fixed width
-    assert abs(val - spherical_shell_ground(2.0, 0.3)) <= 1e-6 * KAP2
+    assert abs(val - spherical_shell_ground(2.0, 0.3)[0]) <= 1e-6 * KAP2
 
 
 @pytest.mark.parametrize("a", [0.28, 0.29, 0.3, 0.31, 0.32])
 def test_shell_ground_within_its_richardson_step_of_the_threshold(a):
     # the error bar is the last extrapolation step, measured, not the
     # distance to the value it is checked against
-    val = spherical_shell_ground(1.0, a)
-    assert 0.0 < val.step <= 1e-5
-    assert abs(val - (np.pi / (2.0 * a)) ** 2) <= val.step
+    val, step = spherical_shell_ground(1.0, a)
+    assert 0.0 < step <= 1e-5
+    assert abs(val - (np.pi / (2.0 * a)) ** 2) <= step
 
 
 def test_interval_solves_do_not_restart(monkeypatch):
@@ -135,4 +135,4 @@ def test_full_pipeline_no_spectrum_below_eps1(monkeypatch):
     assert cap.eigenvalues[0] == pytest.approx(cap.threshold_mesh, rel=1e-3)
     assert rep.shell_ground == pytest.approx(rep.kappa1_sq, rel=1e-6)
     assert abs(rep.shell_ground - rep.kappa1_sq) <= rep.shell_error
-    assert rep.eps1_error == counterexample_radial(1.0, 0.3).step > 0.0
+    assert rep.eps1_error == counterexample_radial(1.0, 0.3)[1] > 0.0

@@ -108,3 +108,15 @@ def test_resolution_cuts_name_the_unresolved_radii_they_keep():
     assert "fan ring integrals" in fan and "grad-M" in grad_m
     assert f"s = {radii[3]:g}, {radii[4]:g} kept" in fan
     assert f"{radii[2]:g}" not in fan
+    # the grad-M rings kept unresolved are no integrability evidence
+    assert rep.sigma2 == "undecided"
+
+
+def test_resolved_prefix_is_relative_at_small_magnitude():
+    # a 1 % disagreement on rings of size 1e-3 is unresolved; no absolute
+    # floor lets it pass
+    full = np.full(4, 1e-3)
+    half = full.copy()
+    half[2] += 1e-5
+    assert resolved_prefix(full, half) == 2
+    assert resolved_prefix(full, full) == 4

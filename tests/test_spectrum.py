@@ -65,6 +65,14 @@ def test_hyperboloid_bound_state_stable_gap(hyperboloid_layer):
     assert res.below_threshold[0]
 
 
+def test_order_estimate_reads_second_order_on_three_levels(hyperboloid_layer):
+    # lambda_0's differences on halved meshes fall by 4; two levels give no order
+    res = spectrum_with_refinement(hyperboloid_layer, 0, S=20.0, n_s=64, n_u=16, k=1, levels=3)
+    assert res.order_estimate == pytest.approx(2.0, abs=0.01)
+    res = spectrum_with_refinement(hyperboloid_layer, 0, S=20.0, n_s=64, n_u=16, k=1, levels=2)
+    assert res.order_estimate is None
+
+
 def test_floor_above_a_bound_state_still_finds_it(hyperboloid_layer, monkeypatch):
     # a shift between lambda_0 and the threshold has the bound state below
     # it: the inertia counts it, and one Lanczos run returns it
