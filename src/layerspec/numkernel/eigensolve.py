@@ -29,8 +29,17 @@ else, as on an exactly singular A - sigma B, it raises EigenSolveError.
 Deterministic: the start vector comes from a fixed-seed generator and the
 algorithm is serial, so repeated runs on identical inputs are bitwise
 identical.
+
+After each run the freed factor and Krylov basis go back to the operating
+system (glibc's ``malloc_trim``, where the C library has it).  glibc keeps
+freed heap at the top of its arena mapped up to a trim threshold that
+rises with the largest block it has freed, so a run would otherwise start
+on the footprint of the largest run before it: on the hyperboloid
+``spectrum`` at S = 60, m = 0, 1 the fine m = 1 strip started 43 MB above
+the fine m = 0 strip and set the peak.
 """
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +70,29 @@ _RITZ_TOL = 1e-13
 # largest relative asymmetry |M - M^T| / max|M| a stiffness or mass may carry
 _SYM_TOL = 1e-13
 
+try:  # the C library's malloc_trim (module docstring), where it has one
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
+
+def _symmetric(M):
+    """Whether |M - M^T| <= _SYM_TOL max|M| for a CSR matrix M, which stays unmodified.
+
+    A canonical M whose transpose has its sparsity pattern is compared entry
+    by entry against one transposed copy; any other M through the sparse
+    difference.
+    """
+    MT = M.T.tocsr()  # new arrays, never M's
+    if (M.has_canonical_format and np.array_equal(M.indptr, MT.indptr)
+            and np.array_equal(M.indices, MT.indices)):
+        gap = np.subtract(M.data, MT.data, out=MT.data)
+        scale = max(M.data.max(initial=0.0), -M.data.min(initial=0.0))
+    else:
+        gap = (M - MT).data
+        scale = abs(M.copy()).max()
+    return np.abs(gap, out=gap).max(initial=0.0) <= _SYM_TOL * max(scale, 1e-300)
+
 
 @dataclass(frozen=True)
 class SparseSymmetricPair:
@@ -77,9 +109,7 @@ class SparseSymmetricPair:
         if A.shape[0] != A.shape[1] or A.shape != B.shape:
             raise InvalidInputError("stiffness and mass must be square and congruent")
         for name, M in (("stiffness", A), ("mass", B)):
-            gap = abs(M - M.T)
-            scale = max(abs(M).max(), 1e-300)
-            if gap.nnz and gap.max() > _SYM_TOL * scale:
+            if not _symmetric(M):
                 raise InvalidInputError(f"{name} is not symmetric to {_SYM_TOL:g} relative")
         if np.any(B.diagonal() <= 0.0):
             raise InvalidInputError("mass must have strictly positive diagonal")
@@ -106,6 +136,13 @@ def _make_solver(C):
     With perm_r == perm_c the LU of P C P^T has U = D L^T, so the negative
     entries of U's diagonal are the eigenvalues below sigma.  ``splu``'s
     RuntimeError on an exactly singular C passes to the caller.
+
+    Reading ``lu.U`` costs more than the diagonal: scipy (1.17) builds CSC
+    copies of both L and U and keeps them on the SuperLU object for its
+    lifetime (``lu.U is lu.U``).  On the counterexample's largest strip
+    (62 372 unknowns) that is about 20 MB held through the whole Lanczos
+    run, the largest avoidable part of its memory peak; the SuperLU object
+    offers no other way to read the pivots.
     """
     lu = spla.splu(
         sp.csc_matrix(C), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -220,6 +257,9 @@ def lowest_eigenpairs(pair, k, shift):
 
     cap = min(max(8 * max(k, count) + 80, 320), pair.dimension)
     lams, vecs = _lanczos_shift_invert(A, B, sigma, solve, count, k, cap)
+    del solve  # frees the factor before the trim
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     below = sum(lam < sigma for lam in lams)
     if below != count or len(lams) < k:
         raise EigenSolveError(f"Lanczos found {len(lams)} values, {below} below the shift "

@@ -157,6 +157,13 @@ def cap_neumann_ground(R, a):
     return solve_spectrum(op, 1)
 
 
+def _truncation_spectrum(R, a, S, n_s_per_R, n_u, shift):
+    """m = 0 spectrum of the capped strip truncated at S, junction face-aligned."""
+    mesh = build_mesh(S, a, int(n_s_per_R * S / R), n_u, align_face=np.pi * R / 2.0)
+    op = assemble_partial_wave(capped_layer(R, a, S), 0, mesh)
+    return solve_spectrum(op, _TRUNCATION_EIGS, shift=shift)
+
+
 def counterexample_full(R, a, S, n_s_per_R, n_u):
     """Full m = 0 pipeline on truncations S x {1, 2, 4}: eigenvalues vs eps_1.
 
@@ -167,25 +174,23 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
     shifted at ``eps1_mesh``, eps_1 measured on the strip's own u grid, so
     its ``count`` is the number of eigenvalues below it: 0 is the absence
     claim.
+
+    The truncations are solved largest first, before the interval and cap
+    solves, so the largest pencil is factored on a heap that no earlier
+    solve has grown; ``spectra`` lists them in ascending S.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    eps1, eps1_error = counterexample_radial(R, a)
-    kap2 = (np.pi / (2.0 * a)) ** 2
-    bracket = (kap2 - 1.0 / (4.0 * (R - a) ** 2), kap2 - 1.0 / (4.0 * (R + a) ** 2))
     # the truncated 2-d eigenvalues inherit the transverse grid's O(h_u^2)
     # bias; the honest bottom to count them against is the same interval
     # operator discretized on that grid
     eps1_mesh = _interval_ground(R, a, n_u, **_INTERVAL_PROBLEMS["radial"])
-    junction = np.pi * R / 2.0
-    spectra = []
-    for mult in (1, 2, 4):
-        S_here = S * mult
-        layer = capped_layer(R, a, S_here)
-        mesh = build_mesh(S_here, a, int(n_s_per_R * S_here / R), n_u, align_face=junction)
-        op = assemble_partial_wave(layer, 0, mesh)
-        spectra.append(solve_spectrum(op, _TRUNCATION_EIGS, shift=eps1_mesh))
+    spectra = [_truncation_spectrum(R, a, S * mult, n_s_per_R, n_u, eps1_mesh)
+               for mult in (4, 2, 1)][::-1]
+    eps1, eps1_error = counterexample_radial(R, a)
     shell, shell_error = spherical_shell_ground(R, a)
+    kap2 = (np.pi / (2.0 * a)) ** 2
+    bracket = (kap2 - 1.0 / (4.0 * (R - a) ** 2), kap2 - 1.0 / (4.0 * (R + a) ** 2))
     return CounterexampleReport(
         R=R, a=a, eps1=eps1, eps1_error=eps1_error, eps1_mesh=eps1_mesh,
         bracket=bracket, kappa1_sq=kap2, shell_ground=shell, shell_error=shell_error,

@@ -77,12 +77,17 @@ def solve_spectrum(op, k, shift=None):
 
 
 def spectrum_with_refinement(layer, m, S, n_s, n_u, k, levels):
-    """Solve on a sequence of halved meshes and report the refinement table."""
+    """Solve on a sequence of halved meshes and report the refinement table.
+
+    The finest level is solved first, so its pencil is factored on a heap
+    that no coarser solve has grown; the table runs from coarse to fine and
+    the result is the finest level's.
+    """
     table = []
-    result = None
-    for lev in range(levels):
+    for lev in reversed(range(levels)):
         mesh = build_mesh(S, layer.a, n_s * 2**lev, n_u * 2**lev)
-        op = assemble_partial_wave(layer, m, mesh)
-        result = solve_spectrum(op, k)
+        result = solve_spectrum(assemble_partial_wave(layer, m, mesh), k)
         table.append((mesh.h_s, mesh.h_u, float(result.eigenvalues[0]), result.threshold_mesh))
-    return replace(result, convergence=tuple(table))
+        if lev == levels - 1:
+            finest = result
+    return replace(finest, convergence=tuple(table[::-1]))

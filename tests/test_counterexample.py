@@ -3,13 +3,18 @@ import pytest
 
 from layerspec.errors import InvalidInputError
 from layerspec.numkernel import eigensolve
+from layerspec.spectrum import counterexample as counterexample_module
 from layerspec.spectrum import solve as spectrum_solve
 from layerspec.spectrum import (
+    assemble_partial_wave,
+    build_mesh,
     counterexample_full,
     counterexample_radial,
     radial_order_estimate,
+    solve_spectrum,
     spherical_shell_ground,
 )
+from layerspec.spectrum.counterexample import capped_layer
 
 KAP2 = (np.pi / 0.6) ** 2  # threshold for a = 0.3
 
@@ -85,6 +90,30 @@ def test_full_pipeline_lu_work(lu_solves):
     counterexample_full(1.0, 0.29, S=10, n_s_per_R=50, n_u=32)
     assert len(lu_solves) == 11
     assert sum(lu_solves) <= 150
+
+
+def test_truncations_solved_largest_first_and_listed_ascending(monkeypatch):
+    # the solve order leaves every truncation's spectrum as a standalone
+    # solve at eps1_mesh gives it
+    sizes = []
+    assemble = counterexample_module.assemble_partial_wave
+
+    def recorded(layer, m, mesh, **kw):
+        sizes.append(mesh.n_unknowns)
+        return assemble(layer, m, mesh, **kw)
+
+    monkeypatch.setattr(counterexample_module, "assemble_partial_wave", recorded)
+    rep = counterexample_full(1.0, 0.29, S=10, n_s_per_R=50, n_u=32)
+    assert sizes[:3] == sorted(sizes, reverse=True)[:3]
+    assert [res.S for res in rep.spectra] == pytest.approx([10.0, 20.0, 40.0], rel=0.01)
+    for res, S in zip(rep.spectra, (10.0, 20.0, 40.0)):
+        mesh = build_mesh(S, 0.29, int(50 * S), 32, align_face=np.pi / 2.0)
+        alone = solve_spectrum(assemble(capped_layer(1.0, 0.29, S), 0, mesh), 2,
+                               shift=rep.eps1_mesh)
+        assert res.S == alone.S
+        assert np.array_equal(res.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(res.residuals, alone.residuals)
+        assert res.count == alone.count
 
 
 def test_refinement_order_on_shell():

@@ -188,3 +188,17 @@ def test_invalid_inputs():
     asym = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
         SparseSymmetricPair.build(asym, sp.identity(2, format="csr"))
+
+
+def test_symmetry_check_on_matching_and_differing_patterns():
+    eye = sp.identity(3, format="csr")
+    # M^T has M's pattern: compared entry by entry against one transposed copy
+    same = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0 + 1e-12, 2.0, 0.0], [0.0, 0.0, 2.0]]))
+    with pytest.raises(InvalidInputError, match="stiffness is not symmetric"):
+        SparseSymmetricPair.build(same, eye)
+    # duplicate entries that sum symmetric: the sparse difference decides
+    dup = sp.csr_matrix((np.array([0.5, 0.5, 1.0, 2.0, 2.0]), np.array([1, 1, 0, 1, 2]),
+                         np.array([0, 2, 4, 5])), shape=(3, 3))
+    data = dup.data.copy()
+    assert SparseSymmetricPair.build(dup, eye).dimension == 3
+    assert np.array_equal(dup.data, data) and dup.nnz == 5  # the caller's matrix is untouched

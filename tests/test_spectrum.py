@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from layerspec.catalog import build_chart
 from layerspec.errors import CapabilityError, HypothesisViolationError, InvalidInputError
@@ -12,6 +15,9 @@ from layerspec.spectrum import (
     spectrum_with_refinement,
 )
 from layerspec.numkernel import eigensolve
+from layerspec.spectrum import solve as spectrum_solve
+from layerspec.spectrum.assemble import _profile_columns
+from layerspec.spectrum.counterexample import capped_layer
 
 J01 = 2.404825557695773
 
@@ -24,6 +30,117 @@ def plane_layer():
 @pytest.fixture(scope="module")
 def hyperboloid_layer():
     return LayerSpec(build_chart("hyperboloid", {"s_max": 150.0}), a=0.3)
+
+
+def _flux_pair_stiffness(layer, m, mesh, neumann_outer=False):
+    """The stiffness summed from symmetric flux pairs in COO form, then ``tocsr()``.
+
+    An independent route to assemble_partial_wave's stiffness: every flux
+    adds +c to both diagonals and -c to both couplings, and the
+    conversion sums duplicates.
+    """
+    chart = layer.chart
+    nu = mesh.n_u - 1
+    n = mesh.n_unknowns
+    idx = lambda i, j: i * nu + j
+    rows, cols, vals = [], [], []
+
+    def add_pairs(i1, i2, c):
+        rows.append(np.concatenate([i1, i2, i1, i2]))
+        cols.append(np.concatenate([i1, i2, i2, i1]))
+        vals.append(np.concatenate([c, c, -c, -c]))
+
+    def add_diag(i1, c):
+        rows.append(i1)
+        cols.append(i1)
+        vals.append(c)
+
+    jj = np.arange(nu)
+    one_s_f, one_t_f, r_f = _profile_columns(chart, mesh.s_faces[1:-1], mesh.u_nodes)
+    c_face = (one_t_f * r_f / one_s_f) * (mesh.h_u / mesh.h_s)
+    fi = np.arange(mesh.n_s - 1)[:, None]
+    add_pairs(idx(fi, jj).ravel(), idx(fi + 1, jj).ravel(), c_face.ravel())
+    if not neumann_outer:
+        one_s_b, one_t_b, r_b = _profile_columns(chart, [mesh.S], mesh.u_nodes)
+        add_diag(idx(mesh.n_s - 1, jj), (one_t_b * r_b / one_s_b)[0] * (mesh.h_u / (0.5 * mesh.h_s)))
+    one_s_m, one_t_m, r_m = _profile_columns(chart, mesh.s_centers, mesh.u_midpoints)
+    c_elem = one_s_m * one_t_m * r_m * (mesh.h_s / mesh.h_u)
+    ii = np.arange(mesh.n_s)[:, None]
+    j_in = np.arange(nu - 1)
+    add_pairs(idx(ii, j_in).ravel(), idx(ii, j_in + 1).ravel(), c_elem[:, 1:nu].ravel())
+    add_diag(idx(np.arange(mesh.n_s), 0), c_elem[:, 0])
+    add_diag(idx(np.arange(mesh.n_s), nu - 1), c_elem[:, nu])
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    if m > 0:
+        one_s_n, one_t_n, r_n = _profile_columns(chart, mesh.s_centers, mesh.u_nodes)
+        w_node = one_s_n * one_t_n * r_n
+        cent = (m**2) * w_node / (one_t_n**2 * r_n**2) * (mesh.h_s * mesh.h_u)
+        A = A + sp.diags(cent.ravel(), format="csr")
+    return A
+
+
+def _capped_strip(S, R=1.0, a=0.29, n_s_per_R=50, n_u=32):
+    """The counterexample's truncation at S, its mesh face-aligned at the junction."""
+    mesh = build_mesh(S, a, int(n_s_per_R * S / R), n_u, align_face=np.pi * R / 2.0)
+    return capped_layer(R, a, S), mesh
+
+
+@pytest.mark.parametrize("operator", ["capped strip", "neumann cap", "hyperboloid m = 1"])
+def test_five_band_stiffness_equals_the_flux_pair_assembly(operator, hyperboloid_layer):
+    # same pattern (explicit zeros included) and bitwise the same sums, so
+    # the LU ordering and every value downstream stay as they were
+    m, neumann = 0, False
+    if operator == "capped strip":
+        layer, mesh = _capped_strip(10.0)
+    elif operator == "neumann cap":
+        layer, mesh = capped_layer(1.0, 0.29, np.pi), build_mesh(np.pi / 2.0, 0.29, 200, 40)
+        neumann = True
+    else:
+        layer, mesh, m = hyperboloid_layer, build_mesh(20.0, 0.3, n_s=200, n_u=32), 1
+    A = assemble_partial_wave(layer, m, mesh, neumann_outer=neumann).pair.stiffness
+    ref = _flux_pair_stiffness(layer, m, mesh, neumann_outer=neumann)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
+
+
+def test_assembly_transient_is_a_small_multiple_of_the_pair():
+    # the counterexample's largest strip (62 372 unknowns): the flux-pair
+    # lists, tocsr() and a three-matrix symmetry check peaked at 7.2 times
+    # the returned pair's bytes
+    layer, mesh = _capped_strip(40.0)
+    tracemalloc.start()
+    try:
+        op = assemble_partial_wave(layer, 0, mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pair_bytes = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+                     for M in (op.pair.stiffness, op.pair.mass))
+    assert op.pair.dimension == 62372
+    assert peak <= 4.0 * pair_bytes
+
+
+def test_refinement_solves_finest_first_and_tables_coarse_to_fine(hyperboloid_layer, monkeypatch):
+    sizes = []
+    assemble = spectrum_solve.assemble_partial_wave
+
+    def recorded(layer, m, mesh, **kw):
+        sizes.append(mesh.n_unknowns)
+        return assemble(layer, m, mesh, **kw)
+
+    monkeypatch.setattr(spectrum_solve, "assemble_partial_wave", recorded)
+    res = spectrum_with_refinement(hyperboloid_layer, 1, S=20.0, n_s=64, n_u=16, k=2, levels=3)
+    assert sizes == sorted(sizes, reverse=True)
+    levels = [solve_spectrum(assemble(hyperboloid_layer, 1, build_mesh(20.0, 0.3, 64 * 2**lev,
+                                                                       16 * 2**lev)), 2)
+              for lev in range(3)]
+    assert res.convergence == tuple((r.h_s, r.h_u, float(r.eigenvalues[0]), r.threshold_mesh)
+                                    for r in levels)
+    assert np.array_equal(res.eigenvalues, levels[-1].eigenvalues)
+    assert np.array_equal(res.residuals, levels[-1].residuals)
+    assert res.count == levels[-1].count
 
 
 def test_flat_disk_oracle(plane_layer):
