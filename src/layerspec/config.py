@@ -3,7 +3,8 @@
 Format: one ``section.key = value`` per line; ``#`` starts a comment.
 Values are typed per the schema below (floats, ints, booleans, strings, or
 comma-separated lists); unknown keys and malformed values, non-finite
-floats among them, are rejected before any computation starts.
+floats and ints below a key's minimum among them, are rejected before any
+computation starts.
 """
 
 import math
@@ -20,6 +21,7 @@ class _Key:
     kind: str  # "float" | "int" | "bool" | "str" | "float_list" | "int_list" | "str_list"
     default: object
     help: str
+    minimum: int = None  # least value of an "int" key
 
 
 SCHEMA = [
@@ -46,7 +48,8 @@ SCHEMA = [
     _Key("spectrum.m_list", "int_list", [0, 1, 2], "angular momentum indices"),
     _Key("spectrum.k", "int", 3, "eigenvalues per partial wave"),
     _Key("spectrum.levels", "int", 2,
-         "mesh refinement levels for the table; order_estimate needs 3 and is null below"),
+         "mesh refinement levels for the table; order_estimate needs 3 and is null below",
+         minimum=1),
     _Key("counterexample.R", "float", 1.0, "cap radius"),
     _Key("counterexample.a", "float", 0.3, "layer half-width for the capped run"),
     _Key("counterexample.S", "float", 10.0, "base truncation (runs at S, 2S, 4S)"),
@@ -73,7 +76,10 @@ def _parse_value(key, raw):
         if key.kind == "float":
             return _finite(raw)
         if key.kind == "int":
-            return int(raw)
+            value = int(raw)
+            if key.minimum is not None and value < key.minimum:
+                raise ConfigError(f"bad value for {key.name}: {raw!r} (at least {key.minimum})")
+            return value
         if key.kind == "bool":
             low = raw.lower()
             if low in ("true", "yes", "1"):

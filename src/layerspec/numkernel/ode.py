@@ -11,9 +11,12 @@ Only the tests import scipy's integrators, to check exactly that;
 ``scipy.optimize.brentq`` is imported only when the stop brackets a root.
 The trajectory object offers dense evaluation, and solver stalls become a
 typed error that records the last abscissa reached.  Dense evaluation reads
-the stored per-step interpolants and can be restricted to some state rows
+the per-step interpolants and can be restricted to some state rows
 (``rows=``), so a caller that needs a few components of a large batched
-system pays only for those.
+system pays only for those.  The interpolants are stored as the steps are
+taken, or, with ``keep_interpolants=False``, each is rebuilt bitwise from
+its step's start state on the first read of that step and kept, so a
+large system read in a few steps never holds the others.
 """
 
 from collections import namedtuple
@@ -58,20 +61,40 @@ _DenseSteps = namedtuple("_DenseSteps", "ts interpolants")
 
 
 class _Step:
-    """Quartic interpolant of one accepted step: y_old + h Q [x, x², x³, x⁴]."""
+    """Quartic interpolant of one accepted step: y_old + h Q [x, x², x³, x⁴].
 
-    __slots__ = ("t_old", "h", "Q", "y_old")
+    ``Q`` is either stored at integration or built on its first read by
+    taking the step again from ``y_old`` with the same arithmetic, so a
+    built ``Q`` is bitwise the stored one.  The rebuild needs the step's
+    start ``t_old``, its full size ``h`` (also when a stop root cut it
+    short), the wrapped RHS ``fun`` and ``t_f``, the abscissa at which the
+    stepper evaluated the step's first stage (the previous step's
+    ``t_old + h``, not always bitwise ``t_old``).
+    """
 
-    def __init__(self, t_old, t, y_old, Q):
+    __slots__ = ("t_old", "h", "y_old", "t_f", "fun", "_Q")
+
+    def __init__(self, t_old, h, y_old, t_f, fun, Q=None):
         self.t_old = t_old
-        self.h = t - t_old
-        self.Q = Q
+        self.h = h
         self.y_old = y_old
+        self.t_f = t_f
+        self.fun = fun
+        self._Q = Q
+
+    @property
+    def Q(self):
+        if self._Q is None:
+            K = np.empty((_C.size + 1, self.y_old.size))
+            _stages(self.fun, self.t_old, self.y_old, self.fun(self.t_f, self.y_old), self.h, K)
+            self._Q = K.T.dot(_P)
+        return self._Q
 
     def __call__(self, t):
         """State at the scalar ``t`` (stop location)."""
+        Q = self.Q
         x = (t - self.t_old) / self.h
-        return self.h * np.dot(self.Q, np.cumprod(np.tile(x, self.Q.shape[1]))) + self.y_old
+        return self.h * np.dot(Q, np.cumprod(np.tile(x, Q.shape[1]))) + self.y_old
 
 
 @dataclass
@@ -159,6 +182,21 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
+def _stages(fun, t, y, f, h, K):
+    """The DP5 stages of the step of size ``h`` from ``(t, y)``, ``f = rhs(t, y)``.
+
+    Writes the seven stages into ``K`` (the last is the FSAL derivative at
+    ``t + h``) and returns ``(y_new, f_new)``.
+    """
+    K[0] = f
+    for s in range(1, 6):
+        K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+    y_new = y + h * np.dot(K[:-1].T, _B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
 def _advance(fun, t, y, f, h_abs, K, t_bound, rtol, atol):
     """Take one accepted DP5(4) step from ``(t, y)`` with ``f = rhs(t, y)``.
 
@@ -173,13 +211,7 @@ def _advance(fun, t, y, f, h_abs, K, t_bound, rtol, atol):
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
         h_abs = np.abs(h)
-
-        K[0] = f
-        for s in range(1, 6):
-            K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-        y_new = y + h * np.dot(K[:-1].T, _B)
-        f_new = fun(t + h, y_new)
-        K[-1] = f_new
+        y_new, f_new = _stages(fun, t, y, f, h, K)
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         error_norm = _rms(np.dot(K.T, _E) * h / scale)
@@ -196,7 +228,7 @@ def _advance(fun, t, y, f, h_abs, K, t_bound, rtol, atol):
     return None
 
 
-def integrate_ode(rhs, initial, span, tol=1e-10, stop=None):
+def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=True):
     """Integrate ``y' = rhs(s, y)`` over ``span`` with local tolerance ``tol``.
 
     Step sizes are left to the controller: the first one is chosen from the
@@ -219,6 +251,12 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None):
         interpolant (Brent's method), as at scipy's terminal event with
         direction -1; a rise through zero is ignored.  The root is recorded
         as the trajectory's ``stopped_at``.
+    keep_interpolants : bool
+        Store every step's interpolant (the default).  When False a step
+        keeps only what rebuilds its interpolant, which is built on the
+        first dense read of that step and kept: for a large system read in
+        a few steps only, this trades 7 RHS calls per read step for the
+        ``4 * dim`` floats of every step.
 
     Raises
     ------
@@ -246,7 +284,7 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None):
     g = None if stop is None else stop(s0, y)
     stopped_at = None
 
-    t = s0
+    t = t_f = s0  # t_f: where the next step's first stage was evaluated
     ts, steps = [t], []
     # each state is written once into an array grown by doubling, and each
     # interpolant's y_old is a view of its row, so no list of rows is kept or
@@ -262,7 +300,10 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None):
             raise IntegrationFailureError(_TOO_SMALL_STEP, last_s=t)
         t_old = t
         t, y, f, h_abs = taken
-        step = _Step(t_old, t, states[len(ts) - 1], K.T.dot(_P))
+        h = t - t_old
+        step = _Step(t_old, h, states[len(ts) - 1], t_f, fun,
+                     K.T.dot(_P) if keep_interpolants else None)
+        t_f = t_old + h
         steps.append(step)
 
         if stop is not None:

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..errors import InvalidInputError
 from ..numkernel import lowest_eigenpairs
 from .assemble import assemble_partial_wave
 from .mesh import build_mesh
@@ -83,6 +84,8 @@ def spectrum_with_refinement(layer, m, S, n_s, n_u, k, levels):
     that no coarser solve has grown; the table runs from coarse to fine and
     the result is the finest level's.
     """
+    if levels < 1:
+        raise InvalidInputError(f"levels must be >= 1, got {levels}")
     table = []
     for lev in reversed(range(levels)):
         mesh = build_mesh(S, layer.a, n_s * 2**lev, n_u * 2**lev)

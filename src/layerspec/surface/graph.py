@@ -8,7 +8,11 @@ level theta_nodes[::k], with k the power-of-two stride that thins the ring
 to about 768 rays (k = 1, a single level, on fans of up to 1535 rays), is
 shot at build; the fine level of all other rays is shot the first time a
 read needs one of them, and kept.  Which rays share a batch depends only on
-k, never on the order of reads.  Curvatures at arbitrary fan points are
+k, never on the order of reads.  The coarse level stores the dense
+interpolant of every step, since every consumer reads it at every radius.
+The fine level keeps only its states, and builds the interpolant of a step
+on the first read that falls in it, and keeps it: ``totals`` reads the
+fine level at 8 radii only.  Curvatures at arbitrary fan points are
 evaluated from the closed graph (Weingarten) formulas, with the upward
 normal (-f_x, -f_y, 1)/W, which makes the mean curvature of an upward
 paraboloid positive.
@@ -273,11 +277,12 @@ def _pole_frame(surf):
     return e1, e2
 
 
-def _shoot(surf, dirs, s_max, tol):
+def _shoot(surf, dirs, s_max, tol, keep_interpolants):
     """Integrate the rays launched along ``dirs`` (n, 2) as one ODE system.
 
     Co-integrates r'' = -K r along every ray and stops at the first zero of
-    any ray's metric factor.
+    any ray's metric factor.  ``keep_interpolants=False`` stores no dense
+    interpolant; each step builds its own on its first read.
     """
     x0, y0 = surf.pole
     nt = dirs.shape[0]
@@ -296,7 +301,8 @@ def _shoot(surf, dirs, s_max, tol):
     def min_r(s, ys):
         return ys.reshape(6, nt)[4].min()
 
-    return integrate_ode(rhs, y_init, (0.0, s_max), tol=tol, stop=min_r)
+    return integrate_ode(rhs, y_init, (0.0, s_max), tol=tol, stop=min_r,
+                         keep_interpolants=keep_interpolants)
 
 
 def geodesic_fan(surf, theta_samples=96, s_max=50.0, tol=1e-10):
@@ -316,8 +322,8 @@ def geodesic_fan(surf, theta_samples=96, s_max=50.0, tol=1e-10):
     k = _thinning_stride(theta.size, _COARSE_RAYS)
     on_coarse = np.arange(theta.size) % k == 0
 
-    coarse = _shoot(surf, dirs[on_coarse], s_max, tol)
-    shoot_fine = lambda: _shoot(surf, dirs[~on_coarse], s_max, tol)
+    coarse = _shoot(surf, dirs[on_coarse], s_max, tol, keep_interpolants=True)
+    shoot_fine = lambda: _shoot(surf, dirs[~on_coarse], s_max, tol, keep_interpolants=False)
     fine = None
     s_hit = coarse.stopped_at
     if s_hit is not None and k > 1:

@@ -179,6 +179,12 @@ def test_non_finite_value_exit_four(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("levels", [0, -1])
+def test_no_refinement_level_exit_four(tmp_path, levels):
+    cfg = write_cfg(tmp_path, f"surface.name = hyperboloid\nspectrum.levels = {levels}\n")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
 def test_layer_force_is_the_only_force_and_is_echoed(tmp_path):
     # a = 1.0 is at least the hyperboloid's minimal normal curvature radius
     lines = ["surface.name = hyperboloid", "layer.a = 1.0", "spectrum.S = 20",

@@ -20,3 +20,10 @@ def test_finite_floats_parse():
     config = parse_config_text("surface.s_max = 1e300\ntotals.schedule = 1, 2.5, 3\n")
     assert config.get("surface.s_max") == 1e300
     assert config.get("totals.schedule") == [1.0, 2.5, 3.0]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_refinement_levels_below_one_rejected(value):
+    with pytest.raises(ConfigError, match=rf"spectrum.levels: '{value}' \(at least 1\)"):
+        parse_config_text(f"spectrum.levels = {value}\n")
+    assert parse_config_text("spectrum.levels = 1\n").get("spectrum.levels") == 1

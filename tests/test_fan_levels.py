@@ -13,7 +13,7 @@ import pytest
 from layerspec.catalog import build_chart
 from layerspec.cli import main
 from layerspec.errors import TruncationError
-from layerspec.numkernel import integrate_ode
+from layerspec.numkernel import integrate_ode, ode
 from layerspec.surface import graph
 from layerspec.surface.totals import radial_gauss_partials
 
@@ -25,11 +25,12 @@ def _spy(monkeypatch, replace_stop=None):
     """Record the state size of every batch a fan shoots through graph.integrate_ode."""
     sizes = []
 
-    def spy(rhs, initial, span, tol, stop=None):
+    def spy(rhs, initial, span, tol, stop=None, keep_interpolants=True):
         sizes.append(initial.size)
         if replace_stop is not None and len(sizes) > 1:
             stop = replace_stop
-        return integrate_ode(rhs, initial, span, tol=tol, stop=stop)
+        return integrate_ode(rhs, initial, span, tol=tol, stop=stop,
+                             keep_interpolants=keep_interpolants)
 
     monkeypatch.setattr(graph, "integrate_ode", spy)
     return sizes
@@ -92,6 +93,20 @@ def test_fine_level_is_shot_once_by_the_first_off_coarse_read(monkeypatch):
     fan.grid(_S)
     radial_gauss_partials(fan, _S)
     assert sizes == [6 * 768, 6 * 768]
+
+
+def test_full_ring_read_builds_only_the_fine_steps_it_reads(monkeypatch):
+    # the fine level stores no interpolant: a read builds those of the steps
+    # its radii fall in, once
+    fan = _monkey(1536)
+    radii = np.linspace(1.0, 19.0, 8)
+    radial_gauss_partials(fan, radii)
+    steps = fan._fine_traj._sol.interpolants
+    assert 0 < sum(p._Q is not None for p in steps) <= radii.size < len(steps)
+    stages = []
+    monkeypatch.setattr(ode, "_stages", lambda *args: stages.append(args))
+    radial_gauss_partials(fan, radii)
+    assert stages == []
 
 
 def _bump(pole):

@@ -175,9 +175,10 @@ def _captured_fan_problem(monkeypatch, make_chart):
     """The (rhs, initial, span, tol, stop) that a fan chart integrates."""
     calls = []
 
-    def spy(rhs, initial, span, tol, stop=None):
+    def spy(rhs, initial, span, tol, stop=None, keep_interpolants=True):
         calls.append((rhs, initial, span, tol, stop))
-        return integrate_ode(rhs, initial, span, tol=tol, stop=stop)
+        return integrate_ode(rhs, initial, span, tol=tol, stop=stop,
+                             keep_interpolants=keep_interpolants)
 
     monkeypatch.setattr(graph, "integrate_ode", spy)
     chart = make_chart()
@@ -193,10 +194,10 @@ def test_monkey_saddle_fan_matches_scipy(monkeypatch):
     _assert_matches_scipy(rhs, initial, span, tol, stop=stop)
 
 
-def test_truncating_fan_matches_scipy(monkeypatch):
+def _bump():
     # a tall Gaussian bump seen from off its top: rays meet a conjugate point
     bump = lambda x, y: 2.0 * np.exp(-(x**2 + y**2))
-    surf = graph.GraphSurface(
+    return graph.GraphSurface(
         f=bump,
         fx=lambda x, y: -2.0 * x * bump(x, y),
         fy=lambda x, y: -2.0 * y * bump(x, y),
@@ -205,13 +206,79 @@ def test_truncating_fan_matches_scipy(monkeypatch):
         fyy=lambda x, y: (4.0 * y**2 - 2.0) * bump(x, y),
         pole=(0.3, 0.0),
     )
+
+
+def test_truncating_fan_matches_scipy(monkeypatch):
     with pytest.warns(RuntimeWarning, match="conjugate point"):
         chart, (rhs, initial, span, tol, stop) = _captured_fan_problem(
-            monkeypatch, lambda: graph.geodesic_fan(surf, theta_samples=16, s_max=8.0)
+            monkeypatch, lambda: graph.geodesic_fan(_bump(), theta_samples=16, s_max=8.0)
         )
     assert chart.truncated
     traj = _assert_matches_scipy(rhs, initial, span, tol, stop=stop)
     assert traj.s_end == traj.stopped_at < span[1]
+
+
+# A step that stores no interpolant builds it on its first read, by taking
+# the step again from its start state: eval, the step's own call and Q are
+# bitwise those of the stored interpolant and of scipy's RK45.
+
+
+def _assert_built_on_read_matches(rhs, initial, span, tol, stop=None):
+    def integrate(keep):
+        return integrate_ode(rhs, initial, span, tol=tol, stop=stop, keep_interpolants=keep)
+
+    kept = integrate(True)
+    ref = _reference(rhs, np.asarray(initial, dtype=float), span, tol, stop=stop)
+    by_eval, by_call = integrate(False), integrate(False)
+    for traj in (by_eval, by_call):
+        assert np.array_equal(traj.abscissae, kept.abscissae)
+        assert np.array_equal(traj.states, kept.states)
+        assert traj.stopped_at == kept.stopped_at
+        # only the step that the stop read holds an interpolant
+        assert sum(p._Q is not None for p in traj._sol.interpolants) <= (stop is not None)
+    steps = kept._sol.interpolants
+    assert len(steps) == len(ref.sol.interpolants) == kept.abscissae.size - 1
+
+    s = np.linspace(span[0], kept.s_end, 301)
+    assert np.array_equal(by_eval.eval(s), kept.eval(s))
+    for built, stored, scipy_step in zip(by_call._sol.interpolants, steps, ref.sol.interpolants):
+        t = stored.t_old + 0.375 * stored.h
+        assert np.array_equal(built(t), stored(t))
+        assert np.array_equal(stored(t), scipy_step(t))
+    for traj in (by_eval, by_call):
+        for built, stored, scipy_step in zip(traj._sol.interpolants, steps, ref.sol.interpolants):
+            assert np.array_equal(built.Q, stored.Q) and np.array_equal(stored.Q, scipy_step.Q)
+    return kept
+
+
+@pytest.mark.parametrize("dim", [2, 12])
+def test_interpolants_built_on_read_match_stored_and_scipy(dim):
+    rhs, initial = _linear_problem(dim)
+    _assert_built_on_read_matches(rhs, initial, (0.0, 5.0), 1e-9)
+
+
+def test_monkey_saddle_fan_interpolants_built_on_read(monkeypatch):
+    _, (rhs, initial, span, tol, stop) = _captured_fan_problem(
+        monkeypatch, lambda: build_chart("monkey-saddle", {"theta_samples": 64, "s_max": 40.0})
+    )
+    _assert_built_on_read_matches(rhs, initial, span, tol, stop=stop)
+
+
+def test_truncating_fan_interpolants_built_on_read(monkeypatch):
+    with pytest.warns(RuntimeWarning, match="conjugate point"):
+        _, (rhs, initial, span, tol, stop) = _captured_fan_problem(
+            monkeypatch, lambda: graph.geodesic_fan(_bump(), theta_samples=16, s_max=8.0)
+        )
+    # the last step is cut short by the stop root
+    traj = _assert_built_on_read_matches(rhs, initial, span, tol, stop=stop)
+    last = traj._sol.interpolants[-1]
+    assert last.t_old < traj.stopped_at < last.t_old + last.h
+
+    # a stop whose root is exactly the node before the step that brackets
+    # it: that step is dropped, as scipy drops it
+    node = traj.abscissae[traj.abscissae.size // 2]
+    on_node = _assert_built_on_read_matches(rhs, initial, span, tol, stop=lambda s, y: -abs(s - node))
+    assert on_node.stopped_at == on_node.s_end == node
 
 
 def test_blowup_failure_matches_scipy():

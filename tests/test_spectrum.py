@@ -190,6 +190,12 @@ def test_order_estimate_reads_second_order_on_three_levels(hyperboloid_layer):
     assert res.order_estimate is None
 
 
+@pytest.mark.parametrize("levels", [0, -1])
+def test_refinement_needs_a_level(hyperboloid_layer, levels):
+    with pytest.raises(InvalidInputError, match="levels"):
+        spectrum_with_refinement(hyperboloid_layer, 0, S=20.0, n_s=64, n_u=16, k=1, levels=levels)
+
+
 def test_floor_above_a_bound_state_still_finds_it(hyperboloid_layer, monkeypatch):
     # a shift between lambda_0 and the threshold has the bound state below
     # it: the inertia counts it, and one Lanczos run returns it
