@@ -26,6 +26,7 @@ from .surface import (
     total_gauss_cartesian,
     total_mean_sq,
 )
+from .surface.charts import SUP_BAR
 from .spectrum import counterexample_full, spectrum_with_refinement
 from .varform import certify
 
@@ -61,6 +62,11 @@ def _estimate_payload(est):
     }
 
 
+def _rho_m_payload(rho):
+    """rho_m with its sampled-sup bar; a planar chart's infinite rho_m is exact."""
+    return measured(rho, SUP_BAR * rho if np.isfinite(rho) else 0.0)
+
+
 def _eigen_error(value, residual):
     """An eigenvalue's reported error: its relative residual times max(1, |value|)."""
     return float(residual) * max(1.0, abs(float(value)))
@@ -72,13 +78,12 @@ def cmd_describe(config, writer):
     ss = np.geomspace(chart.s_max / 256.0, chart.s_max * 0.98, 48)
     g = chart.grid(ss, stride=chart.theta_nodes.size)  # the theta = 0 column
     layer = LayerSpec(chart, a=config.get("layer.a"), force=True)
-    rho = layer.rho_m
     writer.add("surface", {
         "name": name,
         "definition": entry.definition if entry else "z = 0",
         "provenance_chart": "revolution" if chart.rotation_invariant else "graph-shot",
         "s_max": exact(chart.s_max),
-        "rho_m": measured(rho, 0.05 * rho if np.isfinite(rho) else 0.0),
+        "rho_m": _rho_m_payload(layer.rho_m),
         "truncated": chart.truncated,
     })
     j = 0
@@ -111,7 +116,7 @@ def cmd_check(config, writer):
                    "sup_abs_M": list(rep.sigma0_sup_M)},
         "sigma1": {"verdict": rep.sigma1, "partials": list(rep.sigma1_partials)},
         "sigma2": {"verdict": rep.sigma2, "partials": list(rep.sigma2_partials)},
-        "growth_constant": measured(rep.growth_constant, 0.05 * rep.growth_constant),
+        "growth_constant": measured(rep.growth_constant, SUP_BAR * rep.growth_constant),
         "notes": list(rep.notes),
     })
     writer.write_csv(
@@ -161,7 +166,7 @@ def cmd_certify(config, writer):
         "q_tilde": measured(cert.q_tilde, cert.error),
         "norm_sq": measured(cert.norm_sq, cert.norm_error),
         "kappa1_sq": exact(layer.kappa1_sq),
-        "rho_m": measured(layer.rho_m, 0.05 * layer.rho_m if np.isfinite(layer.rho_m) else 0.0),
+        "rho_m": _rho_m_payload(layer.rho_m),
         "c_bounds": list(c_bounds(layer)),
         "notes": list(cert.notes),
     })

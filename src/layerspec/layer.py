@@ -8,8 +8,8 @@ block (delta - u h)^2 g and a trivial normal block.  The determinant factor
 
 relates the layer and surface measures, sqrt(G) = sqrt(g) f, and stays
 positive as long as the half-width is below the minimal normal curvature
-radius rho_m (checked here with a sampled-sup estimate and a 5% safety
-factor, reported as an estimate, never as a proof).
+radius rho_m (checked here with a sampled-sup estimate times the charts'
+one sup factor 1 + SUP_BAR, reported as an estimate, never as a proof).
 """
 
 from dataclasses import dataclass
@@ -18,13 +18,10 @@ import numpy as np
 
 from .errors import HypothesisViolationError, InvalidInputError
 from .numkernel import gauss_legendre
+from .surface.charts import SUP_BAR, read_rings
 
-_SUP_SAFETY = 1.05
 _PLANAR_SUP = 1e-12
 _RHO_PROBES = 400  # radii sampled by rho_m, half geometric and half uniform
-# points (radii x rays) per chart.grid read in rho_m: bounds the read's
-# temporaries, several arrays of this size each
-_RHO_READ_POINTS = 2**15
 # collision_scan's sample counts in s, theta and u
 _SCAN_S, _SCAN_THETA, _SCAN_U = 48, 24, 5
 # transverse modes and Gauss nodes of check_mode_orthonormality
@@ -34,20 +31,13 @@ _GRAM_MODES, _GRAM_NODES = 5, 48
 def rho_m(chart):
     """Minimal normal curvature radius: 1 / sup(|k1|, |k2|), sampled.
 
-    Dense sampling over the chart with a 5% safety factor on the supremum;
-    returns inf for (numerically) planar charts.  The sample radii are read
-    in consecutive blocks of at most _RHO_READ_POINTS points (radii x rays)
-    under a running maximum, which is the supremum of one whole read.
+    Dense sampling over the chart with the supremum scaled by 1 + SUP_BAR;
+    returns inf for (numerically) planar charts.
     """
-    s = _rho_radii(chart)
-    stride = chart.theta_stride_for(512)
-    per_read = max(1, _RHO_READ_POINTS // chart.theta_nodes[::stride].size)
-    sup = 0.0
-    for block in np.array_split(s, -(-s.size // per_read)):
-        g = chart.grid(block, stride=stride)
-        sup = np.maximum(sup, np.max(np.maximum(np.abs(g.k1), np.abs(g.k2))))  # keeps a NaN
-        del g  # freed before the next block is read
-    sup = float(sup) * _SUP_SAFETY
+    ring_sups = read_rings(chart, _rho_radii(chart),
+                           lambda g: np.maximum(np.abs(g.k1), np.abs(g.k2)).max(axis=1),
+                           stride=chart.theta_stride_for(512))
+    sup = float(np.max(ring_sups)) * (1.0 + SUP_BAR)  # np.max keeps a NaN
     if sup <= _PLANAR_SUP:
         return np.inf
     return 1.0 / sup

@@ -6,28 +6,22 @@ sparse symmetric generalized eigensolver.  Everything here is pure given its inp
 """
 
 from .quadrature import (
-    AdaptiveIntegral,
-    QuadratureGrid,
     adaptive_gauss,
     gauss_legendre,
     geometric_panels,
     panelize,
 )
-from .ode import OdeTrajectory, integrate_ode
+from .ode import integrate_ode
 from .bessel import bessel_k
-from .eigensolve import SparseSymmetricPair, EigenPair, lowest_eigenpairs
+from .eigensolve import SparseSymmetricPair, lowest_eigenpairs
 
 __all__ = [
-    "AdaptiveIntegral",
-    "QuadratureGrid",
     "adaptive_gauss",
     "gauss_legendre",
     "geometric_panels",
     "panelize",
-    "OdeTrajectory",
     "integrate_ode",
     "bessel_k",
     "SparseSymmetricPair",
-    "EigenPair",
     "lowest_eigenpairs",
 ]

@@ -1,10 +1,9 @@
 """Finite-difference spectra of axisymmetric layers by partial waves."""
 
-from .mesh import AxisymMesh, build_mesh
-from .assemble import PartialWaveOperator, assemble_partial_wave
-from .solve import SpectrumResult, mesh_threshold, solve_spectrum, spectrum_with_refinement
+from .mesh import build_mesh
+from .assemble import assemble_partial_wave
+from .solve import mesh_threshold, solve_spectrum, spectrum_with_refinement
 from .counterexample import (
-    CounterexampleReport,
     cap_neumann_ground,
     counterexample_full,
     counterexample_radial,
@@ -13,15 +12,11 @@ from .counterexample import (
 )
 
 __all__ = [
-    "AxisymMesh",
     "build_mesh",
-    "PartialWaveOperator",
     "assemble_partial_wave",
-    "SpectrumResult",
     "mesh_threshold",
     "solve_spectrum",
     "spectrum_with_refinement",
-    "CounterexampleReport",
     "cap_neumann_ground",
     "counterexample_full",
     "counterexample_radial",

@@ -3,7 +3,6 @@
 from .charts import ChartGrid, uniform_theta
 from .revolution import (
     MeridianSpec,
-    ProfileSample,
     RevolutionChart,
     RevolutionProfile,
     profile_from_height,
@@ -11,8 +10,6 @@ from .revolution import (
 )
 from .graph import FanChart, GraphSurface, geodesic_fan, graph_curvatures
 from .totals import (
-    TotalCurvatureEstimate,
-    analyze_truncations,
     gauss_bonnet_residual,
     ring_integral,
     total_abs_gauss,
@@ -21,13 +18,12 @@ from .totals import (
     total_grad_mean_sq,
     total_mean_sq,
 )
-from .hypotheses import HypothesisReport, asymptotic_flatness_verdict, hypotheses_report
+from .hypotheses import asymptotic_flatness_verdict, hypotheses_report
 
 __all__ = [
     "ChartGrid",
     "uniform_theta",
     "MeridianSpec",
-    "ProfileSample",
     "RevolutionChart",
     "RevolutionProfile",
     "profile_from_height",
@@ -36,8 +32,6 @@ __all__ = [
     "GraphSurface",
     "geodesic_fan",
     "graph_curvatures",
-    "TotalCurvatureEstimate",
-    "analyze_truncations",
     "gauss_bonnet_residual",
     "ring_integral",
     "total_abs_gauss",
@@ -45,7 +39,6 @@ __all__ = [
     "total_gauss_cartesian",
     "total_grad_mean_sq",
     "total_mean_sq",
-    "HypothesisReport",
     "asymptotic_flatness_verdict",
     "hypotheses_report",
 ]

@@ -20,6 +20,10 @@ geodesics for graphs.  Every chart has
     theta_stride_for(max_rays)    stride thinning the ring to about max_rays
                                   rays; 1 where the ring is exact and cheap
 
+A sweep over many radii reads through read_rings, which keeps each grid()
+call under READ_POINTS points (radii x rays).  SUP_BAR is the relative bar
+of every sampled supremum, which is scaled by 1 + SUP_BAR as an estimate.
+
 Charts are immutable after construction and all evaluations are reentrant.
 Every field of a grid broadcasts to (Ns, Nt), Nt the size of its (strided)
 ring: a theta-independent field may be an (Ns, 1) column, as every
@@ -39,6 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
+
+# points (radii x rays) per chart.grid read of a multi-radius sweep: bounds
+# the read's temporaries, several arrays of this size each
+READ_POINTS = 2**15
+# relative bar on a sampled supremum of a chart field
+SUP_BAR = 0.05
 
 
 def uniform_theta(n):
@@ -77,3 +87,15 @@ class ChartGrid:
     def grad_M_sq(self):
         """|grad_g M|^2 = (dM/ds)^2 + r^{-2} (dM/dtheta)^2."""
         return self.dM_ds**2 + self.dM_dtheta**2 / self.r**2
+
+
+def read_rings(chart, s, reduce, stride=1):
+    """``reduce(grid)`` at the radii ``s`` on the rays theta_nodes[::stride].
+
+    Radii are read in order, in blocks of at most READ_POINTS points (or one
+    radius), each grid dropped before the next; the results are joined along
+    the radius axis, as one whole read gives where ``reduce`` works by ring.
+    """
+    per_read = max(1, READ_POINTS // chart.theta_nodes[::stride].size)
+    return np.concatenate([reduce(chart.grid(block, stride=stride))
+                           for block in np.array_split(s, -(-len(s) // per_read))])

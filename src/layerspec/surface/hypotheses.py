@@ -1,6 +1,7 @@
 """Numerical verdicts for the asymptotic-planarity and integrability boxes.
 
-All verdicts here are sampled evidence with safety factors, reported as
+All verdicts here are sampled evidence, the report's sups and growth
+constant scaled by the charts' one sup factor 1 + SUP_BAR, reported as
 estimates, never as proofs.  A verdict is "pass", "fail", or "undecided"
 when the evidence is non-monotone or rests on ring integrals that are not
 angularly resolved.
@@ -12,6 +13,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..numkernel import gauss_legendre, panelize
+from .charts import SUP_BAR, read_rings
 from .totals import (
     radial_gauss_partials,
     resolved_prefix,
@@ -20,13 +22,12 @@ from .totals import (
     total_grad_mean_sq,
 )
 
-_SUP_SAFETY = 1.05
 _ZERO_FLOOR = 1e-10
 # radii sampled per annulus by the quick flatness gate and by the full report
 _FLATNESS_SAMPLES = 120
 _REPORT_SAMPLES = 160
-# the flatness gate's annulus radii, as fractions of the chart's s_max
-_FLATNESS_RADII = (0.125, 0.25, 0.5, 0.96)
+# the flatness gate's annulus edges, as fractions of the chart's s_max
+_FLATNESS_EDGES = (0.0625, 0.125, 0.25, 0.5, 0.96)
 
 
 @dataclass(frozen=True)
@@ -68,27 +69,24 @@ def _integral_verdict(estimate):
     return "pass"
 
 
-def _sigma0_probe(chart, radii, samples_per_annulus, stride, safety, from_pole=False):
-    """sup|K|, sup|M| per annulus (times ``safety``), their decay verdicts, the combined
-    verdict (fail if either fails, pass if both pass) and whether K keeps one sign on the
-    samples, which ``from_pole`` extends over the disk inside the first annulus."""
-    sup_K, sup_M = [], []
-    K_max, K_min = -np.inf, np.inf
-    edges = np.concatenate([[0.0] if from_pole else [], [radii[0] * 0.5], radii])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        g = chart.grid(np.linspace(lo, hi, samples_per_annulus), stride=stride)
-        sup_K.append(safety * float(np.abs(g.K).max()))
-        sup_M.append(safety * float(np.abs(g.M).max()))
-        K_max, K_min = max(K_max, g.K.max()), min(K_min, g.K.min())
-    sup_K, sup_M = np.asarray(sup_K[-radii.size:]), np.asarray(sup_M[-radii.size:])
+def _sigma0_probe(chart, edges, samples_per_annulus, stride):
+    """sup|K| and sup|M| on each annulus between consecutive ``edges``, sampled at
+    ``samples_per_annulus`` radii on the rays theta_nodes[::stride] in one sweep, and
+    whether K keeps one sign on every sample."""
+    s = np.concatenate([np.linspace(lo, hi, samples_per_annulus)
+                        for lo, hi in zip(edges[:-1], edges[1:])])
+    rings = read_rings(chart, s, lambda g: np.stack(
+        [np.abs(g.K).max(axis=1), np.abs(g.M).max(axis=1), g.K.max(axis=1), g.K.min(axis=1)],
+        axis=1), stride=stride)
+    sup_K, sup_M = rings[:, :2].reshape(-1, samples_per_annulus, 2).max(axis=1).T
+    return sup_K, sup_M, rings[:, 2].max() <= 1e-12 or rings[:, 3].min() >= -1e-12
+
+
+def _sigma0_verdict(sup_K, sup_M):
+    """Combined verdict (fail if either fails, pass if both pass), sup|K|'s and sup|M|'s."""
     v_K, v_M = _decay_verdict(sup_K), _decay_verdict(sup_M)
-    if "fail" in (v_K, v_M):
-        verdict = "fail"
-    elif v_K == v_M == "pass":
-        verdict = "pass"
-    else:
-        verdict = "undecided"
-    return verdict, sup_K, sup_M, v_K, v_M, K_max <= 1e-12 or K_min >= -1e-12
+    verdict = "fail" if "fail" in (v_K, v_M) else "pass" if v_K == v_M == "pass" else "undecided"
+    return verdict, v_K, v_M
 
 
 def _resolution_cut(radii, full, half, what, notes):
@@ -117,9 +115,9 @@ def asymptotic_flatness_verdict(chart):
     Used as a gate by consumers whose conclusions presuppose that the
     essential spectrum starts at the transverse threshold.
     """
-    radii = chart.s_max * np.array(_FLATNESS_RADII)
-    stride = chart.theta_stride_for(256)
-    return _sigma0_probe(chart, radii, _FLATNESS_SAMPLES, stride, 1.0)[0]
+    edges = chart.s_max * np.array(_FLATNESS_EDGES)
+    sup_K, sup_M, _ = _sigma0_probe(chart, edges, _FLATNESS_SAMPLES, chart.theta_stride_for(256))
+    return _sigma0_verdict(sup_K, sup_M)[0]
 
 
 def hypotheses_report(chart, probe_radii):
@@ -128,15 +126,17 @@ def hypotheses_report(chart, probe_radii):
     Parameters
     ----------
     chart : polar chart
-    probe_radii : increasing radii bounding the annuli to probe; the largest
+    probe_radii : increasing positive radii bounding the annuli to probe; the largest
         must not exceed the chart validity radius.
 
     The linear-growth constant C is estimated as the max over the sampled
-    radii of (circumference integral of r)/s, times a 5% safety factor.
+    radii of (circumference integral of r)/s, times 1 + SUP_BAR.
     """
     probe_radii = np.asarray(probe_radii, dtype=float)
     if probe_radii.size < 4 or not np.all(np.diff(probe_radii) > 0):
         raise InvalidInputError("need at least 4 increasing probe radii")
+    if probe_radii[0] <= 0:
+        raise InvalidInputError("probe radii must be positive")
     if probe_radii[-1] > chart.s_max * (1 + 1e-12):
         raise InvalidInputError("probe radii exceed chart validity range")
 
@@ -145,8 +145,11 @@ def hypotheses_report(chart, probe_radii):
     # fan's ring can fall short of it: a revolution ring is one column)
     probe_radii, _ = _resolution_cut(probe_radii, *radial_gauss_partials(chart, probe_radii),
                                      "fan ring integrals", notes)
-    sigma0, sup_K, sup_M, v_K, v_M, sign_definite = _sigma0_probe(
-        chart, probe_radii, _REPORT_SAMPLES, 1, _SUP_SAFETY, from_pole=True)
+    # the disk inside the first annulus counts for K's sign only
+    sup_K, sup_M, sign_definite = _sigma0_probe(
+        chart, np.r_[0.0, probe_radii[0] * 0.5, probe_radii], _REPORT_SAMPLES, 1)
+    sup_K, sup_M = (1.0 + SUP_BAR) * sup_K[1:], (1.0 + SUP_BAR) * sup_M[1:]
+    sigma0, v_K, v_M = _sigma0_verdict(sup_K, sup_M)
     if sigma0 != "pass":
         notes.append(f"sup|K| verdict {v_K}, sup|M| verdict {v_M}")
 
@@ -172,9 +175,8 @@ def hypotheses_report(chart, probe_radii):
 
     # growth estimate for the circumference: int r dtheta <= C s
     quad = gauss_legendre(8, panelize(probe_radii[0] * 1e-3, probe_radii[-1], first=probe_radii[0] / 4))
-    g = chart.grid(quad.nodes)
-    circ = g.r.mean(axis=1) * 2.0 * np.pi
-    growth_C = _SUP_SAFETY * float(np.max(circ / quad.nodes))
+    circ = read_rings(chart, quad.nodes, lambda g: g.r.mean(axis=1)) * 2.0 * np.pi
+    growth_C = (1.0 + SUP_BAR) * float(np.max(circ / quad.nodes))
 
     return HypothesisReport(
         sigma0=sigma0, sigma0_sup_K=sup_K, sigma0_sup_M=sup_M, annuli=probe_radii,

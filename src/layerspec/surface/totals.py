@@ -120,6 +120,8 @@ def _check_schedule(chart, schedule):
     schedule = np.asarray(schedule, dtype=float)
     if schedule.ndim != 1 or schedule.size < 3 or not np.all(np.diff(schedule) > 0):
         raise InvalidInputError("truncation schedule must be increasing with >= 3 entries")
+    if schedule[0] <= 0:
+        raise InvalidInputError("truncation schedule radii must be positive")
     if schedule[-1] > chart.s_max * (1 + 1e-12):
         raise InvalidInputError("schedule exceeds chart validity range")
     return schedule

@@ -3,7 +3,6 @@
 from .trials import (
     RadialBump,
     RadialFactor,
-    SeparableTerm,
     TrialFunction,
     combine,
     default_bump,
@@ -17,19 +16,17 @@ from .trials import (
     thin_trial,
 )
 from .form import (
-    FormEvaluation,
     bilinear_shifted,
     bump_mean_curvature_pairing,
     evaluate_form,
     mixed_term,
     surface_pairing,
 )
-from .certify import Certificate, certify
+from .certify import certify
 
 __all__ = [
     "RadialBump",
     "RadialFactor",
-    "SeparableTerm",
     "TrialFunction",
     "combine",
     "default_bump",
@@ -41,12 +38,10 @@ __all__ = [
     "log_pairing",
     "symmetric_log_trial",
     "thin_trial",
-    "FormEvaluation",
     "bilinear_shifted",
     "bump_mean_curvature_pairing",
     "evaluate_form",
     "mixed_term",
     "surface_pairing",
-    "Certificate",
     "certify",
 ]

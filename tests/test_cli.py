@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import os
+import warnings
 
 import pytest
 
@@ -109,6 +110,17 @@ def test_totals_csv_has_a_row_per_scheduled_radius(tmp_path):
     assert n_gauss == 3 < len(rows) == 8
     assert [float(row["partial_gauss"]) for row in rows[:n_gauss]] == doc["total_gauss"]["partials"]
     assert all(row["partial_gauss"] == "" for row in rows[n_gauss:])
+
+
+@pytest.mark.parametrize("command, key", [("check", "check.probe_radii"),
+                                          ("totals", "totals.schedule")])
+@pytest.mark.parametrize("first", ["0", "-1"])
+def test_non_positive_first_radius_rejected(tmp_path, capsys, command, key, first):
+    cfg = write_cfg(tmp_path, f"surface.name = plane\n{key} = {first}, 1, 2, 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "radii must be positive" in capsys.readouterr().err
 
 
 def test_certify_plane_not_found(tmp_path):

@@ -10,7 +10,6 @@ from layerspec.surface import hypotheses_report
 from layerspec.varform import (
     RadialBump,
     RadialFactor,
-    SeparableTerm,
     TrialFunction,
     bilinear_shifted,
     bump_mean_curvature_pairing,
@@ -25,7 +24,7 @@ from layerspec.varform import (
     thin_trial,
 )
 from layerspec.varform import form
-from layerspec.varform.trials import SectorBump, _radial_term
+from layerspec.varform.trials import SectorBump, SeparableTerm, _radial_term
 
 
 def gaussian_radial(center, width, s_hi):

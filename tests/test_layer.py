@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from layerspec import layer
 from layerspec.catalog import build_chart
 from layerspec.errors import HypothesisViolationError, InvalidInputError
 from layerspec.layer import (
@@ -12,10 +13,18 @@ from layerspec.layer import (
     det_factor,
     layer_metric,
     rho_m,
-    _RHO_READ_POINTS,
     _rho_radii,
 )
-from layerspec.surface import MeridianSpec, revolution_from_meridian, RevolutionChart
+from layerspec.numkernel import gauss_legendre, panelize
+from layerspec.surface import (
+    MeridianSpec,
+    RevolutionChart,
+    asymptotic_flatness_verdict,
+    hypotheses_report,
+    revolution_from_meridian,
+)
+from layerspec.surface import hypotheses
+from layerspec.surface.charts import READ_POINTS, read_rings
 
 
 def unit_sphere_chart(s_max=2.8):
@@ -51,15 +60,26 @@ def _whole_read(chart):
 
 
 def _spy_reads(chart, monkeypatch):
-    reads = []
+    """The chart.grid reads made inside read_rings, as (radii, points)."""
+    reads, inside = [], []
     grid = chart.grid
 
     def spy(s_nodes, stride=1):
         g = grid(s_nodes, stride=stride)
-        reads.append((g.s, g.s.size * g.theta.size))
+        if inside:
+            reads.append((g.s, g.s.size * g.theta.size))
         return g
 
+    def ring_reader(*args, **kwargs):
+        inside.append(True)
+        try:
+            return read_rings(*args, **kwargs)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(chart, "grid", spy)
+    for module in (layer, hypotheses):
+        monkeypatch.setattr(module, "read_rings", ring_reader)
     return reads
 
 
@@ -78,12 +98,52 @@ def test_rho_m_is_the_supremum_of_one_whole_read(fan, name):
     assert rho_m(chart) == 1.0 / (1.05 * float(np.max(np.maximum(np.abs(g.k1), np.abs(g.k2)))))
 
 
-def test_rho_m_reads_each_radius_once_within_the_points_budget(fan, monkeypatch):
+def _annulus_sups(chart, edges, samples, stride):
+    """sup|K| and sup|M| of each annulus from one read of it, and all the annuli's radii."""
+    radii = [np.linspace(lo, hi, samples) for lo, hi in zip(edges[:-1], edges[1:])]
+    sups = []
+    for s in radii:
+        g = chart.grid(s, stride=stride)
+        sups.append((np.abs(g.K).max(), np.abs(g.M).max()))
+    return *np.array(sups).T, np.concatenate(radii)
+
+
+def _read_rho_m(chart):
+    g = _whole_read(chart)
+    oracle = 1.0 / (1.05 * float(np.max(np.maximum(np.abs(g.k1), np.abs(g.k2)))))
+    return rho_m(chart), oracle, _rho_radii(chart)
+
+
+def _read_flatness(chart):
+    edges = chart.s_max * np.array(hypotheses._FLATNESS_EDGES)
+    sup_K, sup_M, radii = _annulus_sups(chart, edges, hypotheses._FLATNESS_SAMPLES,
+                                        chart.theta_stride_for(256))
+    return asymptotic_flatness_verdict(chart), hypotheses._sigma0_verdict(sup_K, sup_M)[0], radii
+
+
+def _read_report(chart):
+    rep = hypotheses_report(chart, chart.s_max * np.array([0.06, 0.12, 0.24, 0.48, 0.96]))
+    r = rep.annuli
+    # the disk inside the first annulus is read for K's sign only
+    sup_K, sup_M, radii = _annulus_sups(chart, np.r_[0.0, r[0] / 2, r], hypotheses._REPORT_SAMPLES, 1)
+    nodes = gauss_legendre(8, panelize(r[0] * 1e-3, r[-1], first=r[0] / 4)).nodes
+    growth = 1.05 * float(np.max(chart.grid(nodes).r.mean(axis=1) * 2.0 * np.pi / nodes))
+    return ((list(rep.sigma0_sup_K), list(rep.sigma0_sup_M), rep.growth_constant),
+            (list(1.05 * sup_K[1:]), list(1.05 * sup_M[1:]), growth),
+            np.concatenate([radii, nodes]))
+
+
+@pytest.mark.parametrize("read", [_read_rho_m, _read_flatness, _read_report],
+                         ids=["rho_m", "flatness", "report"])
+def test_ring_readers_read_each_radius_once_within_the_points_budget(fan, monkeypatch, read):
+    # each reader's result equals the oracle's whole reads: one of rho_m's
+    # radii, one per sigma0 annulus, one of the growth constant's Gauss nodes
     reads = _spy_reads(fan, monkeypatch)
-    rho_m(fan)
+    result, oracle, radii = read(fan)
     assert len(reads) > 1
-    assert max(points for _, points in reads) <= _RHO_READ_POINTS
-    assert np.array_equal(np.concatenate([s for s, _ in reads]), _rho_radii(fan))
+    assert max(points for _, points in reads) <= READ_POINTS
+    assert np.array_equal(np.concatenate([s for s, _ in reads]), radii)
+    assert result == oracle
 
 
 def test_rho_m_reads_a_revolution_chart_once(monkeypatch):
