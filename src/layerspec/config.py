@@ -3,7 +3,8 @@
 Format: one ``section.key = value`` per line; ``#`` starts a comment.
 Values are typed per the schema below (floats, ints, booleans, strings, or
 comma-separated lists); unknown keys and malformed values, non-finite
-floats and ints below a key's minimum among them, are rejected before any
+floats, ints below a key's minimum and radius lists too short, not strictly
+increasing or not starting above 0 among them, are rejected before any
 computation starts.
 """
 
@@ -22,6 +23,7 @@ class _Key:
     default: object
     help: str
     minimum: int = None  # least value of an "int" key
+    radii: int = None  # least length of a "float_list" key of radii
 
 
 SCHEMA = [
@@ -35,8 +37,10 @@ SCHEMA = [
     _Key("layer.a", "float", 0.1, "layer half-width"),
     _Key("layer.force", "bool", False, "keep going when a >= rho_m (records the violation)"),
     _Key("solver.ode_tol", "float", 1e-10, "ODE local tolerance of fan shooting and height profiles"),
-    _Key("totals.schedule", "float_list", _UNSET, "truncation radii (default: geometric to s_max)"),
-    _Key("check.probe_radii", "float_list", _UNSET, "annulus radii for the hypothesis checks"),
+    _Key("totals.schedule", "float_list", _UNSET, "truncation radii (default: geometric to s_max)",
+         radii=3),
+    _Key("check.probe_radii", "float_list", _UNSET, "annulus radii for the hypothesis checks",
+         radii=4),
     _Key("certify.strategies", "str_list",
          ["goldstone_jaffe", "deformed", "thin", "symmetric_log"],
          "trial families to try, in order"),
@@ -70,6 +74,19 @@ def _finite(raw):
     return value
 
 
+def _check_radii(key, raw, values):
+    """At least ``key.radii`` strictly increasing radii, the first above 0."""
+    if len(values) < key.radii:
+        problem = f"at least {key.radii} radii"
+    elif any(b <= a for a, b in zip(values, values[1:])):
+        problem = "radii must increase strictly"
+    elif values[0] <= 0:
+        problem = "radii must be positive"
+    else:
+        return
+    raise ConfigError(f"bad value for {key.name}: {raw!r} ({problem})")
+
+
 def _parse_value(key, raw):
     raw = raw.strip()
     try:
@@ -91,7 +108,10 @@ def _parse_value(key, raw):
             return raw
         items = [x.strip() for x in raw.split(",") if x.strip()]
         if key.kind == "float_list":
-            return [_finite(x) for x in items]
+            values = [_finite(x) for x in items]
+            if key.radii is not None:
+                _check_radii(key, raw, values)
+            return values
         if key.kind == "int_list":
             return [int(x) for x in items]
         if key.kind == "str_list":

@@ -13,14 +13,25 @@ The trajectory object offers dense evaluation, and solver stalls become a
 typed error that records the last abscissa reached.  Dense evaluation reads
 the per-step interpolants and can be restricted to some state rows
 (``rows=``), so a caller that needs a few components of a large batched
-system pays only for those.  The interpolants are stored as the steps are
-taken, or, with ``keep_interpolants=False``, each is rebuilt bitwise from
-its step's start state on the first read of that step and kept, so a
-large system read in a few steps never holds the others.
-"""
+system pays only for those.
 
-from collections import namedtuple
-from dataclasses import dataclass
+A trajectory either stores every step's interpolant and start state as the
+steps are taken, or, with ``keep_interpolants=False``, is checkpointed: it
+stores the start state of every ``_CHECKPOINT_SPACING``-th step (8) and the
+end state, and no interpolant.  A read of another step's start walks
+forward from the nearest earlier start held, taking the accepted steps
+again with the stepper's arithmetic and their recorded ``(t_old, h, t_f)``,
+and keeps the start it reads; a step's interpolant is built the same way
+from its start on its first read, and keeps the next step's start, which
+the same stages give, so reads in increasing order walk once per gap.  What is built is bitwise what the stored trajectory
+holds, and is kept.  This is the checkpoint/recompute trade of Griewank &
+Walther (*Algorithm 799: revolve*, ACM TOMS 26, 2000) at one fixed spacing:
+a large system read in a few steps holds about an eighth of its starts and
+none of the other interpolants, and pays a walk of 3.5 steps on average per
+read step.  ``states`` stays the full array; a checkpointed trajectory
+builds it on first access, and its exact node reads in :meth:`eval` read
+the hit nodes only.
+"""
 
 import numpy as np
 
@@ -56,38 +67,87 @@ _P = np.array([
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
 
-# accepted step abscissae and one interpolant per step
-_DenseSteps = namedtuple("_DenseSteps", "ts interpolants")
+# a checkpointed trajectory stores the start state of every 8th step (and of
+# its last one), so a read of any other start walks at most 7 steps.  On the
+# monkey-saddle totals chart's fine level (190 steps of a 13 824-dim state)
+# total_gauss's 8 reads walk 16 steps in all, about 0.6 ms each, and leave 37
+# starts held (3.9 MiB) where storing them all takes 20.0 MiB
+_CHECKPOINT_SPACING = 8
+
+
+class _DenseSteps:
+    """The accepted steps of one integration: abscissae ``ts``, one
+    :class:`_Step` per step in ``interpolants``, and the wrapped RHS ``fun``
+    that takes a step again."""
+
+    __slots__ = ("ts", "interpolants", "fun")
+
+    def __init__(self, fun):
+        self.ts = None
+        self.interpolants = []
+        self.fun = fun
+
+    def walk_to(self, j):
+        """Hold the start state of step ``j``.
+
+        Walks from the nearest earlier step that holds its start, taking
+        each step again with the stepper's arithmetic and ``(t_old, h,
+        t_f)``, so the start comes out bitwise the integrated one.  Only
+        step ``j``'s start is kept: the starts passed on the way are not.
+        """
+        steps = self.interpolants
+        c = j
+        while steps[c]._y_old is None:
+            c -= 1
+        y = steps[c]._y_old
+        f = self.fun(steps[c].t_f, y)
+        K = np.empty((_C.size + 1, y.size))
+        for step in steps[c:j]:
+            y, f = _stages(self.fun, step.t_old, y, f, step.h, K)
+        steps[j]._y_old = y
 
 
 class _Step:
     """Quartic interpolant of one accepted step: y_old + h Q [x, x², x³, x⁴].
 
-    ``Q`` is either stored at integration or built on its first read by
-    taking the step again from ``y_old`` with the same arithmetic, so a
-    built ``Q`` is bitwise the stored one.  The rebuild needs the step's
-    start ``t_old``, its full size ``h`` (also when a stop root cut it
-    short), the wrapped RHS ``fun`` and ``t_f``, the abscissa at which the
-    stepper evaluated the step's first stage (the previous step's
-    ``t_old + h``, not always bitwise ``t_old``).
+    ``Q`` and the start state ``y_old`` are either stored at integration or
+    built on their first read and kept.  ``y_old`` is built by a walk (see
+    :meth:`_DenseSteps.walk_to`); ``Q`` by taking the step again from
+    ``y_old`` with the same arithmetic, so both are bitwise the stored ones,
+    and the same stages give the next step's start, which is kept too.  The
+    rebuild needs the step's start ``t_old``, its full size ``h`` (also
+    when a stop root cut it short), and ``t_f``, the abscissa at which the
+    stepper evaluated the step's first stage (the previous step's ``t_old +
+    h``, not always bitwise ``t_old``).
     """
 
-    __slots__ = ("t_old", "h", "y_old", "t_f", "fun", "_Q")
+    __slots__ = ("t_old", "h", "t_f", "_y_old", "_Q", "_steps", "_index")
 
-    def __init__(self, t_old, h, y_old, t_f, fun, Q=None):
+    def __init__(self, t_old, h, y_old, t_f, steps, Q=None):
         self.t_old = t_old
         self.h = h
-        self.y_old = y_old
         self.t_f = t_f
-        self.fun = fun
+        self._y_old = y_old
         self._Q = Q
+        self._steps = steps
+        self._index = len(steps.interpolants)
+
+    @property
+    def y_old(self):
+        if self._y_old is None:
+            self._steps.walk_to(self._index)
+        return self._y_old
 
     @property
     def Q(self):
         if self._Q is None:
-            K = np.empty((_C.size + 1, self.y_old.size))
-            _stages(self.fun, self.t_old, self.y_old, self.fun(self.t_f, self.y_old), self.h, K)
+            fun, y = self._steps.fun, self.y_old
+            K = np.empty((_C.size + 1, y.size))
+            y_next, _ = _stages(fun, self.t_old, y, fun(self.t_f, y), self.h, K)
             self._Q = K.T.dot(_P)
+            steps, following = self._steps.interpolants, self._index + 1
+            if following < len(steps) and steps[following]._y_old is None:
+                steps[following]._y_old = y_next
         return self._Q
 
     def __call__(self, t):
@@ -97,25 +157,47 @@ class _Step:
         return self.h * np.dot(Q, np.cumprod(np.tile(x, Q.shape[1]))) + self.y_old
 
 
-@dataclass
 class OdeTrajectory:
     """Dense solution of an initial value problem on [s0, s1].
 
     ``abscissae`` are the accepted step endpoints (monotone increasing);
     ``states`` has shape ``(len(abscissae), dim)``.  Dense evaluation between
-    samples uses the solver's quartic interpolant and reproduces the stored
+    samples uses the solver's quartic interpolant and reproduces the
     samples exactly at the nodes.  ``stopped_at`` is the abscissa where the
     stop condition ended integration (then also ``s_end``), or None.
     """
 
-    abscissae: np.ndarray
-    states: np.ndarray
-    stopped_at: float = None
-    _sol: object = None
+    def __init__(self, abscissae, steps, end, stopped_at=None, states=None):
+        self.abscissae = abscissae
+        self.stopped_at = stopped_at
+        self._sol = steps
+        self._end = end  # the state at s_end
+        self._states = states
 
     @property
     def s_end(self):
         return float(self.abscissae[-1])
+
+    @property
+    def states(self):
+        """The state at every abscissa, shape ``(len(abscissae), dim)``.
+
+        A checkpointed trajectory builds it on the first access, walking to
+        every start it does not hold; each step's start then becomes a view
+        of its row.
+        """
+        if self._states is None:
+            states = np.empty((self.abscissae.size, self._end.size))
+            for step, row in zip(self._sol.interpolants, states):
+                row[:] = step.y_old
+                step._y_old = row
+            states[-1] = self._end
+            self._states = states
+        return self._states
+
+    def _node_state(self, i):
+        steps = self._sol.interpolants
+        return steps[i].y_old if i < len(steps) else self._end
 
     def eval(self, s, rows=None):
         """Evaluate the dense solution; returns shape (n,) or (n, m).
@@ -134,7 +216,7 @@ class OdeTrajectory:
                 f"dense evaluation outside [{lo:.6g}, {hi:.6g}] requested"
             )
         pts = np.atleast_1d(np.clip(s, lo, hi))
-        rows = np.arange(self.states.shape[1]) if rows is None else np.asarray(rows)
+        rows = np.arange(self._end.size) if rows is None else np.asarray(rows)
         pieces = self._sol.interpolants
         # column-major, as scipy's OdeSolution returns it: each point's
         # column is written in one piece, and callers' reductions keep their
@@ -152,12 +234,13 @@ class OdeTrajectory:
             powers = np.cumprod(np.tile(x, (piece.Q.shape[1], 1)), axis=0)
             out[:, idx] = piece.h * np.dot(piece.Q[rows], powers) + piece.y_old[rows, None]
 
-        # reproduce stored samples exactly where s coincides with a node
+        # reproduce the samples exactly where s coincides with a node, reading
+        # the states of those nodes only
         req = np.atleast_1d(s)
         pos = np.clip(np.searchsorted(self.abscissae, req), 0, self.abscissae.size - 1)
         hit = self.abscissae[pos] == req
         if hit.any():
-            out[:, hit] = self.states[pos[hit]][:, rows].T
+            out[:, hit] = np.array([self._node_state(i)[rows] for i in pos[hit]]).T
         return out[:, 0] if s.ndim == 0 else out
 
 
@@ -252,11 +335,13 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
         direction -1; a rise through zero is ignored.  The root is recorded
         as the trajectory's ``stopped_at``.
     keep_interpolants : bool
-        Store every step's interpolant (the default).  When False a step
-        keeps only what rebuilds its interpolant, which is built on the
-        first dense read of that step and kept: for a large system read in
-        a few steps only, this trades 7 RHS calls per read step for the
-        ``4 * dim`` floats of every step.
+        Store every step's interpolant and start state (the default).  When
+        False the trajectory is checkpointed: it stores no interpolant and
+        the start state of every 8th step only, and builds what a read needs
+        (a step's interpolant, a walk to its start) on that read and keeps
+        it.  For a large system read in a few steps only, this trades 7 RHS
+        calls per read step, plus 6 per step walked (at most 7, 3.5 on
+        average), for the ``5 * dim`` floats of every step.
 
     Raises
     ------
@@ -285,24 +370,28 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
     stopped_at = None
 
     t = t_f = s0  # t_f: where the next step's first stage was evaluated
-    ts, steps = [t], []
-    # each state is written once into an array grown by doubling, and each
-    # interpolant's y_old is a view of its row, so no list of rows is kept or
-    # copied at the end; freeing the outgrown arrays also lets
-    # malloc keep later multi-MB temporaries on its heap instead of mapping
-    # fresh pages (monkey-saddle totals: 5k page faults after the build, 50k
-    # with a list of rows)
-    states = np.empty((16, y.size))
-    states[0] = y
+    ts, dense = [t], _DenseSteps(fun)
+    steps = dense.interpolants
+    if keep_interpolants:
+        # each state is written once into an array grown by doubling, and
+        # each step's y_old is a view of its row, so no list of rows is kept
+        # or copied at the end; freeing the outgrown arrays also lets malloc
+        # keep later multi-MB temporaries on its heap instead of mapping
+        # fresh pages (monkey-saddle totals: 5k page faults after the build,
+        # 50k with a list of rows)
+        states = np.empty((16, y.size))
+        states[0] = y
     while t < s1 and stopped_at is None:
         taken = _advance(fun, t, y, f, h_abs, K, s1, rtol, atol)
         if taken is None:
             raise IntegrationFailureError(_TOO_SMALL_STEP, last_s=t)
-        t_old = t
+        t_old, y_old = t, y
         t, y, f, h_abs = taken
         h = t - t_old
-        step = _Step(t_old, h, states[len(ts) - 1], t_f, fun,
-                     K.T.dot(_P) if keep_interpolants else None)
+        if keep_interpolants:
+            step = _Step(t_old, h, states[len(ts) - 1], t_f, dense, K.T.dot(_P))
+        else:
+            step = _Step(t_old, h, y_old, t_f, dense)
         t_f = t_old + h
         steps.append(step)
 
@@ -318,21 +407,23 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
 
         if len(ts) > 1 and ts[-1] == t:  # a stop root on the previous node
             steps.pop()
+            y = y_old
         else:
-            if len(ts) == len(states):
-                grown = np.empty((2 * len(states), y.size))
-                grown[: len(ts)] = states
-                states = grown
-                for step, row in zip(steps, states):
-                    step.y_old = row
-            states[len(ts)] = y
+            if keep_interpolants:
+                if len(ts) == len(states):
+                    grown = np.empty((2 * len(states), y.size))
+                    grown[: len(ts)] = states
+                    states = grown
+                    for step, row in zip(steps, states):
+                        step._y_old = row
+                states[len(ts)] = y
+            elif len(steps) > 1 and (len(steps) - 2) % _CHECKPOINT_SPACING:
+                # the newest step holds its start until the next one is kept,
+                # so a stop root on it walks nowhere and the last step holds
+                # its own
+                steps[-2]._y_old = None
             ts.append(t)
 
-    states = states[: len(ts)]
-    abscissae = np.array(ts)
-    return OdeTrajectory(
-        abscissae=abscissae,
-        states=states,
-        stopped_at=stopped_at,
-        _sol=_DenseSteps(abscissae, steps),
-    )
+    dense.ts = np.array(ts)
+    return OdeTrajectory(dense.ts, dense, y, stopped_at=stopped_at,
+                         states=states[: len(ts)] if keep_interpolants else None)

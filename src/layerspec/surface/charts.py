@@ -31,14 +31,15 @@ RevolutionChart field is.  The array's width is the one record of
 axisymmetry; consumers broadcast what they combine and average over the
 width they get.
 
-A grid has the fields of ChartGrid, by name; it need not be one.  s, theta,
-r and dr_ds are read when grid() is called, and a grid may compute any
-other field on its first read and keep it (a FanChart grid does), so a read
-costs only the fields it touches.  A grid is immutable to its readers: they
-never write to it or to its arrays.
+A grid has the fields of ChartGrid, by name, and its rows(i, j), the grid
+on the radii s[i:j]; it need not be one.  s, theta, r and dr_ds are read
+when grid() is called, and a grid may compute any other field on its first
+read and keep it (a FanChart grid does), so a read costs only the fields it
+touches, and a block of rows only those of its rows.  A grid is immutable
+to its readers: they never write to it or to its arrays.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -87,6 +88,11 @@ class ChartGrid:
     def grad_M_sq(self):
         """|grad_g M|^2 = (dM/ds)^2 + r^{-2} (dM/dtheta)^2."""
         return self.dM_ds**2 + self.dM_dtheta**2 / self.r**2
+
+    def rows(self, i, j):
+        """The grid on the radii s[i:j]."""
+        return replace(self, **{f.name: getattr(self, f.name)[i:j]
+                                for f in fields(self) if f.name != "theta"})
 
 
 def read_rings(chart, s, reduce, stride=1):

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, NoLimitError
 from ..numkernel import adaptive_gauss, gauss_legendre, panelize
+from .charts import READ_POINTS
 from .graph import graph_curvatures
 
 _DECAY_RATIO = 0.9
@@ -105,13 +106,20 @@ def ring_integral(chart, weight, panels, stride=None):
     (by default the stride thinning the ring to about 256 rays) times 2 pi r
     is the density integrated by :func:`adaptive_gauss` on the given panels.
     Its ``gap`` bounds the quadrature error of its ``value``.
+
+    Each density call reads the chart once and derives the weight on blocks
+    of at most READ_POINTS points.  Blocked reads would not do: an ODE step
+    left with one point of a block is evaluated by a matrix-vector product,
+    whose last digit can differ from the matrix product of a whole read.
     """
     if stride is None:
         stride = chart.theta_stride_for(256)
 
     def density(nodes, level):
         g = chart.grid(nodes, stride=stride)
-        return 2.0 * np.pi * (weight(g) * g.r).mean(axis=1)
+        per_block = max(1, READ_POINTS // g.theta.size)
+        blocks = (g.rows(i, i + per_block) for i in range(0, g.s.size, per_block))
+        return np.concatenate([2.0 * np.pi * (weight(b) * b.r).mean(axis=1) for b in blocks])
 
     return adaptive_gauss(density, panels, _RING_ORDERS, _RING_REL_TOL)
 

@@ -119,8 +119,30 @@ def test_non_positive_first_radius_rejected(tmp_path, capsys, command, key, firs
     cfg = write_cfg(tmp_path, f"surface.name = plane\n{key} = {first}, 1, 2, 3\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "radii must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, radii, problem", [
+    ("check", "check.probe_radii", "1, 2, 2, 3", "radii must increase strictly"),
+    ("totals", "totals.schedule", "1, 3, 2", "radii must increase strictly"),
+    ("check", "check.probe_radii", "1, 2, 3", "at least 4 radii"),
+    ("totals", "totals.schedule", "1, 2", "at least 3 radii"),
+])
+def test_malformed_radius_list_exits_four(tmp_path, capsys, command, key, radii, problem):
+    cfg = write_cfg(tmp_path, f"surface.name = plane\n{key} = {radii}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and problem in err
+
+
+@pytest.mark.parametrize("command, key, radii", [("check", "check.probe_radii", "1, 2, 3, 1e9"),
+                                                 ("totals", "totals.schedule", "1, 2, 1e9")])
+def test_radii_beyond_the_chart_exit_three(tmp_path, capsys, command, key, radii):
+    # well-formed radii past the chart's s_max need the chart to be found wrong
+    cfg = write_cfg(tmp_path, f"surface.name = hyperboloid\n{key} = {radii}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_certify_plane_not_found(tmp_path):

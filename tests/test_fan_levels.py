@@ -15,7 +15,7 @@ from layerspec.cli import main
 from layerspec.errors import TruncationError
 from layerspec.numkernel import integrate_ode, ode
 from layerspec.surface import graph
-from layerspec.surface.totals import radial_gauss_partials
+from layerspec.surface.totals import radial_gauss_partials, total_gauss
 
 _FIELDS = ("r", "dr_ds", "K", "M", "k1", "k2", "dM_ds", "dM_dtheta", "ii_ss", "ii_st", "ii_tt")
 _S = np.array([0.5, 3.0, 11.0, 19.5])
@@ -164,3 +164,48 @@ def test_monkey_saddle_certify_shoots_only_the_coarse_level(monkeypatch, tmp_pat
     cfg.write_text("surface.name = monkey-saddle\n")
     assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert sizes == [6 * 768]
+
+
+def test_total_gauss_holds_few_fine_starts_and_only_the_read_interpolants():
+    # the totals chart at catalog defaults: the fine level keeps every 8th
+    # start, and a read builds its step's start and interpolant and keeps
+    # the next step's start
+    chart = build_chart("monkey-saddle", {})
+    schedule = chart.s_max * np.geomspace(1.0 / 64.0, 1.0, 8)
+    total_gauss(chart, schedule)
+    fine = chart._fine_traj
+    steps = fine._sol.interpolants
+    read = set(np.searchsorted(fine.abscissae, schedule, side="left") - 1)
+    starts = [i for i, p in enumerate(steps) if p._y_old is not None]
+    assert len(starts) <= -(-len(steps) // ode._CHECKPOINT_SPACING) + 2 * len(read) + 1
+    assert {i for i, p in enumerate(steps) if p._Q is not None} == read
+    assert fine._states is None
+
+
+def test_tracer_dense_bytes_expression_on_the_fine_level(monkeypatch):
+    # perfbench's integrate_ode after-hook reads every step's .Q and .y_old
+    # and then .states; on a checkpointed fine level that builds the whole
+    # level, value for value the level shot with everything stored
+    shots = []
+
+    def spy(rhs, initial, span, tol, stop=None, keep_interpolants=True):
+        shots.append((rhs, initial, span, tol, stop, keep_interpolants))
+        return integrate_ode(rhs, initial, span, tol=tol, stop=stop,
+                             keep_interpolants=keep_interpolants)
+
+    monkeypatch.setattr(graph, "integrate_ode", spy)
+    fan = _monkey(1536)
+    fan.grid(_S)
+    rhs, initial, span, tol, stop, keep = shots[1]
+    assert not keep
+    traj = integrate_ode(rhs, initial, span, tol=tol, stop=stop, keep_interpolants=False)
+    stored = integrate_ode(rhs, initial, span, tol=tol, stop=stop)
+
+    def hook(traj):
+        return sum(p.Q.nbytes + p.y_old.nbytes for p in traj._sol.interpolants) + traj.states.nbytes
+
+    assert hook(traj) == hook(stored)
+    for built, kept in zip(traj._sol.interpolants, stored._sol.interpolants):
+        assert np.array_equal(built.Q, kept.Q) and np.array_equal(built.y_old, kept.y_old)
+    assert np.array_equal(traj.states, stored.states)
+    assert np.array_equal(traj.abscissae, stored.abscissae)

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 import layerspec.surface.graph as graph
 from layerspec.catalog import build_chart
 from layerspec.errors import IntegrationFailureError, InvalidInputError
-from layerspec.numkernel import integrate_ode
+from layerspec.numkernel import integrate_ode, ode
 
 
 def test_constant_solution():
@@ -218,36 +218,81 @@ def test_truncating_fan_matches_scipy(monkeypatch):
     assert traj.s_end == traj.stopped_at < span[1]
 
 
-# A step that stores no interpolant builds it on its first read, by taking
-# the step again from its start state: eval, the step's own call and Q are
-# bitwise those of the stored interpolant and of scipy's RK45.
+# A checkpointed trajectory stores no interpolant and the start state of
+# every 8th step only: a read of another start walks to it from the last one
+# held, and a step builds its interpolant from its start, by taking the
+# steps again.  Every read path, in any order, must give the bits of the
+# stored trajectory and of scipy's RK45.
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _held(traj):
+    steps = traj._sol.interpolants
+    return [i for i, p in enumerate(steps) if p._y_old is not None], [i for i, p in enumerate(steps) if p._Q is not None]
 
 
 def _assert_built_on_read_matches(rhs, initial, span, tol, stop=None):
-    def integrate(keep):
-        return integrate_ode(rhs, initial, span, tol=tol, stop=stop, keep_interpolants=keep)
+    def checkpointed():
+        return integrate_ode(rhs, initial, span, tol=tol, stop=stop, keep_interpolants=False)
 
-    kept = integrate(True)
+    kept = integrate_ode(rhs, initial, span, tol=tol, stop=stop)
     ref = _reference(rhs, np.asarray(initial, dtype=float), span, tol, stop=stop)
-    by_eval, by_call = integrate(False), integrate(False)
-    for traj in (by_eval, by_call):
-        assert np.array_equal(traj.abscissae, kept.abscissae)
-        assert np.array_equal(traj.states, kept.states)
-        assert traj.stopped_at == kept.stopped_at
-        # only the step that the stop read holds an interpolant
-        assert sum(p._Q is not None for p in traj._sol.interpolants) <= (stop is not None)
     steps = kept._sol.interpolants
-    assert len(steps) == len(ref.sol.interpolants) == kept.abscissae.size - 1
+    n = len(steps)
+    assert n == len(ref.sol.interpolants) == kept.abscissae.size - 1 > 16
 
+    # as integrated: the start of every 8th step and of the last one, and
+    # only the interpolant that the stop read
+    traj = checkpointed()
+    assert _same_bits(traj.abscissae, kept.abscissae) and traj.stopped_at == kept.stopped_at
+    starts, built = _held(traj)
+    assert starts == sorted({*range(0, n, ode._CHECKPOINT_SPACING), n - 1})
+    assert len(built) <= (stop is not None)
+
+    # dense evaluation off and on the nodes; node hits alone read the hit
+    # nodes' starts and never build the whole states array
     s = np.linspace(span[0], kept.s_end, 301)
-    assert np.array_equal(by_eval.eval(s), kept.eval(s))
-    for built, stored, scipy_step in zip(by_call._sol.interpolants, steps, ref.sol.interpolants):
+    nodes = kept.abscissae[::-7]
+    for points in (s, np.r_[s, nodes], nodes):
+        traj = checkpointed()
+        assert _same_bits(traj.eval(points), kept.eval(points))
+        assert _same_bits(traj.eval(points, rows=[0]), kept.eval(points, rows=[0]))
+        assert traj._states is None
+    assert _same_bits(checkpointed().eval(nodes).T, kept.states[::-7])
+
+    # each step's own call, as the stop reads it
+    traj = checkpointed()
+    for built, stored, scipy_step in zip(traj._sol.interpolants, steps, ref.sol.interpolants):
         t = stored.t_old + 0.375 * stored.h
-        assert np.array_equal(built(t), stored(t))
-        assert np.array_equal(stored(t), scipy_step(t))
-    for traj in (by_eval, by_call):
-        for built, stored, scipy_step in zip(traj._sol.interpolants, steps, ref.sol.interpolants):
-            assert np.array_equal(built.Q, stored.Q) and np.array_equal(stored.Q, scipy_step.Q)
+        assert _same_bits(built(t), stored(t)) and _same_bits(stored(t), scipy_step(t))
+
+    # starts and interpolants read one step at a time, in increasing,
+    # decreasing and random order; a read keeps its own start, its
+    # interpolant and the next step's start, and nothing else
+    rng = np.random.default_rng(n)
+    for order in (range(n), range(n - 1, -1, -1), rng.permutation(n)[: n // 2]):
+        traj = checkpointed()
+        before, _ = _held(traj)
+        for i in order:
+            built, stored, scipy_step = traj._sol.interpolants[i], steps[i], ref.sol.interpolants[i]
+            assert _same_bits(built.y_old, stored.y_old)
+            assert _same_bits(built.Q, stored.Q) and _same_bits(stored.Q, scipy_step.Q)
+        starts, built = _held(traj)
+        assert set(built) - set(order) <= {n - 1}
+        assert set(starts) <= set(before) | set(order) | {i + 1 for i in order}
+        assert traj._states is None
+
+    # the full states array, built on first access from the starts alone;
+    # each start is then a view of its row
+    traj = checkpointed()
+    assert _same_bits(traj.states, kept.states)
+    assert len(_held(traj)[1]) <= (stop is not None)
+    assert all(np.shares_memory(p.y_old, traj.states) for p in traj._sol.interpolants)
+    assert traj.states is traj.states
     return kept
 
 

@@ -11,8 +11,12 @@ from layerspec.surface import (
     ring_integral,
     total_gauss,
     total_gauss_cartesian,
+    total_grad_mean_sq,
     total_mean_sq,
+    graph,
+    totals,
 )
+from layerspec.surface.charts import READ_POINTS
 
 TWO_PI = 2.0 * np.pi
 GRAPH_SCHEDULE = np.array([2.65, 5.3, 10.6, 21.2, 42.5, 85.0, 170.0, 340.0])
@@ -166,3 +170,32 @@ def test_bad_schedules_rejected():
         total_gauss(chart, np.array([5.0, 2.0, 8.0]))
     with pytest.raises(InvalidInputError):
         total_gauss(chart, np.array([2.0, 5.0, 20.0]))  # beyond s_max
+
+
+def test_ring_integral_derives_in_blocks_what_one_whole_grid_gives(monkeypatch):
+    # check's |grad M|^2 annuli on the hyperbolic paraboloid (1024 rays, read
+    # on the full ring): each density call reads the chart once and derives
+    # the weight on blocks of at most READ_POINTS points, bitwise the ring
+    # values of the whole grid (a read cut into blocks is not: a step left
+    # with one point moves the last digit)
+    chart = build_chart("hyperbolic-paraboloid", {})
+    reads, blocks = [], []
+    gauss, rows = totals.adaptive_gauss, graph._FanGrid.rows
+
+    def recorded_gauss(density, panels, orders, tol):
+        def recorded(nodes, level):
+            reads.append((np.array(nodes), density(nodes, level)))
+            return reads[-1][1]
+        return gauss(recorded, panels, orders, tol)
+
+    def recorded_rows(g, i, j):
+        blocks.append(rows(g, i, j))
+        return blocks[-1]
+
+    monkeypatch.setattr(totals, "adaptive_gauss", recorded_gauss)
+    monkeypatch.setattr(graph._FanGrid, "rows", recorded_rows)
+    total_grad_mean_sq(chart, chart.s_max * np.array([0.06, 0.12, 0.24, 0.48, 0.96]), stride=1)
+    assert len(blocks) > len(reads) and max(b.r.size for b in blocks) <= READ_POINTS
+    for nodes, values in reads:
+        g = chart.grid(nodes)
+        assert np.array_equal(values, 2.0 * np.pi * (g.grad_M_sq * g.r).mean(axis=1))
