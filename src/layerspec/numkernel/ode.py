@@ -17,20 +17,21 @@ system pays only for those.
 
 A trajectory either stores every step's interpolant and start state as the
 steps are taken, or, with ``keep_interpolants=False``, is checkpointed: it
-stores the start state of every ``_CHECKPOINT_SPACING``-th step (8) and the
-end state, and no interpolant.  A read of another step's start walks
-forward from the nearest earlier start held, taking the accepted steps
-again with the stepper's arithmetic and their recorded ``(t_old, h, t_f)``,
-and keeps the start it reads; a step's interpolant is built the same way
-from its start on its first read, and keeps the next step's start, which
-the same stages give, so reads in increasing order walk once per gap.  What is built is bitwise what the stored trajectory
-holds, and is kept.  This is the checkpoint/recompute trade of Griewank &
-Walther (*Algorithm 799: revolve*, ACM TOMS 26, 2000) at one fixed spacing:
-a large system read in a few steps holds about an eighth of its starts and
-none of the other interpolants, and pays a walk of 3.5 steps on average per
-read step.  ``states`` stays the full array; a checkpointed trajectory
-builds it on first access, and its exact node reads in :meth:`eval` read
-the hit nodes only.
+stores the start state of every ``_CHECKPOINT_SPACING``-th step (8), of its
+last step and the end state, and no interpolant.  A read of another step's
+start walks forward from the nearest earlier start held, taking the
+accepted steps again with the stepper's arithmetic and their recorded
+``(t_old, h, t_f)``, and keeps the start it reads; a step's interpolant is
+built the same way from its start on its first read, and keeps the next
+step's start, which the same stages give, so reads in increasing order walk
+once per gap.  What is built is bitwise what the stored trajectory holds,
+and is kept.  This is the checkpoint/recompute trade of Griewank & Walther
+(*Algorithm 799: revolve*, ACM TOMS 26, 2000) at one fixed spacing: a large
+system read in a few steps holds about an eighth of its starts and none of
+the other interpolants, and pays a walk of 3.5 steps on average per read
+step.  ``states`` stays the full array; a checkpointed trajectory builds it
+on first access, and the exact node reads in :meth:`OdeTrajectory.eval`
+read the hit nodes only.
 """
 
 import numpy as np

@@ -225,8 +225,8 @@ class _FanGrid:
 
     def rows(self, i, j):
         """The grid on the radii s[i:j], its other fields computed anew."""
-        return _FanGrid(self._surf, self.s[i:j], self.theta,
-                        *(v[i:j] for v in (self._x, self._y, self._vx, self._vy, self.r, self.dr_ds)))
+        state = (self._x, self._y, self._vx, self._vy, self.r, self.dr_ds)
+        return _FanGrid(self._surf, self.s[i:j], self.theta, *(v[i:j] for v in state))
 
     @cached_property
     def _derivs(self):

@@ -231,8 +231,10 @@ def _same_bits(a, b):
 
 
 def _held(traj):
+    """The steps that hold their start state, and those that hold their interpolant."""
     steps = traj._sol.interpolants
-    return [i for i, p in enumerate(steps) if p._y_old is not None], [i for i, p in enumerate(steps) if p._Q is not None]
+    starts = [i for i, p in enumerate(steps) if p._y_old is not None]
+    return starts, [i for i, p in enumerate(steps) if p._Q is not None]
 
 
 def _assert_built_on_read_matches(rhs, initial, span, tol, stop=None):
