@@ -141,6 +141,8 @@ def graph_surface(name, params=None):
             name=name,
         )
     if name == "elliptic-paraboloid":
+        if p["x0"] == 0 or p["y0"] == 0:
+            raise InvalidInputError("x0 and y0 must be nonzero")
         ax, ay = 1.0 / p["x0"] ** 2, 1.0 / p["y0"] ** 2
         if abs(ax - ay) > 1e-14:
             raise CapabilityError(
@@ -213,6 +215,8 @@ def build_chart(name, params=None, ode_tol=1e-10):
         )
     if name == "hyperboloid":
         z0 = float(p["z0"])
+        if z0 == 0:
+            raise InvalidInputError("z0 must be nonzero: at z0 = 0 the hyperboloid is the plane")
         profile = profile_from_height(
             z_fn=lambda rho: z0 * np.sqrt(1.0 + rho**2),
             dz_fn=lambda rho: z0 * rho / np.sqrt(1.0 + rho**2),
@@ -226,6 +230,8 @@ def build_chart(name, params=None, ode_tol=1e-10):
         spec = _sine_meridian_spec(float(p["s_max"]))
         return RevolutionChart(revolution_from_meridian(spec))
     if name == "capped-cylinder":
+        if float(p["R"]) <= 0:
+            raise InvalidInputError("R must be positive")
         spec = _capped_cylinder_spec(float(p["R"]), float(p["s_max"]))
         return RevolutionChart(revolution_from_meridian(spec))
     raise InvalidInputError(f"no construction for {name!r}")

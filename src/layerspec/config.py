@@ -47,10 +47,10 @@ SCHEMA = [
     _Key("certify.budget", "int", 40, "max form evaluations per family"),
     _Key("certify.s0", "float", _UNSET, "plateau radius for the mollified families"),
     _Key("spectrum.S", "float", _UNSET, "truncation radius of the eigensolve strip"),
-    _Key("spectrum.n_s", "int", 400, "radial cell count"),
-    _Key("spectrum.n_u", "int", 32, "transverse cell count"),
+    _Key("spectrum.n_s", "int", 400, "radial cell count", minimum=16),
+    _Key("spectrum.n_u", "int", 32, "transverse cell count", minimum=16),
     _Key("spectrum.m_list", "int_list", [0, 1, 2], "angular momentum indices"),
-    _Key("spectrum.k", "int", 3, "eigenvalues per partial wave"),
+    _Key("spectrum.k", "int", 3, "eigenvalues per partial wave", minimum=1),
     _Key("spectrum.levels", "int", 2,
          "mesh refinement levels for the table; order_estimate needs 3 and is null below",
          minimum=1),
@@ -58,7 +58,7 @@ SCHEMA = [
     _Key("counterexample.a", "float", 0.3, "layer half-width for the capped run"),
     _Key("counterexample.S", "float", 10.0, "base truncation (runs at S, 2S, 4S)"),
     _Key("counterexample.n_s_per_R", "int", 50, "radial cells per cap radius"),
-    _Key("counterexample.n_u", "int", 32, "transverse cells"),
+    _Key("counterexample.n_u", "int", 32, "transverse cells", minimum=16),
 ]
 
 _BY_NAME = {k.name: k for k in SCHEMA}

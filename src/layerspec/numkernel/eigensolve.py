@@ -7,7 +7,16 @@ the shift come out with near-machine residuals after a modest number of
 steps.  Each solve factors ``A - sigma B`` once, by a sparse LU with columns
 in minimum-degree order on the pattern of ``A^T + A`` (SuperLU's
 ``MMD_AT_PLUS_A`` in symmetric mode; the default COLAMD fills L and U with
-about 40 % more nonzeros on the 2-d strips).
+about 40 % more nonzeros on the 2-d strips), and with panels one column
+wide.  SuperLU's supernode-panel factorization (Demmel, Eisenstat, Gilbert,
+Li & Liu, SIAM J. Matrix Anal. Appl. 20, 1999) holds dense workspace of n
+times the panel width, and scipy passes SuperLU's default width of 20; on
+these narrow-band pencils wide panels cost time and memory and gain
+nothing.  On the counterexample's largest strip (62 372 unknowns, 2-vCPU
+host, best of 7) width 1 factors in 78 ms against 139 ms at width 20, with
+the same fill, and the factorization's peak growth falls from 44.7 MB to
+26.7 MB, the size of the factor it keeps.  Solves are not faster: on a
+203 200-unknown hyperboloid pencil they took about 5 % longer at width 1.
 
 Pivots stay on the diagonal, so the LU is an L D L^T, and with B positive
 definite its negative pivots number the eigenvalues below sigma (Sylvester's
@@ -135,18 +144,21 @@ def _make_solver(C):
 
     With perm_r == perm_c the LU of P C P^T has U = D L^T, so the negative
     entries of U's diagonal are the eigenvalues below sigma.  ``splu``'s
-    RuntimeError on an exactly singular C passes to the caller.
+    RuntimeError on an exactly singular C passes to the caller.  The panel
+    width is 1 (module docstring): at scipy's default of 20 the panel
+    workspace, about 18 MB on the largest strip, lies on top of the factor
+    while it is built.
 
     Reading ``lu.U`` costs more than the diagonal: scipy (1.17) builds CSC
     copies of both L and U and keeps them on the SuperLU object for its
     lifetime (``lu.U is lu.U``).  On the counterexample's largest strip
-    (62 372 unknowns) that is about 20 MB held through the whole Lanczos
-    run, the largest avoidable part of its memory peak; the SuperLU object
-    offers no other way to read the pivots.
+    (62 372 unknowns) that is about 22 MB held through the whole Lanczos
+    run, which with one-column panels is what sets its memory peak; the
+    SuperLU object offers no other way to read the pivots.
     """
     lu = spla.splu(
         sp.csc_matrix(C), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
+        panel_size=1, options={"SymmetricMode": True},
     )
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigenSolveError("the LU of A - sigma B pivoted off its diagonal: inertia unknown")

@@ -181,6 +181,9 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
+    if n_u < 16 or int(n_s_per_R * S / R) < 16:
+        # build_mesh's floor on the smallest strip, checked before any solve
+        raise InvalidInputError("need at least 16 cells per direction")
     # the truncated 2-d eigenvalues inherit the transverse grid's O(h_u^2)
     # bias; the honest bottom to count them against is the same interval
     # operator discretized on that grid

@@ -219,6 +219,39 @@ def test_no_refinement_level_exit_four(tmp_path, levels):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("command,line", [
+    ("counterexample", "counterexample.n_u = -1"),
+    ("counterexample", "counterexample.n_u = 0"),
+    ("counterexample", "counterexample.n_u = 1"),
+    ("counterexample", "counterexample.n_u = 15"),
+    ("spectrum", "spectrum.n_s = 15"),
+    ("spectrum", "spectrum.n_u = 1"),
+    ("spectrum", "spectrum.k = 0"),
+])
+def test_too_few_cells_or_eigenvalues_exit_four(tmp_path, command, line):
+    cfg = write_cfg(tmp_path, f"surface.name = hyperboloid\n{line}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert not (out / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("surface,param", [
+    ("capped-cylinder", "R = 0"),
+    ("capped-cylinder", "R = -1"),
+    ("elliptic-paraboloid", "x0 = 0"),
+    ("elliptic-paraboloid", "y0 = 0"),
+    ("hyperboloid", "z0 = 0"),
+])
+def test_degenerate_shape_parameter_exit_three(tmp_path, capsys, surface, param):
+    # R = 0, x0 = 0 and y0 = 0 divided by zero; R < 0 and z0 = 0 described
+    # a flat chart under the surface's name
+    cfg = write_cfg(tmp_path, f"surface.name = {surface}\nsurface.{param}\n")
+    out = tmp_path / "o"
+    assert main(["describe", "--config", cfg, "--out", str(out)]) == 3
+    assert not (out / "describe.json").exists()
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
 def test_layer_force_is_the_only_force_and_is_echoed(tmp_path):
     # a = 1.0 is at least the hyperboloid's minimal normal curvature radius
     lines = ["surface.name = hyperboloid", "layer.a = 1.0", "spectrum.S = 20",

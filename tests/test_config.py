@@ -27,3 +27,12 @@ def test_refinement_levels_below_one_rejected(value):
     with pytest.raises(ConfigError, match=rf"spectrum.levels: '{value}' \(at least 1\)"):
         parse_config_text(f"spectrum.levels = {value}\n")
     assert parse_config_text("spectrum.levels = 1\n").get("spectrum.levels") == 1
+
+
+@pytest.mark.parametrize("name,least", [("counterexample.n_u", 16), ("spectrum.n_s", 16),
+                                        ("spectrum.n_u", 16), ("spectrum.k", 1)])
+def test_cell_counts_and_eigenvalue_count_below_their_floor_rejected(name, least):
+    for value in (least - 1, 0, -1):
+        with pytest.raises(ConfigError, match=rf"{name}: '{value}' \(at least {least}\)"):
+            parse_config_text(f"{name} = {value}\n")
+    assert parse_config_text(f"{name} = {least}\n").get(name) == least

@@ -133,6 +133,19 @@ def test_bad_geometry_rejected():
         spherical_shell_ground(0.2, 0.3)
 
 
+@pytest.mark.parametrize("n_u,n_s_per_R", [(-1, 50), (0, 50), (1, 50), (15, 50), (32, 1.5)])
+def test_too_few_cells_rejected_before_any_solve(n_u, n_s_per_R, monkeypatch):
+    # n_u = 0 divided by zero and n_u = 1 failed in scipy inside the eps1_mesh
+    # interval solve; 2-15 made that solve before build_mesh refused the strip
+    def no_solve(*args, **kw):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(counterexample_module, "lowest_eigenpairs", no_solve)
+    monkeypatch.setattr(spectrum_solve, "lowest_eigenpairs", no_solve)
+    with pytest.raises(InvalidInputError, match="at least 16 cells"):
+        counterexample_full(1.0, 0.3, S=10.0, n_s_per_R=n_s_per_R, n_u=n_u)
+
+
 def test_full_pipeline_no_spectrum_below_eps1(monkeypatch):
     shifts = []  # shift of every eigensolve behind solve_spectrum
     lowest = spectrum_solve.lowest_eigenpairs

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,6 +13,51 @@ from layerspec.errors import EigenSolveError, InvalidInputError
 from layerspec.layer import LayerSpec
 from layerspec.numkernel import SparseSymmetricPair, eigensolve, lowest_eigenpairs
 from layerspec.spectrum import assemble_partial_wave, build_mesh, mesh_threshold
+
+
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+
+# Factors the counterexample's 4S strip pencil at its eps1_mesh shift with
+# eigensolve.spla wrapped, so that the peak and the resident memory (kB) are
+# read as splu returns, before _make_solver reads lu.U (whose CSC copies
+# would dominate both readings), and prints the growth of each since the
+# call.  The peak is VmHWM, the process's own ru_maxrss: Linux carries the
+# launching process's peak into a child's ru_maxrss across exec.
+_FACTOR_PROBE = """
+import json
+from layerspec.numkernel import eigensolve
+from layerspec.spectrum import assemble_partial_wave
+from layerspec.spectrum.counterexample import _INTERVAL_PROBLEMS, _interval_ground
+from test_spectrum import _capped_strip
+
+def peak_and_rss_kb():
+    with open("/proc/self/status") as fh:
+        kb = {line.split(":")[0]: int(line.split()[1]) for line in fh
+              if line.startswith(("VmHWM:", "VmRSS:"))}
+    return kb["VmHWM"], kb["VmRSS"]
+
+class ReadingSpla:
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+    def splu(self, *args, **kw):
+        lu = spla.splu(*args, **kw)
+        readings.append(peak_and_rss_kb())
+        return lu
+
+shift = _interval_ground(1.0, 0.29, 32, **_INTERVAL_PROBLEMS["radial"])
+layer, mesh = _capped_strip(40.0)
+pair = assemble_partial_wave(layer, 0, mesh).pair
+C = pair.stiffness - shift * pair.mass
+del layer, mesh, pair
+eigensolve._MALLOC_TRIM(0)
+spla, readings = eigensolve.spla, []
+eigensolve.spla = ReadingSpla()
+peak0, rss0 = peak_and_rss_kb()
+eigensolve._make_solver(C)
+[(peak, rss)] = readings
+print(json.dumps({"peak_growth": peak - rss0, "kept_growth": rss - rss0, "new_peak": peak > peak0}))
+"""
 
 
 def fd_dirichlet_pair(n, h):
@@ -202,3 +252,20 @@ def test_symmetry_check_on_matching_and_differing_patterns():
     data = dup.data.copy()
     assert SparseSymmetricPair.build(dup, eye).dimension == 3
     assert np.array_equal(dup.data, data) and dup.nnz == 5  # the caller's matrix is untouched
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.skipif(eigensolve._MALLOC_TRIM is None, reason="needs malloc_trim")
+def test_factor_transient_stays_near_the_factor_it_keeps():
+    # SuperLU's panel workspace scales with n times the panel width: at
+    # scipy's default width 20 the peak growth during splu was 1.74 times
+    # the growth that stays resident after it, at width 1 it is 1.19
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(_TESTS), "src"), _TESTS, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _FACTOR_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    growth = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert growth["new_peak"], growth  # the factorization set the process peak
+    assert growth["peak_growth"] <= 1.5 * growth["kept_growth"], growth
