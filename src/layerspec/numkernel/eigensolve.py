@@ -39,13 +39,13 @@ Deterministic: the start vector comes from a fixed-seed generator and the
 algorithm is serial, so repeated runs on identical inputs are bitwise
 identical.
 
-After each run the freed factor and Krylov basis go back to the operating
-system (glibc's ``malloc_trim``, where the C library has it).  glibc keeps
-freed heap at the top of its arena mapped up to a trim threshold that
-rises with the largest block it has freed, so a run would otherwise start
-on the footprint of the largest run before it: on the hyperboloid
-``spectrum`` at S = 60, m = 0, 1 the fine m = 1 strip started 43 MB above
-the fine m = 0 strip and set the peak.
+Each solve returns its freed memory to the operating system (glibc's
+``malloc_trim``, where the C library has it) twice: after the
+factorization, once A - sigma B and its CSC copy are freed, and after the
+run, once the factor and the Krylov basis are.  glibc keeps freed heap
+mapped up to a threshold that rises with the largest block it has freed,
+so without the trims a solve carries what a larger one before it left and
+the order of the solves sets the peak; with them callers solve in any order.
 """
 
 import ctypes
@@ -81,6 +81,7 @@ _SYM_TOL = 1e-13
 
 try:  # the C library's malloc_trim (module docstring), where it has one
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
 except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
 
@@ -238,8 +239,9 @@ def lowest_eigenpairs(pair, k, shift):
     """k smallest generalized eigenvalues of a SparseSymmetricPair, and the count below the shift.
 
     One factorization of A - sigma B counts the eigenvalues below sigma, and
-    one Lanczos run on it finds the k lowest, or EigenSolveError is raised
-    (module docstring).
+    one Lanczos run on it finds the k lowest, or EigenSolveError is raised;
+    the heap is trimmed after each, so the order of solves is free (module
+    docstring).
 
     Parameters
     ----------
@@ -266,6 +268,8 @@ def lowest_eigenpairs(pair, k, shift):
     except RuntimeError:
         # splu: A - sigma B is exactly singular, so sigma is an eigenvalue
         raise EigenSolveError(f"A - sigma B is singular at sigma = {sigma:g}") from None
+    if _MALLOC_TRIM is not None:  # the pencil and its CSC copy are freed
+        _MALLOC_TRIM(0)
 
     cap = min(max(8 * max(k, count) + 80, 320), pair.dimension)
     lams, vecs = _lanczos_shift_invert(A, B, sigma, solve, count, k, cap)

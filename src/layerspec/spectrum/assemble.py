@@ -25,7 +25,6 @@ class PartialWaveOperator:
     m: int
     pair: SparseSymmetricPair
     mesh: object
-    weights: np.ndarray  # w at (cell center, u node)
     kappa1_sq: float
 
 
@@ -112,5 +111,4 @@ def assemble_partial_wave(layer, m, mesh, neumann_outer=False):
 
     B = sp.diags((w_node * mesh.h_s * mesh.h_u).ravel(), format="csr")
     pair = SparseSymmetricPair.build(A, B)
-    return PartialWaveOperator(m=int(m), pair=pair, mesh=mesh,
-                               weights=w_node, kappa1_sq=layer.kappa1_sq)
+    return PartialWaveOperator(m=int(m), pair=pair, mesh=mesh, kappa1_sq=layer.kappa1_sq)

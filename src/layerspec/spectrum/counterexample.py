@@ -25,11 +25,10 @@ from .mesh import build_mesh
 from .solve import solve_spectrum
 
 
-# coarsest cell counts of the interval solves (the extrapolated eps_1 and
-# shell ground; radial_order_estimate), each run on _LEVELS halved meshes
-_INTERVAL_CELLS = 1600
+# coarsest cell counts of the interval solves: the two meshes the
+# extrapolated eps_1 and shell ground read, the three radial_order_estimate reads
+_INTERVAL_CELLS = 3200
 _ORDER_CELLS = 400
-_LEVELS = 3
 # mesh of cap_neumann_ground's hemispherical segment
 _CAP_N_S, _CAP_N_U = 200, 40
 # eigenvalues solved on each truncation (the lowest two)
@@ -68,19 +67,19 @@ def _interval_ground(R, a, n, potential=None, weight=None):
     return pairs[0].value
 
 
-def _interval_levels(R, a, n, kind):
-    """Interval ground states on n, 2n, ... 2^(_LEVELS-1) n cells."""
+def _interval_levels(R, a, n, kind, levels):
+    """Interval ground states on n, 2n, ... 2^(levels-1) n cells."""
     problem = _INTERVAL_PROBLEMS[kind]
-    return [_interval_ground(R, a, n * 2**lev, **problem) for lev in range(_LEVELS)]
+    return [_interval_ground(R, a, n * 2**lev, **problem) for lev in range(levels)]
 
 
-def _richardson(values):
-    """Second-order Richardson extrapolation of the two finest levels.
+def _richardson(R, a, kind):
+    """Second-order Richardson extrapolation from _INTERVAL_CELLS and twice as many cells.
 
-    Returns the value and its last step |value - finest level|, the
+    Returns the value and its last step |value - finer level|, the
     correction the extrapolation made: the error bar of the value.
     """
-    lam_h, lam_h2 = values[-2], values[-1]
+    lam_h, lam_h2 = _interval_levels(R, a, _INTERVAL_CELLS, kind, 2)
     value = lam_h2 + (lam_h2 - lam_h) / 3.0
     return value, abs(value - lam_h2)
 
@@ -93,7 +92,7 @@ def counterexample_radial(R, a):
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    return _richardson(_interval_levels(R, a, _INTERVAL_CELLS, "radial"))
+    return _richardson(R, a, "radial")
 
 
 def spherical_shell_ground(R, a):
@@ -106,7 +105,7 @@ def spherical_shell_ground(R, a):
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    return _richardson(_interval_levels(R, a, _INTERVAL_CELLS, "shell"))
+    return _richardson(R, a, "shell")
 
 
 def radial_order_estimate(R, a, kind="shell"):
@@ -117,7 +116,7 @@ def radial_order_estimate(R, a, kind="shell"):
     if kind not in _INTERVAL_PROBLEMS:
         raise InvalidInputError(f"unknown interval problem {kind!r}; expected one of "
                                 f"{sorted(_INTERVAL_PROBLEMS)}")
-    vals = _interval_levels(R, a, _ORDER_CELLS, kind)
+    vals = _interval_levels(R, a, _ORDER_CELLS, kind, 3)
     num = vals[0] - vals[1]
     den = vals[1] - vals[2]
     return float(np.log2(num / den))
@@ -174,13 +173,11 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
     shifted at ``eps1_mesh``, eps_1 measured on the strip's own u grid, so
     its ``count`` is the number of eigenvalues below it: 0 is the absence
     claim.
-
-    The truncations are solved largest first, before the interval and cap
-    solves, so the largest pencil is factored on a heap that no earlier
-    solve has grown; ``spectra`` lists them in ascending S.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
+    if not S > 0.0:
+        raise InvalidInputError(f"need a truncation S > 0, got S = {S:g}")
     if n_u < 16 or int(n_s_per_R * S / R) < 16:
         # build_mesh's floor on the smallest strip, checked before any solve
         raise InvalidInputError("need at least 16 cells per direction")
@@ -189,7 +186,7 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
     # operator discretized on that grid
     eps1_mesh = _interval_ground(R, a, n_u, **_INTERVAL_PROBLEMS["radial"])
     spectra = [_truncation_spectrum(R, a, S * mult, n_s_per_R, n_u, eps1_mesh)
-               for mult in (4, 2, 1)][::-1]
+               for mult in (1, 2, 4)]
     eps1, eps1_error = counterexample_radial(R, a)
     shell, shell_error = spherical_shell_ground(R, a)
     kap2 = (np.pi / (2.0 * a)) ** 2

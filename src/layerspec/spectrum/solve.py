@@ -80,17 +80,14 @@ def solve_spectrum(op, k, shift=None):
 def spectrum_with_refinement(layer, m, S, n_s, n_u, k, levels):
     """Solve on a sequence of halved meshes and report the refinement table.
 
-    The finest level is solved first, so its pencil is factored on a heap
-    that no coarser solve has grown; the table runs from coarse to fine and
+    The levels are solved coarse to fine; the table runs in that order and
     the result is the finest level's.
     """
     if levels < 1:
         raise InvalidInputError(f"levels must be >= 1, got {levels}")
     table = []
-    for lev in reversed(range(levels)):
+    for lev in range(levels):
         mesh = build_mesh(S, layer.a, n_s * 2**lev, n_u * 2**lev)
         result = solve_spectrum(assemble_partial_wave(layer, m, mesh), k)
         table.append((mesh.h_s, mesh.h_u, float(result.eigenvalues[0]), result.threshold_mesh))
-        if lev == levels - 1:
-            finest = result
-    return replace(finest, convergence=tuple(table[::-1]))
+    return replace(result, convergence=tuple(table))

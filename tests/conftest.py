@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +13,27 @@ from layerspec.varform import form
 
 # the chart fields of a grid, by name
 _CHART_FIELDS = [f.name for f in dataclasses.fields(ChartGrid) if f.name not in ("s", "theta")]
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+@pytest.fixture
+def fresh_probe():
+    """Runs a script in a fresh interpreter and returns the JSON on its last output line.
+
+    The script imports layerspec from the source tree and the test modules
+    by name, and reads its extra arguments from sys.argv[1:]; a nonzero exit
+    fails the test with the script's stderr.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(_TESTS), "src"), _TESTS, env.get("PYTHONPATH")) if p)
+
+    def run(script, *args):
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    return run
 
 
 @pytest.fixture

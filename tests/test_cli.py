@@ -235,6 +235,18 @@ def test_too_few_cells_or_eigenvalues_exit_four(tmp_path, command, line):
     assert not (out / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("S", ["0", "-1"])
+def test_non_positive_truncation_exit_three_naming_S(tmp_path, capsys, S):
+    # S <= 0 used to reach the cell floor and exit with "need at least 16
+    # cells per direction", which does not name S
+    cfg = write_cfg(tmp_path, f"counterexample.S = {S}\n")
+    out = tmp_path / "o"
+    assert main(["counterexample", "--config", cfg, "--out", str(out)]) == 3
+    assert not (out / "counterexample.json").exists()
+    err = capsys.readouterr().err
+    assert "S > 0" in err and "cells" not in err, err
+
+
 @pytest.mark.parametrize("surface,param", [
     ("capped-cylinder", "R = 0"),
     ("capped-cylinder", "R = -1"),

@@ -1,7 +1,4 @@
-import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -14,8 +11,6 @@ from layerspec.layer import LayerSpec
 from layerspec.numkernel import SparseSymmetricPair, eigensolve, lowest_eigenpairs
 from layerspec.spectrum import assemble_partial_wave, build_mesh, mesh_threshold
 
-
-_TESTS = os.path.dirname(os.path.abspath(__file__))
 
 # Factors the counterexample's 4S strip pencil at its eps1_mesh shift with
 # eigensolve.spla wrapped, so that the peak and the resident memory (kB) are
@@ -256,16 +251,10 @@ def test_symmetry_check_on_matching_and_differing_patterns():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 @pytest.mark.skipif(eigensolve._MALLOC_TRIM is None, reason="needs malloc_trim")
-def test_factor_transient_stays_near_the_factor_it_keeps():
+def test_factor_transient_stays_near_the_factor_it_keeps(fresh_probe):
     # SuperLU's panel workspace scales with n times the panel width: at
     # scipy's default width 20 the peak growth during splu was 1.74 times
     # the growth that stays resident after it, at width 1 it is 1.19
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(os.path.dirname(_TESTS), "src"), _TESTS, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _FACTOR_PROBE], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    growth = json.loads(proc.stdout.strip().splitlines()[-1])
+    growth = fresh_probe(_FACTOR_PROBE)
     assert growth["new_peak"], growth  # the factorization set the process peak
     assert growth["peak_growth"] <= 1.5 * growth["kept_growth"], growth

@@ -5,13 +5,6 @@ imports ``scipy.optimize`` only when its stop condition brackets a root, so
 a fan that meets no conjugate point never loads it.
 """
 
-import json
-import os
-import subprocess
-import sys
-
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
 _PROBE = """
 import json, sys
 heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
@@ -23,28 +16,22 @@ print(json.dumps({"after_import": after_import, "code": code, "after_run": loade
 """
 
 
-def _heavy_loaded(tmp_path, command, config):
+def _heavy_loaded(fresh_probe, tmp_path, command, config):
     """Heavy scipy packages loaded after importing the CLI and after a run."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, command, str(cfg), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return fresh_probe(_PROBE, command, cfg, tmp_path / "out")
 
 
-def test_cli_imports_and_describe_load_no_heavy_scipy_package(tmp_path):
-    seen = _heavy_loaded(tmp_path, "describe", "surface.name = hyperboloid\nsurface.s_max = 60\n")
+def test_cli_imports_and_describe_load_no_heavy_scipy_package(fresh_probe, tmp_path):
+    seen = _heavy_loaded(fresh_probe, tmp_path, "describe",
+                         "surface.name = hyperboloid\nsurface.s_max = 60\n")
     assert seen == {"after_import": [], "code": 0, "after_run": []}
 
 
-def test_fan_totals_without_conjugate_point_loads_no_heavy_scipy_package(tmp_path):
+def test_fan_totals_without_conjugate_point_loads_no_heavy_scipy_package(fresh_probe, tmp_path):
     # the fan's stop condition is checked on every step but never brackets
     # a root, so brentq is never imported
     config = "surface.name = monkey-saddle\nsurface.theta_samples = 64\nsurface.s_max = 40\n"
-    seen = _heavy_loaded(tmp_path, "totals", config)
+    seen = _heavy_loaded(fresh_probe, tmp_path, "totals", config)
     assert seen == {"after_import": [], "code": 0, "after_run": []}

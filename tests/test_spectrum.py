@@ -15,7 +15,6 @@ from layerspec.spectrum import (
     spectrum_with_refinement,
 )
 from layerspec.numkernel import eigensolve
-from layerspec.spectrum import solve as spectrum_solve
 from layerspec.spectrum.assemble import _profile_columns
 from layerspec.spectrum.counterexample import capped_layer
 
@@ -122,20 +121,10 @@ def test_assembly_transient_is_a_small_multiple_of_the_pair():
     assert peak <= 4.0 * pair_bytes
 
 
-def test_refinement_solves_finest_first_and_tables_coarse_to_fine(hyperboloid_layer, monkeypatch):
-    sizes = []
-    assemble = spectrum_solve.assemble_partial_wave
-
-    def recorded(layer, m, mesh, **kw):
-        sizes.append(mesh.n_unknowns)
-        return assemble(layer, m, mesh, **kw)
-
-    monkeypatch.setattr(spectrum_solve, "assemble_partial_wave", recorded)
+def test_refinement_tables_coarse_to_fine_and_returns_the_finest(hyperboloid_layer):
     res = spectrum_with_refinement(hyperboloid_layer, 1, S=20.0, n_s=64, n_u=16, k=2, levels=3)
-    assert sizes == sorted(sizes, reverse=True)
-    levels = [solve_spectrum(assemble(hyperboloid_layer, 1, build_mesh(20.0, 0.3, 64 * 2**lev,
-                                                                       16 * 2**lev)), 2)
-              for lev in range(3)]
+    meshes = [build_mesh(20.0, 0.3, 64 * 2**lev, 16 * 2**lev) for lev in range(3)]
+    levels = [solve_spectrum(assemble_partial_wave(hyperboloid_layer, 1, mesh), 2) for mesh in meshes]
     assert res.convergence == tuple((r.h_s, r.h_u, float(r.eigenvalues[0]), r.threshold_mesh)
                                     for r in levels)
     assert np.array_equal(res.eigenvalues, levels[-1].eigenvalues)
