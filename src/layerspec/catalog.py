@@ -93,6 +93,11 @@ _ENTRIES = [
 ]
 
 
+# the plane's parameters, for build_chart: it is not a catalog entry
+_PLANE = CatalogEntry(name="plane", construction="profile", definition="z = 0",
+                      defaults={"s_max": 100.0})
+
+
 def catalog():
     """The fixed list of built-in surfaces."""
     return list(_ENTRIES)
@@ -192,27 +197,21 @@ def build_chart(name, params=None, ode_tol=1e-10):
     Accepts every catalog name plus "plane".  The documentation-only entry
     raises CapabilityError from every compute path.
     """
-    params = dict(params or {})
-    if name == "plane":
-        s_max = float(params.pop("s_max", 100.0))
-        if params:
-            raise InvalidInputError(f"plane has no parameters {sorted(params)}")
-        if s_max <= 0:
-            raise InvalidInputError("s_max must be positive")
-        return RevolutionChart(RevolutionProfile(s_max, (), _flat_fields))
-
-    entry = catalog_entry(name)
+    entry = _PLANE if name == "plane" else catalog_entry(name)
     if entry.construction == "none":
         raise CapabilityError(
             f"surface {name!r} has no pole and therefore no geodesic polar chart; "
             "it is a documentation-only catalog entry"
         )
-    p = _merge_defaults(entry, params)
+    p = _merge_defaults(entry, params or {})
+    s_max = float(p["s_max"])
+    if not s_max > 0:
+        raise InvalidInputError(f"s_max must be positive, got s_max = {s_max:g}")
+    if name == "plane":
+        return RevolutionChart(RevolutionProfile(s_max, (), _flat_fields))
     if entry.construction == "graph":
         surf = graph_surface(name, params)
-        return geodesic_fan(
-            surf, theta_samples=int(p["theta_samples"]), s_max=float(p["s_max"]), tol=ode_tol
-        )
+        return geodesic_fan(surf, theta_samples=int(p["theta_samples"]), s_max=s_max, tol=ode_tol)
     if name == "hyperboloid":
         z0 = float(p["z0"])
         if z0 == 0:
@@ -222,16 +221,16 @@ def build_chart(name, params=None, ode_tol=1e-10):
             dz_fn=lambda rho: z0 * rho / np.sqrt(1.0 + rho**2),
             d2z_fn=lambda rho: z0 * (1.0 + rho**2) ** -1.5,
             d3z_fn=lambda rho: -3.0 * z0 * rho * (1.0 + rho**2) ** -2.5,
-            s_max=float(p["s_max"]),
+            s_max=s_max,
             tol=ode_tol,
         )
         return RevolutionChart(profile)
     if name == "sine-meridian":
-        spec = _sine_meridian_spec(float(p["s_max"]))
+        spec = _sine_meridian_spec(s_max)
         return RevolutionChart(revolution_from_meridian(spec))
     if name == "capped-cylinder":
         if float(p["R"]) <= 0:
             raise InvalidInputError("R must be positive")
-        spec = _capped_cylinder_spec(float(p["R"]), float(p["s_max"]))
+        spec = _capped_cylinder_spec(float(p["R"]), s_max)
         return RevolutionChart(revolution_from_meridian(spec))
     raise InvalidInputError(f"no construction for {name!r}")

@@ -3,15 +3,17 @@
 Format: one ``section.key = value`` per line; ``#`` starts a comment.
 Values are typed per the schema below (floats, ints, booleans, strings, or
 comma-separated lists); unknown keys and malformed values, non-finite
-floats, ints below a key's minimum and radius lists too short, not strictly
-increasing or not starting above 0 among them, are rejected before any
-computation starts.
+floats, ints below a key's minimum, names outside a key's choices, empty
+lists and radius lists too short, not strictly increasing or not starting
+above 0 among them, are rejected before any computation starts.
 """
 
 import math
 from dataclasses import dataclass, field
 
+from .catalog import catalog
 from .errors import ConfigError
+from .varform.certify import FAMILIES
 
 _UNSET = object()
 
@@ -22,12 +24,14 @@ class _Key:
     kind: str  # "float" | "int" | "bool" | "str" | "float_list" | "int_list" | "str_list"
     default: object
     help: str
-    minimum: int = None  # least value of an "int" key
+    minimum: int = None  # least value of an "int" key or "int_list" item
+    choices: tuple = None  # the names a "str" key or "str_list" item may take
     radii: int = None  # least length of a "float_list" key of radii
 
 
 SCHEMA = [
-    _Key("surface.name", "str", "plane", "catalog surface name, or 'plane'"),
+    _Key("surface.name", "str", "plane", "catalog surface name, or 'plane'",
+         choices=("plane", *(entry.name for entry in catalog()))),
     _Key("surface.z0", "float", _UNSET, "hyperboloid steepness parameter"),
     _Key("surface.x0", "float", _UNSET, "elliptic paraboloid x half-axis"),
     _Key("surface.y0", "float", _UNSET, "elliptic paraboloid y half-axis"),
@@ -41,15 +45,14 @@ SCHEMA = [
          radii=3),
     _Key("check.probe_radii", "float_list", _UNSET, "annulus radii for the hypothesis checks",
          radii=4),
-    _Key("certify.strategies", "str_list",
-         ["goldstone_jaffe", "deformed", "thin", "symmetric_log"],
-         "trial families to try, in order"),
-    _Key("certify.budget", "int", 40, "max form evaluations per family"),
+    _Key("certify.strategies", "str_list", list(FAMILIES), "trial families to try, in order",
+         choices=tuple(FAMILIES)),
+    _Key("certify.budget", "int", 40, "max form evaluations per family", minimum=1),
     _Key("certify.s0", "float", _UNSET, "plateau radius for the mollified families"),
     _Key("spectrum.S", "float", _UNSET, "truncation radius of the eigensolve strip"),
     _Key("spectrum.n_s", "int", 400, "radial cell count", minimum=16),
     _Key("spectrum.n_u", "int", 32, "transverse cell count", minimum=16),
-    _Key("spectrum.m_list", "int_list", [0, 1, 2], "angular momentum indices"),
+    _Key("spectrum.m_list", "int_list", [0, 1, 2], "angular momentum indices", minimum=0),
     _Key("spectrum.k", "int", 3, "eigenvalues per partial wave", minimum=1),
     _Key("spectrum.levels", "int", 2,
          "mesh refinement levels for the table; order_estimate needs 3 and is null below",
@@ -87,16 +90,24 @@ def _check_radii(key, raw, values):
     raise ConfigError(f"bad value for {key.name}: {raw!r} ({problem})")
 
 
+def _check_item(key, raw, value):
+    """``value``, parsed from ``raw``, if it meets the key's minimum and choices."""
+    if key.minimum is not None and value < key.minimum:
+        problem = f"at least {key.minimum}"
+    elif key.choices is not None and value not in key.choices:
+        problem = "one of " + ", ".join(key.choices)
+    else:
+        return value
+    raise ConfigError(f"bad value for {key.name}: {raw!r} ({problem})")
+
+
 def _parse_value(key, raw):
     raw = raw.strip()
     try:
         if key.kind == "float":
             return _finite(raw)
         if key.kind == "int":
-            value = int(raw)
-            if key.minimum is not None and value < key.minimum:
-                raise ConfigError(f"bad value for {key.name}: {raw!r} (at least {key.minimum})")
-            return value
+            return _check_item(key, raw, int(raw))
         if key.kind == "bool":
             low = raw.lower()
             if low in ("true", "yes", "1"):
@@ -105,17 +116,19 @@ def _parse_value(key, raw):
                 return False
             raise ValueError(raw)
         if key.kind == "str":
-            return raw
+            return _check_item(key, raw, raw)
         items = [x.strip() for x in raw.split(",") if x.strip()]
+        if not items:
+            raise ConfigError(f"bad value for {key.name}: {raw!r} (an empty list)")
         if key.kind == "float_list":
             values = [_finite(x) for x in items]
             if key.radii is not None:
                 _check_radii(key, raw, values)
             return values
         if key.kind == "int_list":
-            return [int(x) for x in items]
+            return [_check_item(key, x, int(x)) for x in items]
         if key.kind == "str_list":
-            return items
+            return [_check_item(key, x, x) for x in items]
     except ValueError as exc:
         raise ConfigError(f"bad value for {key.name}: {raw!r}") from exc
     raise ConfigError(f"unknown kind for {key.name}")

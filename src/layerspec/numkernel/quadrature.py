@@ -130,7 +130,8 @@ def adaptive_gauss(density, panels, orders, rel_tol, judged=None):
         values = []
         for level, n in enumerate(orders):
             nodes, weights = _panel_rule(n, lo, hi)
-            samples = np.asarray(density(nodes.ravel(), level), dtype=float)
+            # C order: the weighted sums below must not depend on the layout
+            samples = np.ascontiguousarray(density(nodes.ravel(), level), dtype=float)
             samples = samples.reshape(-1, lo.size, n)
             values.append(np.einsum("kpn,pn->pk", samples, weights))
         coarse, fine = values

@@ -20,9 +20,10 @@ geodesics for graphs.  Every chart has
     theta_stride_for(max_rays)    stride thinning the ring to about max_rays
                                   rays; 1 where the ring is exact and cheap
 
-A sweep over many radii reads through read_rings, which keeps each grid()
-call under READ_POINTS points (radii x rays).  SUP_BAR is the relative bar
-of every sampled supremum, which is scaled by 1 + SUP_BAR as an estimate.
+Every sweep over many radii (a sampled sup, a ring integral's or the shifted
+form's density) reads through read_rings, which keeps each grid() call
+under READ_POINTS points (radii x rays).  SUP_BAR is the relative bar of
+every sampled supremum, which is scaled by 1 + SUP_BAR as an estimate.
 
 Charts are immutable after construction and all evaluations are reentrant.
 Every field of a grid broadcasts to (Ns, Nt), Nt the size of its (strided)
@@ -31,15 +32,14 @@ RevolutionChart field is.  The array's width is the one record of
 axisymmetry; consumers broadcast what they combine and average over the
 width they get.
 
-A grid has the fields of ChartGrid, by name, and its rows(i, j), the grid
-on the radii s[i:j]; it need not be one.  s, theta, r and dr_ds are read
-when grid() is called, and a grid may compute any other field on its first
-read and keep it (a FanChart grid does), so a read costs only the fields it
-touches, and a block of rows only those of its rows.  A grid is immutable
-to its readers: they never write to it or to its arrays.
+A grid has the fields of ChartGrid, by name; it need not be one.  s, theta,
+r and dr_ds are read when grid() is called, and a grid may compute any
+other field on its first read and keep it (a FanChart grid does), so a read
+costs only the fields it touches.  A grid is immutable to its readers: they
+never write to it or to its arrays.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,11 +88,6 @@ class ChartGrid:
     def grad_M_sq(self):
         """|grad_g M|^2 = (dM/ds)^2 + r^{-2} (dM/dtheta)^2."""
         return self.dM_ds**2 + self.dM_dtheta**2 / self.r**2
-
-    def rows(self, i, j):
-        """The grid on the radii s[i:j]."""
-        return replace(self, **{f.name: getattr(self, f.name)[i:j]
-                                for f in fields(self) if f.name != "theta"})
 
 
 def read_rings(chart, s, reduce, stride=1):

@@ -223,11 +223,6 @@ class _FanGrid:
     dM_dtheta = property(lambda g: g._grad_M[1])
     grad_M_sq = ChartGrid.grad_M_sq
 
-    def rows(self, i, j):
-        """The grid on the radii s[i:j], its other fields computed anew."""
-        state = (self._x, self._y, self._vx, self._vy, self.r, self.dr_ds)
-        return _FanGrid(self._surf, self.s[i:j], self.theta, *(v[i:j] for v in state))
-
     @cached_property
     def _derivs(self):
         return _derivatives(self._surf, self._x, self._y)

@@ -15,6 +15,7 @@ from ..errors import InvalidInputError
 from ..numkernel import gauss_legendre, panelize
 from .charts import SUP_BAR, read_rings
 from .totals import (
+    full_and_half,
     radial_gauss_partials,
     resolved_prefix,
     total_abs_gauss,
@@ -167,8 +168,8 @@ def hypotheses_report(chart, probe_radii):
 
     # the same cut on the grad-M ring, whose integrability evidence is void
     # where the fan does not resolve it
-    g = chart.grid(probe_radii, stride=stride)
-    full, half = (2.0 * np.pi * (g.grad_M_sq * g.r)[:, ::step].mean(axis=1) for step in (1, 2))
+    rings = read_rings(chart, probe_radii, lambda g: full_and_half(g.grad_M_sq * g.r), stride)
+    full, half = 2.0 * np.pi * rings.T
     sigma2_radii, resolved = _resolution_cut(probe_radii, full, half, "grad-M ring integrals", notes)
     est2 = total_grad_mean_sq(chart, sigma2_radii, stride=stride)
     sigma2 = _integral_verdict(est2) if resolved else "undecided"

@@ -5,7 +5,7 @@ A certificate is numerical evidence of discrete spectrum below the
 transverse threshold: a concrete admissible trial whose shifted form value
 is negative beyond its quadrature error bar (margin = |value|/error >= 3).
 
-The families (``_FAMILIES``), when each applies, and the steps it sweeps:
+The families (``FAMILIES``), when each applies, and the steps it sweeps:
 
 - goldstone_jaffe, total Gauss curvature <= 0: the mollifier width sigma;
 - deformed, total Gauss curvature = 0: every 4th sigma, with the deformation
@@ -153,7 +153,7 @@ def _log_steps(layer, s0):
 
 # family -> (applies(layer, total Gauss curvature), why it is skipped otherwise,
 # steps(layer, s0))
-_FAMILIES = {
+FAMILIES = {
     "goldstone_jaffe": (lambda layer, k_tot: k_tot <= _K_TOT_ZERO,
                         "total Gauss curvature is positive", _mollified_steps(gj_trial)),
     "deformed": (lambda layer, k_tot: abs(k_tot) <= _K_TOT_ZERO,
@@ -164,8 +164,7 @@ _FAMILIES = {
 }
 
 
-def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric_log"),
-            budget=40, s0=None):
+def certify(layer, strategies=tuple(FAMILIES), budget=40, s0=None):
     """Search the requested families for a negative shifted-form value.
 
     Families run in the order of ``strategies``, each only where the
@@ -209,9 +208,9 @@ def certify(layer, strategies=("goldstone_jaffe", "deformed", "thin", "symmetric
     best = None  # (FormEvaluation, family, params)
     certified = False
     for family in strategies:
-        if family not in _FAMILIES:
+        if family not in FAMILIES:
             raise CapabilityError(f"unknown strategy {family!r}")
-        applies, why_not, steps = _FAMILIES[family]
+        applies, why_not, steps = FAMILIES[family]
         if not applies(layer, k_tot):
             notes.append(f"{family} skipped: {why_not}")
             continue

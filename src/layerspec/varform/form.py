@@ -27,6 +27,7 @@ import numpy as np
 from ..errors import InvalidInputError, TruncationError
 from ..numkernel import adaptive_gauss, gauss_legendre, panelize
 from ..surface import ring_integral
+from ..surface.charts import read_rings
 from .trials import combine, deformation_trial, gj_trial
 
 # Gauss points of the coarse rules: across the width (-a, a) and per
@@ -103,16 +104,16 @@ def _s_panels(layer, trial):
     return panelize(lo, hi, breakpoints=breaks, first=max((hi - lo) / 64.0, 1e-9))
 
 
-def _evaluate(layer, trial, s_nodes, n_u, stride):
-    """Radial densities at ``s_nodes``, shape (6, Ns), rows ``_Q1`` ... ``_Q2S_HALF``.
+def _evaluate(layer, trial, grid, n_u):
+    """Radial densities on the rings of ``grid``, shape (Ns, 6), ``_Q1`` ... ``_Q2S_HALF``.
 
-    Each row is integrated over theta and u but not over s.  The theta rule
-    spans the broadcast width of the chart and term fields; a half-ring row
-    sums every other column of the same weighted products and rescales by
-    width / ceil(width / 2), exactly 1 at width 1.  The moment tables (norm,
-    shifted Q2) are summed term pair by term pair; Q1 takes a Gauss rule in u.
+    Each density is integrated over theta and u but not over s.  The theta
+    rule spans the broadcast width of the chart and term fields; a half-ring
+    density sums every other column of the same weighted products and
+    rescales by width / ceil(width / 2), exactly 1 at width 1.  The moment
+    tables (norm, shifted Q2) are summed term pair by term pair; Q1 takes a
+    Gauss rule in u.
     """
-    grid = layer.chart.grid(s_nodes, stride=stride)
     r = grid.r
     K, M = grid.K, grid.M
     ii_ss, ii_st, ii_tt = grid.ii_ss, grid.ii_st, grid.ii_tt
@@ -165,7 +166,7 @@ def _evaluate(layer, trial, s_nodes, n_u, stride):
         q1 += wu * np.sum(product, axis=1)
         q1_h += wu * np.sum(product[:, ::2], axis=1)
     scale = width / ((width + 1) // 2)  # every other ray's weight over 2 pi / width
-    return np.array([q1, norm, q2_shift, q1_h * scale, norm_h * scale, q2_shift_h * scale])
+    return np.stack([q1, norm, q2_shift, q1_h * scale, norm_h * scale, q2_shift_h * scale], axis=1)
 
 
 def evaluate_form(layer, trial):
@@ -181,7 +182,8 @@ def evaluate_form(layer, trial):
     n_u_pair = (_U_POINTS, _U_POINTS + 8)
 
     def density(nodes, level):
-        return _evaluate(layer, trial, nodes, n_u_pair[level], stride)
+        return read_rings(layer.chart, nodes, lambda g: _evaluate(layer, trial, g, n_u_pair[level]),
+                          stride).T
 
     adapt = adaptive_gauss(density, _s_panels(layer, trial), orders=(_S_POINTS, _S_POINTS + 6),
                            rel_tol=_PANEL_REL_TOL, judged=(_Q1, _NORM, _Q2S))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from layerspec.numkernel import eigensolve
-from layerspec.surface import ChartGrid
+from layerspec.surface import ChartGrid, charts
 from layerspec.varform import form
 
 # the chart fields of a grid, by name
@@ -61,15 +61,16 @@ def lu_solves(monkeypatch):
 
 @pytest.fixture
 def form_reads(monkeypatch):
-    """(stride, integrand width) of every ring the form evaluations read.
+    """(stride, integrand width) of every grid the form evaluations read.
 
-    The width is the broadcast width of the read's chart fields and of the
-    trial's term fields on that grid.
+    The stride is the chart's ring size over the grid's, and the width is
+    the broadcast width of the grid's chart fields and of the trial's term
+    fields on it.
     """
     reads = []
     evaluate = form._evaluate
 
-    def counted(layer, trial, s_nodes, n_u, stride):
+    def counted(layer, trial, grid, n_u):
         widths = []
 
         def watched(term):
@@ -81,12 +82,45 @@ def form_reads(monkeypatch):
             return dataclasses.replace(term, surface_eval=surface_eval)
 
         values = evaluate(layer, dataclasses.replace(trial, terms=tuple(map(watched, trial.terms))),
-                          s_nodes, n_u, stride)
-        reads.append((stride, max(widths)))
+                          grid, n_u)
+        reads.append((layer.chart.theta_nodes.size // grid.theta.size, max(widths)))
         return values
 
     monkeypatch.setattr(form, "_evaluate", counted)
     return reads
+
+
+@pytest.fixture
+def chart_reads(monkeypatch):
+    """Records chart.grid reads as (radii, rays), rays the width of the read's r.
+
+    ``chart_reads(target, *modules)`` watches the grid method of ``target``,
+    a chart or a chart class, and returns the list the reads go to; with
+    ``modules``, only the reads made inside those modules' read_rings.  A
+    ``width`` function of the grid replaces the width of r.
+    """
+    def watch(target, *modules, width=lambda g: g.r.shape[1]):
+        reads, inside = [], []
+        grid = target.grid
+
+        def spy(*args, **kwargs):
+            g = grid(*args, **kwargs)
+            if inside or not modules:
+                reads.append((g.s, width(g)))
+            return g
+
+        def ring_reader(*args, **kwargs):
+            inside.append(True)
+            try:
+                return charts.read_rings(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(target, "grid", spy)
+        for module in modules:
+            monkeypatch.setattr(module, "read_rings", ring_reader)
+        return reads
+    return watch
 
 
 class MaterializedChart:

@@ -264,6 +264,36 @@ def test_degenerate_shape_parameter_exit_three(tmp_path, capsys, surface, param)
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("describe", "surface.name = torus", "surface.name"),
+    ("certify", "certify.strategies = thin, gaussian", "certify.strategies"),
+    ("certify", "certify.strategies =", "certify.strategies"),
+    ("certify", "certify.budget = 0", "certify.budget"),
+    ("certify", "certify.budget = -2", "certify.budget"),
+    ("spectrum", "spectrum.m_list =", "spectrum.m_list"),
+    ("spectrum", "spectrum.m_list = 0, -1", "spectrum.m_list"),
+])
+def test_names_and_work_counts_checked_at_load_exit_four(tmp_path, capsys, command, line, key):
+    # each failed mid-run (exit 3) or ran no work (exit 0) before it was checked
+    cfg = write_cfg(tmp_path, f"{line}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert not (out / f"{command}.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: bad value for {key}: "), err
+
+
+@pytest.mark.parametrize("surface", ["hyperbolic-paraboloid", "hyperboloid", "plane"])
+def test_non_positive_s_max_exit_three_naming_s_max(tmp_path, capsys, surface):
+    # a graph or the hyperboloid used to fail in the ODE layer with "span
+    # must satisfy s1 > s0", which does not name s_max
+    cfg = write_cfg(tmp_path, f"surface.name = {surface}\nsurface.s_max = -3\n")
+    out = tmp_path / "o"
+    assert main(["describe", "--config", cfg, "--out", str(out)]) == 3
+    assert not (out / "describe.json").exists()
+    assert "s_max must be positive" in capsys.readouterr().err
+
+
 def test_layer_force_is_the_only_force_and_is_echoed(tmp_path):
     # a = 1.0 is at least the hyperboloid's minimal normal curvature radius
     lines = ["surface.name = hyperboloid", "layer.a = 1.0", "spectrum.S = 20",

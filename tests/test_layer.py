@@ -23,8 +23,10 @@ from layerspec.surface import (
     hypotheses_report,
     revolution_from_meridian,
 )
-from layerspec.surface import hypotheses
-from layerspec.surface.charts import READ_POINTS, read_rings
+from layerspec.surface import hypotheses, ring_integral, totals
+from layerspec.surface.charts import READ_POINTS
+from layerspec.varform import evaluate_form, form
+from layerspec.varform.trials import gj_trial
 
 
 def unit_sphere_chart(s_max=2.8):
@@ -57,30 +59,6 @@ def fan():
 def _whole_read(chart):
     """One chart.grid read of every sample radius of rho_m."""
     return chart.grid(_rho_radii(chart), stride=chart.theta_stride_for(512))
-
-
-def _spy_reads(chart, monkeypatch):
-    """The chart.grid reads made inside read_rings, as (radii, points)."""
-    reads, inside = [], []
-    grid = chart.grid
-
-    def spy(s_nodes, stride=1):
-        g = grid(s_nodes, stride=stride)
-        if inside:
-            reads.append((g.s, g.s.size * g.theta.size))
-        return g
-
-    def ring_reader(*args, **kwargs):
-        inside.append(True)
-        try:
-            return read_rings(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(chart, "grid", spy)
-    for module in (layer, hypotheses):
-        monkeypatch.setattr(module, "read_rings", ring_reader)
-    return reads
 
 
 _RHO_CHARTS = {
@@ -128,27 +106,66 @@ def _read_report(chart):
     sup_K, sup_M, radii = _annulus_sups(chart, np.r_[0.0, r[0] / 2, r], hypotheses._REPORT_SAMPLES, 1)
     nodes = gauss_legendre(8, panelize(r[0] * 1e-3, r[-1], first=r[0] / 4)).nodes
     growth = 1.05 * float(np.max(chart.grid(nodes).r.mean(axis=1) * 2.0 * np.pi / nodes))
+    # then the |grad M|^2 ring's resolution read at the annuli kept
     return ((list(rep.sigma0_sup_K), list(rep.sigma0_sup_M), rep.growth_constant),
             (list(1.05 * sup_K[1:]), list(1.05 * sup_M[1:]), growth),
-            np.concatenate([radii, nodes]))
+            np.concatenate([radii, r, nodes]))
 
 
-@pytest.mark.parametrize("read", [_read_rho_m, _read_flatness, _read_report],
-                         ids=["rho_m", "flatness", "report"])
-def test_ring_readers_read_each_radius_once_within_the_points_budget(fan, monkeypatch, read):
+def _whole_reads(module, run):
+    """run() with every read_rings call of ``module`` one whole chart.grid read,
+    and the radii those reads took, in order."""
+    radii = []
+
+    def whole(chart, s, reduce, stride=1):
+        radii.append(s)
+        return reduce(chart.grid(s, stride=stride))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "read_rings", whole)
+        value = run()
+    return value, np.concatenate(radii)
+
+
+def _read_ring_integral(chart):
+    # |grad M|^2 on the full ring, several blocks to a density call: a block
+    # cut moves the last digits (an ODE step left with one point of a block
+    # is evaluated by a matrix-vector product); 8 ulp is the margin of
+    # test_ring_integral_blocks_agree_with_one_whole_read_to_8_ulp
+    run = lambda: ring_integral(chart, lambda g: g.grad_M_sq, panelize(2.0, chart.s_max, first=2.0),
+                                stride=1).value
+    oracle, radii = _whole_reads(totals, run)
+    return run(), pytest.approx(oracle, rel=8 * np.finfo(float).eps, abs=0), radii
+
+
+def _read_form(chart):
+    fan_layer = LayerSpec(chart, a=0.1)
+    trial = gj_trial(fan_layer, s0=5.0, sigma=0.1)
+    run = lambda: evaluate_form(fan_layer, trial)
+    oracle, radii = _whole_reads(form, run)
+    return run(), oracle, radii
+
+
+@pytest.mark.parametrize("read, modules", [
+    (_read_rho_m, (layer,)), (_read_flatness, (hypotheses,)), (_read_report, (hypotheses,)),
+    (_read_ring_integral, (totals,)), (_read_form, (form,)),
+], ids=["rho_m", "flatness", "report", "ring_integral", "evaluate_form"])
+def test_ring_readers_read_each_radius_once_within_the_points_budget(fan, chart_reads, read,
+                                                                     modules):
     # each reader's result equals the oracle's whole reads: one of rho_m's
-    # radii, one per sigma0 annulus, one of the growth constant's Gauss nodes
-    reads = _spy_reads(fan, monkeypatch)
+    # radii, one per sigma0 annulus, one of the growth constant's Gauss nodes,
+    # one per density call of an adaptive sweep
+    reads = chart_reads(fan, *modules)
     result, oracle, radii = read(fan)
     assert len(reads) > 1
-    assert max(points for _, points in reads) <= READ_POINTS
+    assert max(s.size * rays for s, rays in reads) <= READ_POINTS
     assert np.array_equal(np.concatenate([s for s, _ in reads]), radii)
     assert result == oracle
 
 
-def test_rho_m_reads_a_revolution_chart_once(monkeypatch):
+def test_rho_m_reads_a_revolution_chart_once(chart_reads):
     chart = build_chart("hyperboloid", {"s_max": 40.0})
-    reads = _spy_reads(chart, monkeypatch)
+    reads = chart_reads(chart, layer)
     rho_m(chart)
     assert len(reads) == 1
     assert np.array_equal(reads[0][0], _rho_radii(chart))
