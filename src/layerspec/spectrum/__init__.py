@@ -7,7 +7,6 @@ from .counterexample import (
     cap_neumann_ground,
     counterexample_full,
     counterexample_radial,
-    radial_order_estimate,
     spherical_shell_ground,
 )
 
@@ -20,6 +19,5 @@ __all__ = [
     "cap_neumann_ground",
     "counterexample_full",
     "counterexample_radial",
-    "radial_order_estimate",
     "spherical_shell_ground",
 ]

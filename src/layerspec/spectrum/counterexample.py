@@ -4,122 +4,109 @@ The layer over a semi-cylinder of radius R closed by a hemisphere has its
 whole spectrum filled from the cylindrical end.  The bottom eps_1 is the
 lowest Dirichlet eigenvalue of the radial operator -d^2/dr^2 - 1/(4 r^2)
 on the interval (R - a, R + a), which sits strictly below the transverse
-threshold; the hemispherical cap alone (via the full spherical shell, whose
-l = 0 reduction is exactly the flat interval problem) contributes the
-threshold itself.  Truncated-domain eigensolves therefore must land at or
-above eps_1, and that is numerical evidence only: Dirichlet truncation
-yields upper bounds, never an existence proof.
+threshold.  It is a dense Galerkin eigenvalue in Legendre modes that
+vanish at both walls (Shen, SIAM J. Sci. Comput. 15, 1994); their count is
+doubled until two values agree, and the bar is the last change.  The
+hemispherical cap alone contributes the threshold itself: the full
+spherical shell's ground state is (pi/(2a))^2 in closed form.
+Truncated-domain eigensolves (FD on the strip, counted against eps_1 on
+the strip's own u grid) therefore must land at or above eps_1, and that is
+numerical evidence only: Dirichlet truncation yields upper bounds, never
+an existence proof.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 
 from ..catalog import build_chart
 from ..errors import InvalidInputError
 from ..layer import LayerSpec
-from ..numkernel import SparseSymmetricPair, lowest_eigenpairs
+from ..numkernel import SparseSymmetricPair, gauss_legendre, lowest_eigenpairs
 from .assemble import assemble_partial_wave
 from .mesh import build_mesh
 from .solve import solve_spectrum
 
 
-# coarsest cell counts of the interval solves: the two meshes the
-# extrapolated eps_1 and shell ground read, the three radial_order_estimate reads
-_INTERVAL_CELLS = 3200
-_ORDER_CELLS = 400
+# Legendre modes of the eps_1 solve: the first count, doubled up to the cap
+_RADIAL_MODES, _RADIAL_MODES_CAP = 16, 128
+# relative agreement of two mode counts that stops the doubling
+_RADIAL_RTOL = 1e-12
+# relative floor of eps_1's bar: once converged, the values at 16 to 256
+# modes scatter by up to 1.6e-14 relative in rounding, more than the last
+# change at the default (2.6e-15)
+_RADIAL_ROUNDING = 1e-13
 # mesh of cap_neumann_ground's hemispherical segment
 _CAP_N_S, _CAP_N_U = 200, 40
 # eigenvalues solved on each truncation (the lowest two)
 _TRUNCATION_EIGS = 2
 
-# the two interval operators: the cylinder's radial problem (eps_1) and the
-# l = 0 reduction of the spherical shell
-_INTERVAL_PROBLEMS = {
-    "radial": {"potential": lambda x: -0.25 / x**2},
-    "shell": {"weight": lambda x: x**2},
-}
 
-
-def _interval_ground(R, a, n, potential=None, weight=None):
-    """Lowest Dirichlet eigenvalue of -(w f')'/w + V on (R-a, R+a), FD."""
+def _interval_ground(R, a, n):
+    """Lowest Dirichlet eigenvalue of -f'' - f/(4 r^2) on (R-a, R+a), FD on n cells."""
     h = 2.0 * a / n
     nodes = R - a + h * np.arange(1, n)
-    faces = R - a + h * (np.arange(n) + 0.5)
-    w_face = np.ones(n) if weight is None else weight(faces)
-    w_node = np.ones(n - 1) if weight is None else weight(nodes)
-    main = (w_face[:-1] + w_face[1:]) / h**2
-    off = -w_face[1:-1] / h**2
-    if potential is not None:
-        main = main + potential(nodes)
+    main = 2.0 / h**2 - 0.25 / nodes**2
+    off = np.full(n - 2, -1.0 / h**2)
     A = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    B = sp.diags(w_node, format="csr")
-    pair = SparseSymmetricPair.build(A, B)
-    # row-wise Gershgorin bound of B^{-1} A: a true lower bound of the pencil
-    # for diagonal B, and near enough to the ground state that one Lanczos
-    # run converges (a bound of A alone ignores the weight and lands far off)
+    pair = SparseSymmetricPair.build(A, sp.identity(n - 1, format="csr"))
+    # row-wise Gershgorin bound: a true lower bound of the spectrum, and near
+    # enough to the ground state that one Lanczos run converges
     radius = np.zeros(n - 1)
     radius[1:] += np.abs(off)
     radius[:-1] += np.abs(off)
-    shift = float(((main - radius) / w_node).min() - 1.0)
+    shift = float((main - radius).min() - 1.0)
     pairs, _ = lowest_eigenpairs(pair, 1, shift=shift)
     return pairs[0].value
 
 
-def _interval_levels(R, a, n, kind, levels):
-    """Interval ground states on n, 2n, ... 2^(levels-1) n cells."""
-    problem = _INTERVAL_PROBLEMS[kind]
-    return [_interval_ground(R, a, n * 2**lev, **problem) for lev in range(levels)]
-
-
-def _richardson(R, a, kind):
-    """Second-order Richardson extrapolation from _INTERVAL_CELLS and twice as many cells.
-
-    Returns the value and its last step |value - finer level|, the
-    correction the extrapolation made: the error bar of the value.
-    """
-    lam_h, lam_h2 = _interval_levels(R, a, _INTERVAL_CELLS, kind, 2)
-    value = lam_h2 + (lam_h2 - lam_h) / 3.0
-    return value, abs(value - lam_h2)
+def _radial_modes_ground(R, a, n):
+    """Lowest eigenvalue of -f'' - f/(4 r^2) on (R-a, R+a) in n Legendre modes."""
+    quad = gauss_legendre(2 * n, [R - a, R + a])
+    r, w = quad.nodes, quad.weights
+    P = np.polynomial.legendre.legvander((r - R) / a, n + 1)
+    k = np.arange(1, n + 1)
+    # P_{k+1} - P_{k-1} vanishes at both walls and has derivative (2k+1) P_k
+    # in x = (r - R)/a, so these scaled modes have int f_j' f_k' dr = delta_jk
+    modes = (P[:, 2:] - P[:, :-2]) * np.sqrt(a / (2.0 * (2 * k + 1)))
+    mass = (modes * w[:, None]).T @ modes
+    energy = np.eye(n) - (modes * (0.25 * w / r**2)[:, None]).T @ modes
+    # the top of mass x = mu energy x is 1/eps_1: energy stays well conditioned
+    # (Hardy's inequality keeps it positive definite) where mass does not
+    top = eigh(mass, energy, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0]
+    return 1.0 / top
 
 
 def counterexample_radial(R, a):
     """eps_1: ground state of -d^2/dr^2 - 1/(4 r^2) on (R-a, R+a).
 
-    Second-order finite differences with Richardson extrapolation over
-    halved meshes; returns the value and its last extrapolation step.
+    Galerkin in Legendre modes, their count doubled from _RADIAL_MODES until
+    two values agree to _RADIAL_RTOL relative or _RADIAL_MODES_CAP is
+    reached.  Returns the value and its bar: the last change, at least
+    _RADIAL_ROUNDING relative.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    return _richardson(R, a, "radial")
+    n, value = _RADIAL_MODES, _radial_modes_ground(R, a, _RADIAL_MODES)
+    while True:
+        n *= 2
+        last, value = value, _radial_modes_ground(R, a, n)
+        step = abs(value - last)
+        if step <= _RADIAL_RTOL * abs(value) or n >= _RADIAL_MODES_CAP:
+            return value, max(step, _RADIAL_ROUNDING * abs(value))
 
 
 def spherical_shell_ground(R, a):
     """Ground state of the Dirichlet Laplacian between spheres of radii R -+ a.
 
-    Computed from the l = 0 radial reduction with the rho^2 weight; the
-    substitution f = g/rho removes the curvature term exactly, so the limit
-    is the flat interval value (pi/(2a))^2 independently of R.  Returns the
-    value and its last extrapolation step.
+    The l = 0 radial reduction with f = g/rho is -g'' on an interval of
+    width 2a, so the value is exactly (pi/(2a))^2, independent of R.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
-    return _richardson(R, a, "shell")
-
-
-def radial_order_estimate(R, a, kind="shell"):
-    """Observed convergence order of the interval solver on halved meshes.
-
-    ``kind`` picks the interval problem: "shell" or "radial".
-    """
-    if kind not in _INTERVAL_PROBLEMS:
-        raise InvalidInputError(f"unknown interval problem {kind!r}; expected one of "
-                                f"{sorted(_INTERVAL_PROBLEMS)}")
-    vals = _interval_levels(R, a, _ORDER_CELLS, kind, 3)
-    num = vals[0] - vals[1]
-    den = vals[1] - vals[2]
-    return float(np.log2(num / den))
+    return (np.pi / (2.0 * a)) ** 2
 
 
 @dataclass(frozen=True)
@@ -127,12 +114,11 @@ class CounterexampleReport:
     R: float
     a: float
     eps1: float
-    eps1_error: float  # last Richardson step of eps1
+    eps1_error: float  # last change of eps1 under doubled modes
     eps1_mesh: float  # same interval operator on the 2-d solve's u grid
     bracket: tuple
     kappa1_sq: float
     shell_ground: float
-    shell_error: float  # last Richardson step of shell_ground
     cap_neumann: object  # SpectrumResult of the Neumann-cut hemisphere segment
     spectra: tuple  # SpectrumResult per truncation radius
 
@@ -167,12 +153,11 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
     """Full m = 0 pipeline on truncations S x {1, 2, 4}: eigenvalues vs eps_1.
 
     The curvature jump at the junction is face-aligned on every mesh.
-    Reports the analytic bracket for eps_1, the extrapolated interval value,
-    the shell and cap grounds, and the truncated spectra.  The interval
-    values' errors are their last Richardson steps.  Each truncation is
-    shifted at ``eps1_mesh``, eps_1 measured on the strip's own u grid, so
-    its ``count`` is the number of eigenvalues below it: 0 is the absence
-    claim.
+    Reports the analytic bracket for eps_1, its Legendre-mode value and
+    bar, the shell and cap grounds, and the truncated spectra.  Each
+    truncation is shifted at ``eps1_mesh``, eps_1 measured on the strip's
+    own u grid, so its ``count`` is the number of eigenvalues below it: 0
+    is the absence claim.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
@@ -184,16 +169,15 @@ def counterexample_full(R, a, S, n_s_per_R, n_u):
     # the truncated 2-d eigenvalues inherit the transverse grid's O(h_u^2)
     # bias; the honest bottom to count them against is the same interval
     # operator discretized on that grid
-    eps1_mesh = _interval_ground(R, a, n_u, **_INTERVAL_PROBLEMS["radial"])
+    eps1_mesh = _interval_ground(R, a, n_u)
     spectra = [_truncation_spectrum(R, a, S * mult, n_s_per_R, n_u, eps1_mesh)
                for mult in (1, 2, 4)]
     eps1, eps1_error = counterexample_radial(R, a)
-    shell, shell_error = spherical_shell_ground(R, a)
     kap2 = (np.pi / (2.0 * a)) ** 2
     bracket = (kap2 - 1.0 / (4.0 * (R - a) ** 2), kap2 - 1.0 / (4.0 * (R + a) ** 2))
     return CounterexampleReport(
         R=R, a=a, eps1=eps1, eps1_error=eps1_error, eps1_mesh=eps1_mesh,
-        bracket=bracket, kappa1_sq=kap2, shell_ground=shell, shell_error=shell_error,
+        bracket=bracket, kappa1_sq=kap2, shell_ground=spherical_shell_ground(R, a),
         cap_neumann=cap_neumann_ground(R, a),
         spectra=tuple(spectra),
     )

@@ -22,8 +22,9 @@ geodesics for graphs.  Every chart has
 
 Every sweep over many radii (a sampled sup, a ring integral's or the shifted
 form's density) reads through read_rings, which keeps each grid() call
-under READ_POINTS points (radii x rays).  SUP_BAR is the relative bar of
-every sampled supremum, which is scaled by 1 + SUP_BAR as an estimate.
+under READ_POINTS points (radii x the grid's width).  SUP_BAR is the
+relative bar of every sampled supremum, which is scaled by 1 + SUP_BAR as
+an estimate.
 
 Charts are immutable after construction and all evaluations are reentrant.
 Every field of a grid broadcasts to (Ns, Nt), Nt the size of its (strided)
@@ -45,8 +46,8 @@ import numpy as np
 
 from ..errors import InvalidInputError
 
-# points (radii x rays) per chart.grid read of a multi-radius sweep: bounds
-# the read's temporaries, several arrays of this size each
+# points (radii x the grid's width) per chart.grid read of a multi-radius
+# sweep: bounds the read's temporaries, several arrays of this size each
 READ_POINTS = 2**15
 # relative bar on a sampled supremum of a chart field
 SUP_BAR = 0.05
@@ -96,7 +97,10 @@ def read_rings(chart, s, reduce, stride=1):
     Radii are read in order, in blocks of at most READ_POINTS points (or one
     radius), each grid dropped before the next; the results are joined along
     the radius axis, as one whole read gives where ``reduce`` works by ring.
+    A point is one radius on one ray of the grid's width: a RevolutionChart's
+    grid is one column wide, whatever its ring.
     """
-    per_read = max(1, READ_POINTS // chart.theta_nodes[::stride].size)
+    width = 1 if chart.rotation_invariant else chart.theta_nodes[::stride].size
+    per_read = max(1, READ_POINTS // width)
     return np.concatenate([reduce(chart.grid(block, stride=stride))
                            for block in np.array_split(s, -(-len(s) // per_read))])

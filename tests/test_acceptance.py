@@ -19,9 +19,8 @@ from layerspec.spectrum import (
     assemble_partial_wave,
     build_mesh,
     counterexample_full,
-    radial_order_estimate,
     solve_spectrum,
-    spherical_shell_ground,
+    spectrum_with_refinement,
 )
 from layerspec.surface import gauss_bonnet_residual, hypotheses_report, total_gauss
 from layerspec.varform import (
@@ -218,7 +217,8 @@ def test_criterion_10_solver_validation(plane_layer):
     target = plane_layer.kappa1_sq + (2.404825557695773 / 12.0) ** 2
     disk_rel = abs(res.eigenvalues[0] / target - 1.0)
 
-    order = radial_order_estimate(1.0, 0.3, kind="shell")
+    order = spectrum_with_refinement(plane_layer, 0, S=12.0, n_s=100, n_u=16, k=1,
+                                     levels=3).order_estimate
 
     rng = np.random.default_rng(17)
     worst = 0.0

@@ -10,6 +10,7 @@ import pytest
 from layerspec.catalog import build_chart
 from layerspec.layer import LayerSpec, det_factor, layer_metric
 from layerspec.surface import ChartGrid
+from layerspec.surface.charts import READ_POINTS, read_rings
 
 _S = np.array([0.3, 1.0, 2.5, 6.0])
 _FIELDS = [f.name for f in fields(ChartGrid) if f.name not in ("s", "theta")]
@@ -102,6 +103,20 @@ def test_single_column_grid_is_the_theta_zero_column(charts):
     assert np.array_equal(one.theta, [0.0])
     for field in _FIELDS:
         assert np.array_equal(getattr(one, field), getattr(full, field)[:, :1]), field
+
+
+@pytest.mark.parametrize("name", ["plane", "hyperboloid"])
+def test_revolution_sweep_is_one_read_of_its_column(charts, name, chart_reads):
+    # a revolution grid is one column wide, so the points budget counts one
+    # per radius, not one per ray of the nominal ring (which cut at 512 radii)
+    chart = charts[name]
+    s = np.linspace(0.0, chart.s_max, 2000)
+    assert s.size * chart.theta_nodes.size > READ_POINTS
+    whole = chart.grid(s).r[:, 0]
+    reads = chart_reads(chart)
+    rings = read_rings(chart, s, lambda g: g.r[:, 0])
+    assert len(reads) == 1 and np.array_equal(reads[0][0], s)
+    assert np.array_equal(rings, whole)
 
 
 def test_plane_grid_is_exactly_flat(charts):

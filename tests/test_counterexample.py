@@ -12,11 +12,15 @@ from layerspec.spectrum import (
     build_mesh,
     counterexample_full,
     counterexample_radial,
-    radial_order_estimate,
     solve_spectrum,
     spherical_shell_ground,
 )
-from layerspec.spectrum.counterexample import capped_layer
+from layerspec.spectrum.counterexample import (
+    _RADIAL_MODES_CAP,
+    _interval_ground,
+    _radial_modes_ground,
+    capped_layer,
+)
 
 KAP2 = (np.pi / 0.6) ** 2  # threshold for a = 0.3
 
@@ -26,14 +30,13 @@ KAP2 = (np.pi / 0.6) ** 2  # threshold for a = 0.3
 _TRUNCATIONS_PROBE = """
 import json, sys
 from layerspec.numkernel import eigensolve
-from layerspec.spectrum.counterexample import (
-    _INTERVAL_PROBLEMS, _interval_ground, _truncation_spectrum)
+from layerspec.spectrum.counterexample import _interval_ground, _truncation_spectrum
 
 def status_kb(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
 
-shift = _interval_ground(1.0, 0.29, 32, **_INTERVAL_PROBLEMS["radial"])
+shift = _interval_ground(1.0, 0.29, 32)
 eigensolve._MALLOC_TRIM(0)
 rss0 = status_kb("VmRSS")
 for S in sys.argv[1:]:
@@ -65,24 +68,68 @@ def test_radial_ground_flattening_trend():
 
 
 def test_spherical_shell_is_flat_interval():
-    val, _ = spherical_shell_ground(1.0, 0.3)
-    assert val == pytest.approx(KAP2, rel=1e-4)
-    # independent of the shell radius at fixed width
-    assert abs(val - spherical_shell_ground(2.0, 0.3)[0]) <= 1e-6 * KAP2
+    assert spherical_shell_ground(1.0, 0.3) == pytest.approx(KAP2, rel=1e-15)
 
 
 @pytest.mark.parametrize("a", [0.28, 0.29, 0.3, 0.31, 0.32])
-def test_shell_ground_within_its_richardson_step_of_the_threshold(a):
-    # the error bar is the last extrapolation step, measured, not the
-    # distance to the value it is checked against
-    val, step = spherical_shell_ground(1.0, a)
-    assert 0.0 < step <= 1e-5
-    assert abs(val - (np.pi / (2.0 * a)) ** 2) <= step
+def test_shell_ground_is_the_threshold_at_every_radius(a):
+    # f = g/rho turns the l = 0 shell problem into the flat interval one
+    for R in (0.5, 1.0, 2.0, 8.0):
+        assert spherical_shell_ground(R, a) == (np.pi / (2.0 * a)) ** 2
+
+
+def _fd_richardson(R, a):
+    """eps_1 by second-order FD on 3200 and 6400 cells and one Richardson step.
+
+    Returns the value and the step: the FD route that the Legendre modes
+    replaced, kept as an independent check of them.
+    """
+    lam_h, lam_h2 = _interval_ground(R, a, 3200), _interval_ground(R, a, 6400)
+    value = lam_h2 + (lam_h2 - lam_h) / 3.0
+    return value, abs(value - lam_h2)
+
+
+@pytest.mark.parametrize("a", [0.28, 0.29, 0.3, 0.31, 0.32])
+def test_legendre_eps1_within_the_fd_route_bar(a):
+    eps1, bar = counterexample_radial(1.0, a)
+    fd, step = _fd_richardson(1.0, a)
+    assert abs(eps1 - fd) <= step
+    # the Legendre bar is far inside the FD one
+    assert bar <= 1e-4 * step
+
+
+def _modes_used(R, a):
+    """(eps_1, its bar, the mode count that gave it)."""
+    eps1, bar = counterexample_radial(R, a)
+    n = next(n for n in (32, 64, 128) if _radial_modes_ground(R, a, n) == eps1)
+    return eps1, bar, n
+
+
+@pytest.mark.parametrize("R,a", [(1.0, 0.3), (1.0, 0.9)])
+def test_eps1_bar_covers_twice_the_modes(R, a):
+    # at the default the last change (7e-14) is rounding, smaller than the
+    # value's own scatter: the rounding floor makes the bar cover 64 modes
+    eps1, bar, n = _modes_used(R, a)
+    assert abs(_radial_modes_ground(R, a, 2 * n) - eps1) <= bar
+
+
+def test_eps1_bar_at_the_default():
+    eps1, bar, n = _modes_used(1.0, 0.3)
+    assert n == 32
+    assert 0.0 < bar <= 1e-10 * eps1
+
+
+def test_eps1_near_the_axis_stops_at_the_mode_cap():
+    # a -> R brings the potential's pole to the inner wall: convergence slows
+    # and the doubling stops at the cap, its bar the last change
+    eps1, bar, n = _modes_used(1.0, 0.99)
+    assert n == _RADIAL_MODES_CAP
+    assert abs(_radial_modes_ground(1.0, 0.99, 2 * n) - eps1) <= bar <= 1e-9 * eps1
 
 
 def test_interval_solves_do_not_restart(monkeypatch):
-    # the shift is a lower bound of the weighted pencil, so each of the
-    # two refinement levels converges in a single Lanczos run
+    # the Gershgorin shift is a lower bound of the interval pencil, so the
+    # eps1_mesh solve converges in a single Lanczos run
     runs = []
     lanczos = eigensolve._lanczos_shift_invert
 
@@ -92,27 +139,31 @@ def test_interval_solves_do_not_restart(monkeypatch):
         return out
 
     monkeypatch.setattr(eigensolve, "_lanczos_shift_invert", counted)
-    spherical_shell_ground(1.0, 0.3)
-    assert len(runs) == 2
+    _interval_ground(1.0, 0.3, 32)
+    assert len(runs) == 1
     for sigma, lam in runs:
         assert sigma < lam
 
 
 def test_interval_solves_stop_early(lu_solves):
-    # a shift under the ground state converges each run well before the
-    # step cap of 320
+    # eps_1 and the shell ground factor nothing; the eps1_mesh interval
+    # solve, shifted under its ground state, converges well before the step
+    # cap of 320
     counterexample_radial(1.0, 0.3)
     spherical_shell_ground(1.0, 0.3)
-    assert len(lu_solves) == 4
+    assert lu_solves == []
+    _interval_ground(1.0, 0.3, 32)
+    assert len(lu_solves) == 1
     assert max(lu_solves) <= 16
 
 
 def test_full_pipeline_lu_work(lu_solves):
-    # 9 eigensolves, one factorization each; early stopping and the strip
-    # shifts at eps1_mesh keep them to 96 solves
+    # 5 eigensolves, one factorization each: eps1_mesh, three truncations and
+    # the cap; early stopping and the strip shifts at eps1_mesh keep them to
+    # 55 solves
     counterexample_full(1.0, 0.29, S=10, n_s_per_R=50, n_u=32)
-    assert len(lu_solves) == 9
-    assert sum(lu_solves) <= 150
+    assert len(lu_solves) == 5
+    assert sum(lu_solves) <= 90
 
 
 def test_truncations_listed_ascending_as_standalone_solves():
@@ -139,16 +190,6 @@ def test_smaller_truncations_first_leave_the_peak_of_the_largest(fresh_probe):
     ascending = fresh_probe(_TRUNCATIONS_PROBE, 10.0, 20.0, 40.0)["peak_growth"]
     alone = fresh_probe(_TRUNCATIONS_PROBE, 40.0)["peak_growth"]
     assert ascending <= alone + 2048, (ascending, alone)
-
-
-def test_refinement_order_on_shell():
-    order = radial_order_estimate(1.0, 0.3, kind="shell")
-    assert 1.7 <= order <= 2.3
-
-
-def test_refinement_order_rejects_unknown_problem():
-    with pytest.raises(InvalidInputError):
-        radial_order_estimate(1.0, 0.3, kind="sphere")
 
 
 def test_bad_geometry_rejected():
@@ -200,6 +241,5 @@ def test_full_pipeline_no_spectrum_below_eps1(monkeypatch):
     # ground state (the threshold) within its own mesh accuracy
     cap = rep.cap_neumann
     assert cap.eigenvalues[0] == pytest.approx(cap.threshold_mesh, rel=1e-3)
-    assert rep.shell_ground == pytest.approx(rep.kappa1_sq, rel=1e-6)
-    assert abs(rep.shell_ground - rep.kappa1_sq) <= rep.shell_error
-    assert rep.eps1_error == counterexample_radial(1.0, 0.3)[1] > 0.0
+    assert rep.shell_ground == rep.kappa1_sq
+    assert (rep.eps1, rep.eps1_error) == counterexample_radial(1.0, 0.3)

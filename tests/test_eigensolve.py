@@ -22,7 +22,7 @@ _FACTOR_PROBE = """
 import json
 from layerspec.numkernel import eigensolve
 from layerspec.spectrum import assemble_partial_wave
-from layerspec.spectrum.counterexample import _INTERVAL_PROBLEMS, _interval_ground
+from layerspec.spectrum.counterexample import _interval_ground
 from test_spectrum import _capped_strip
 
 def peak_and_rss_kb():
@@ -40,7 +40,7 @@ class ReadingSpla:
         readings.append(peak_and_rss_kb())
         return lu
 
-shift = _interval_ground(1.0, 0.29, 32, **_INTERVAL_PROBLEMS["radial"])
+shift = _interval_ground(1.0, 0.29, 32)
 layer, mesh = _capped_strip(40.0)
 pair = assemble_partial_wave(layer, 0, mesh).pair
 C = pair.stiffness - shift * pair.mass

@@ -35,3 +35,11 @@ def test_fan_totals_without_conjugate_point_loads_no_heavy_scipy_package(fresh_p
     config = "surface.name = monkey-saddle\nsurface.theta_samples = 64\nsurface.s_max = 40\n"
     seen = _heavy_loaded(fresh_probe, tmp_path, "totals", config)
     assert seen == {"after_import": [], "code": 0, "after_run": []}
+
+
+def test_counterexample_loads_no_heavy_scipy_package(fresh_probe, tmp_path):
+    # eps_1 comes from Legendre modes through numpy and scipy.linalg; a
+    # Bessel cross-product route would load scipy.special and a root finder
+    # scipy.optimize inside every run
+    seen = _heavy_loaded(fresh_probe, tmp_path, "counterexample", "counterexample.n_u = 16\n")
+    assert seen == {"after_import": [], "code": 0, "after_run": []}
