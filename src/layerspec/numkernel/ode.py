@@ -1,19 +1,26 @@
 """Adaptive ODE integration with dense output and one stop condition.
 
-An in-house Dormand-Prince 5(4) stepper (Dormand & Prince 1980; Hairer,
-Nørsett & Wanner, *Solving ODEs I*, §II.4-5) with Shampine's quartic dense
-output.  It performs the arithmetic of scipy's ``solve_ivp(method="RK45")``
-expression for expression (initial step selection, step-size control, dense
-coefficients and stop location), so trajectories are bitwise those of
-scipy.  Integration ends early at the first fall of a scalar ``stop(s, y)``
-through zero, where scipy would stop at a terminal event with direction -1.
-Only the tests import scipy's integrators, to check exactly that;
-``scipy.optimize.brentq`` is imported only when the stop brackets a root.
-The trajectory object offers dense evaluation, and solver stalls become a
-typed error that records the last abscissa reached.  Dense evaluation reads
-the per-step interpolants and can be restricted to some state rows
-(``rows=``), so a caller that needs a few components of a large batched
-system pays only for those.
+An in-house DOP853 stepper: the explicit Runge-Kutta 8(5,3) pair of Prince
+& Dormand (J. Comput. Appl. Math. 7, 1981; Hairer, Nørsett & Wanner,
+*Solving ODEs I*, §II.10), 12 stages plus the FSAL derivative, with the
+7-term dense output that three extra stages give.  At the charts' tolerance
+of 1e-10 it takes about 3.4 times fewer steps than the 5(4) pair, and its
+interpolant is more accurate between the nodes.  It performs the arithmetic
+of scipy's ``solve_ivp(method="DOP853")`` expression for expression
+(initial step selection at order 7, the E5/E3 error norm with exponent
+-1/8, step-size control, dense output and stop location), so trajectories
+are bitwise those of scipy; the tableau is copied in, as importing
+``scipy.integrate`` costs start-up time.  Integration ends early at the
+first fall of a scalar ``stop(s, y)`` through zero, where scipy would stop
+at a terminal event with direction -1.  Only the tests import scipy's
+integrators, to check exactly that; ``scipy.optimize.brentq`` is imported
+only when the stop brackets a root.  The trajectory object offers dense
+evaluation, and solver stalls become a typed error that records the last
+abscissa reached.  Dense evaluation reads the per-step interpolants and can
+be restricted to some state rows (``rows=``), so a caller that needs a few
+components of a large batched system pays only for those.  The interpolant
+is nested in x and 1 - x elementwise, so a value depends only on its own
+point and state row: how the points are split among calls changes no bit.
 
 A trajectory either stores every step's interpolant and start state as the
 steps are taken, or, with ``keep_interpolants=False``, is checkpointed: it
@@ -42,37 +49,139 @@ _EPS = np.finfo(float).eps
 _SAFETY = 0.9  # multiplies steps predicted from the asymptotic error
 _MIN_FACTOR = 0.2  # largest decrease of a step size
 _MAX_FACTOR = 10  # largest increase of a step size
-_ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
+_ERROR_EXPONENT = -1 / 8  # the error estimate is of order 7
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-# Dormand-Prince 5(4) tableau; _E is the difference of the embedded weights
-# (with the FSAL stage), _P the quartic dense output with Shampine's optimum c6
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+# DOP853 tableau (Hairer's Fortran code, as scipy's dop853_coefficients holds
+# it).  Rows 1-11 of _A are the stages, row 12 the weights _B; the stage at
+# t + h is the FSAL derivative; rows 13-15 are the extra stages of the dense
+# output.  _E5 and _E3 are the two error estimators (with the FSAL stage),
+# _D the last four rows of the dense output F.
+_N_STAGES = 12
+_N_STAGES_EXTENDED = 16
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+    1.0,
+    0.1,
+    0.2,
+    0.777777777777777777777777777778,
 ])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
+_A = np.zeros((_N_STAGES_EXTENDED, _N_STAGES_EXTENDED))
+_A[1, [0]] = [5.26001519587677318785587544488e-2]
+_A[2, [0, 1]] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
+_A[4, [0, 2, 3]] = [
+    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1]
+_A[5, [0, 3, 4]] = [
+    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1]
+_A[6, [0, 3, 4, 5]] = [
+    3.7109375e-2, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+    -1.7578125e-2]
+_A[7, [0, 3, 4, 5, 6]] = [
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3]
+_A[8, [0, 3, 4, 5, 6, 7]] = [
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1]
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = [
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2]
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022]
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1]
+_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2]
+_A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = [
+    5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1,
+    -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+    1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+    7.56789766054569976138603589584e-3, -8.298e-3]
+_A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = [
+    3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2,
+    5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2,
+    -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+    -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1]
+_A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [
+    -4.28896301583791923408573538692e-1, -4.69762141536116384314449447206,
+    7.68342119606259904184240953878, 4.06898981839711007970213554331,
+    3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3,
+    2.9475147891527723389556272149, -9.15095847217987001081870187138]
+_B = _A[_N_STAGES, :_N_STAGES]
+_E3 = np.zeros(_N_STAGES + 1)
+_E3[:-1] = _B
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_E5 = np.zeros(_N_STAGES + 1)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
+_D = np.zeros((4, _N_STAGES_EXTENDED))
+_D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
+    [-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1],
+    [0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2],
+    [0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2],
+    [-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3],
+]
 
 # a checkpointed trajectory stores the start state of every 8th step (and of
 # its last one), so a read of any other start walks at most 7 steps.  On the
-# monkey-saddle totals chart's fine level (190 steps of a 13 824-dim state)
-# total_gauss's 8 reads walk 16 steps in all, about 0.6 ms each, and leave 37
-# starts held (3.9 MiB) where storing them all takes 20.0 MiB
+# monkey-saddle totals chart's fine level (55 steps of a 13 824-dim state)
+# total_gauss's 8 reads walk 17 steps in all, about 1.4 ms each, and leave 22
+# starts held (2.3 MiB) where storing them all takes 5.8 MiB.  That totals
+# run's main() (6 fresh runs per spacing, 2 vCPUs) took 0.270 / 0.284 /
+# 0.287 s at spacings 4 / 8 / 16 and peaked at 93.0 / 92.9 / 92.5 MB: no
+# spacing wins both, and certify never reads the fine level
 _CHECKPOINT_SPACING = 8
 
 
@@ -102,14 +211,15 @@ class _DenseSteps:
             c -= 1
         y = steps[c]._y_old
         f = self.fun(steps[c].t_f, y)
-        K = np.empty((_C.size + 1, y.size))
+        K = np.empty((_N_STAGES + 1, y.size))
         for step in steps[c:j]:
             y, f = _stages(self.fun, step.t_old, y, f, step.h, K)
         steps[j]._y_old = y
 
 
 class _Step:
-    """Quartic interpolant of one accepted step: y_old + h Q [x, x², x³, x⁴].
+    """Dense output of one accepted step: ``Q`` holds the rows of F (7, dim),
+    and the state at the step fraction x is ``_nested(Q, x, y_old)``.
 
     ``Q`` and the start state ``y_old`` are either stored at integration or
     built on their first read and kept.  ``y_old`` is built by a walk (see
@@ -143,9 +253,9 @@ class _Step:
     def Q(self):
         if self._Q is None:
             fun, y = self._steps.fun, self.y_old
-            K = np.empty((_C.size + 1, y.size))
-            y_next, _ = _stages(fun, self.t_old, y, fun(self.t_f, y), self.h, K)
-            self._Q = K.T.dot(_P)
+            K = np.empty((_N_STAGES_EXTENDED, y.size))
+            y_next, f_next = _stages(fun, self.t_old, y, fun(self.t_f, y), self.h, K)
+            self._Q = _dense(fun, self.t_old, y, y_next, f_next, self.h, K)
             steps, following = self._steps.interpolants, self._index + 1
             if following < len(steps) and steps[following]._y_old is None:
                 steps[following]._y_old = y_next
@@ -153,9 +263,7 @@ class _Step:
 
     def __call__(self, t):
         """State at the scalar ``t`` (stop location)."""
-        Q = self.Q
-        x = (t - self.t_old) / self.h
-        return self.h * np.dot(Q, np.cumprod(np.tile(x, Q.shape[1]))) + self.y_old
+        return _nested(self.Q, (t - self.t_old) / self.h, self.y_old)
 
 
 class OdeTrajectory:
@@ -163,7 +271,7 @@ class OdeTrajectory:
 
     ``abscissae`` are the accepted step endpoints (monotone increasing);
     ``states`` has shape ``(len(abscissae), dim)``.  Dense evaluation between
-    samples uses the solver's quartic interpolant and reproduces the
+    samples uses the solver's 7th-degree interpolant and reproduces the
     samples exactly at the nodes.  ``stopped_at`` is the abscissa where the
     stop condition ended integration (then also ``s_end``), or None.
     """
@@ -232,8 +340,7 @@ class OdeTrajectory:
             piece = pieces[seg[a]]
             idx = order[a:b]
             x = (pts[idx] - piece.t_old) / piece.h
-            powers = np.cumprod(np.tile(x, (piece.Q.shape[1], 1)), axis=0)
-            out[:, idx] = piece.h * np.dot(piece.Q[rows], powers) + piece.y_old[rows, None]
+            out.T[idx] = _nested(piece.Q[:, rows], x[:, None], piece.y_old[rows])
 
         # reproduce the samples exactly where s coincides with a node, reading
         # the states of those nodes only
@@ -262,27 +369,74 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, interval_length)
 
 
 def _stages(fun, t, y, f, h, K):
-    """The DP5 stages of the step of size ``h`` from ``(t, y)``, ``f = rhs(t, y)``.
+    """The DOP853 stages of the step of size ``h`` from ``(t, y)``, ``f = rhs(t, y)``.
 
-    Writes the seven stages into ``K`` (the last is the FSAL derivative at
-    ``t + h``) and returns ``(y_new, f_new)``.
+    Writes the twelve stages and the FSAL derivative at ``t + h`` into the
+    first 13 rows of ``K`` and returns ``(y_new, f_new)``.
     """
     K[0] = f
-    for s in range(1, 6):
+    for s in range(1, _N_STAGES):
         K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-    y_new = y + h * np.dot(K[:-1].T, _B)
+    y_new = y + h * np.dot(K[:_N_STAGES].T, _B)
     f_new = fun(t + h, y_new)
-    K[-1] = f_new
+    K[_N_STAGES] = f_new
     return y_new, f_new
 
 
+def _error_norm(K, h, scale):
+    """The DOP853 error norm: the fifth-order estimate, damped by the third."""
+    err5 = np.dot(K.T, _E5) / scale
+    err3 = np.dot(K.T, _E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def _dense(fun, t, y, y_new, f_new, h, K):
+    """The dense output ``F`` (7, dim) of the step ``(t, y) -> (t + h, y_new)``.
+
+    ``K`` holds the step's stages (see :func:`_stages`); the three extra
+    stages are written into its last rows.
+    """
+    for s in range(_N_STAGES + 1, _N_STAGES_EXTENDED):
+        K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+    F = np.empty((7, y.size))
+    delta_y = y_new - y
+    F[0] = delta_y
+    F[1] = h * K[0] - delta_y
+    F[2] = 2 * delta_y - h * (f_new + K[0])
+    F[3:] = h * np.dot(_D, K)
+    return F
+
+
+def _nested(F, x, y_old):
+    """``y_old`` plus the dense output ``F`` at the step fraction ``x``:
+
+        y_old + x (F0 + (1 - x) (F1 + x (F2 + (1 - x) (F3 + x (F4 + (1 - x) (F5 + x F6))))))
+
+    summed onto zeros from ``F[6]`` outwards, elementwise, so each value
+    depends only on its own state row and point.  ``x`` is a scalar (shape
+    ``(dim,)`` out) or a column ``(n, 1)`` (shape ``(n, dim)`` out).
+    """
+    y = np.zeros(np.broadcast_shapes(np.shape(x), y_old.shape))
+    one_minus_x = 1 - x
+    for i, f in enumerate(F[::-1]):
+        y += f
+        y *= one_minus_x if i % 2 else x
+    y += y_old
+    return y
+
+
 def _advance(fun, t, y, f, h_abs, K, t_bound, rtol, atol):
-    """Take one accepted DP5(4) step from ``(t, y)`` with ``f = rhs(t, y)``.
+    """Take one accepted DOP853 step from ``(t, y)`` with ``f = rhs(t, y)``.
 
     Returns ``(t_new, y_new, f_new, h_abs_next)`` with the stages in ``K``,
     or None when the step size falls below ten ulps of ``t``.
@@ -298,7 +452,7 @@ def _advance(fun, t, y, f, h_abs, K, t_bound, rtol, atol):
         y_new, f_new = _stages(fun, t, y, f, h, K)
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(np.dot(K.T, _E) * h / scale)
+        error_norm = _error_norm(K[: _N_STAGES + 1], h, scale)
         if error_norm < 1:
             if error_norm == 0:
                 factor = _MAX_FACTOR
@@ -325,9 +479,9 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
     initial : array_like
         State at ``span[0]``.
     span : tuple
-        ``(s0, s1)`` with ``s1 > s0``.
+        Finite ``(s0, s1)`` with ``s1 > s0``.
     tol : float
-        Relative and absolute local error target (> 0); the relative target
+        Relative and absolute local error target (finite, > 0); the relative target
         is at least 100 machine epsilons.
     stop : callable, optional
         Scalar ``stop(s, y)``.  Integration ends where it first falls from
@@ -340,19 +494,24 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
         False the trajectory is checkpointed: it stores no interpolant and
         the start state of every 8th step only, and builds what a read needs
         (a step's interpolant, a walk to its start) on that read and keeps
-        it.  For a large system read in a few steps only, this trades 7 RHS
-        calls per read step, plus 6 per step walked (at most 7, 3.5 on
-        average), for the ``5 * dim`` floats of every step.
+        it.  For a large system read in a few steps only, this trades 16 RHS
+        calls per read step, plus 12 per step walked (at most 7, 3.5 on
+        average), for the ``8 * dim`` floats of every step.
 
     Raises
     ------
+    InvalidInputError
+        If ``tol`` or an end of ``span`` is not finite, ``tol <= 0``,
+        ``s1 <= s0``, or the initial state is not finite.
     IntegrationFailureError
         If the step size controller underflows (stiff blow-up); the error
         carries the last successfully integrated abscissa.
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be > 0")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tol must be finite and > 0, got {tol!r}")
     s0, s1 = float(span[0]), float(span[1])
+    if not (np.isfinite(s0) and np.isfinite(s1)):
+        raise InvalidInputError(f"span must be finite, got ({s0!r}, {s1!r})")
     if not s1 > s0:
         raise InvalidInputError("span must satisfy s1 > s0")
     y = np.atleast_1d(np.asarray(initial, dtype=float))
@@ -365,7 +524,7 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
 
     f = fun(s0, y)
     h_abs = _initial_step(fun, s0, y, f, s1, rtol, atol)
-    K = np.empty((_C.size + 1, y.size))
+    K = np.empty((_N_STAGES_EXTENDED, y.size))
 
     g = None if stop is None else stop(s0, y)
     stopped_at = None
@@ -390,7 +549,8 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
         t, y, f, h_abs = taken
         h = t - t_old
         if keep_interpolants:
-            step = _Step(t_old, h, states[len(ts) - 1], t_f, dense, K.T.dot(_P))
+            step = _Step(t_old, h, states[len(ts) - 1], t_f, dense,
+                         _dense(fun, t_old, y_old, y, f, h, K))
         else:
             step = _Step(t_old, h, y_old, t_f, dense)
         t_f = t_old + h

@@ -15,8 +15,8 @@ it at every radius.  The fine level is a checkpointed trajectory (see
 step and its end state, and a read that falls in a step builds that step's
 start (a walk of at most 7 steps from the last one kept) and interpolant,
 and keeps both.  ``totals`` reads the fine level at 8 radii only: on the
-monkey-saddle totals chart (190 fine steps, a 13 824-dim state) it then
-holds 37 of the 190 starts (3.9 of 20.0 MiB) and 8 interpolants, for 16
+monkey-saddle totals chart (55 fine steps, a 13 824-dim state) it then
+holds 22 of the 55 starts (2.3 of 5.8 MiB) and 8 interpolants, for 17
 steps taken again.  Curvatures at arbitrary fan points are evaluated from
 the closed graph (Weingarten) formulas, with the upward normal (-f_x,
 -f_y, 1)/W, which makes the mean curvature of an upward paraboloid

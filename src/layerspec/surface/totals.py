@@ -106,10 +106,9 @@ def ring_integral(chart, weight, panels, stride=None):
     (by default the stride thinning the ring to about 256 rays) times 2 pi r
     is the density integrated by :func:`adaptive_gauss` on the given panels.
     Its ``gap`` bounds the quadrature error of its ``value``.  Each density
-    call reads its nodes through :func:`read_rings`, whose block cuts can
-    move the last digit of an ODE chart's states, and a weight derived from
-    them by more (|grad M|^2 on the hyperbolic paraboloid: up to 2.2e-13
-    relative per ring).
+    call reads its nodes through :func:`read_rings`; where it cuts its blocks
+    changes no bit, as an ODE chart's dense output is evaluated point by
+    point.
     """
     if stride is None:
         stride = chart.theta_stride_for(256)

@@ -128,8 +128,12 @@ class MaterializedChart:
 
     With ``one_ray`` it also reads every ring as the single theta = 0 ray
     (the stride theta_nodes.size), as a full-ring chart had to for an
-    axisymmetric integrand.
+    axisymmetric integrand.  Its grids are as wide as their ring, so it is
+    not rotation invariant to ``read_rings``, which sizes its blocks by the
+    ring; no read of it may exceed ``READ_POINTS`` points.
     """
+
+    rotation_invariant = False
 
     def __init__(self, chart, one_ray=False):
         self._chart = chart
@@ -144,6 +148,7 @@ class MaterializedChart:
     def grid(self, s_nodes, stride=1):
         g = self._chart.grid(s_nodes, stride=stride)
         ring = (g.s.size, g.theta.size)
+        assert g.s.size * g.theta.size <= charts.READ_POINTS, f"a read of {ring} points"
         return ChartGrid(s=g.s, theta=g.theta, **{
             name: np.broadcast_to(getattr(g, name), ring).copy() for name in _CHART_FIELDS
         })

@@ -1,8 +1,9 @@
 """The CLI loads none of scipy's integrate, optimize or special packages.
 
-Each costs start-up time on every run; the ODE layer has its own stepper and
-imports ``scipy.optimize`` only when its stop condition brackets a root, so
-a fan that meets no conjugate point never loads it.
+Each costs start-up time on every run; the ODE layer has its own DOP853
+stepper with scipy's tableau copied in, and imports ``scipy.optimize`` only
+when its stop condition brackets a root, so a fan that meets no conjugate
+point never loads it.
 """
 
 _PROBE = """
@@ -34,6 +35,13 @@ def test_fan_totals_without_conjugate_point_loads_no_heavy_scipy_package(fresh_p
     # a root, so brentq is never imported
     config = "surface.name = monkey-saddle\nsurface.theta_samples = 64\nsurface.s_max = 40\n"
     seen = _heavy_loaded(fresh_probe, tmp_path, "totals", config)
+    assert seen == {"after_import": [], "code": 0, "after_run": []}
+
+
+def test_fan_certify_loads_no_heavy_scipy_package(fresh_probe, tmp_path):
+    # the monkey saddle's certify shoots the fan, reads rho_m, the flatness
+    # probe and the form: all on the in-house stepper
+    seen = _heavy_loaded(fresh_probe, tmp_path, "certify", "surface.name = monkey-saddle\n")
     assert seen == {"after_import": [], "code": 0, "after_run": []}
 
 

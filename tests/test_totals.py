@@ -157,15 +157,13 @@ def test_bad_schedules_rejected():
         total_gauss(chart, np.array([2.0, 5.0, 20.0]))  # beyond s_max
 
 
-def test_ring_integral_blocks_agree_with_one_whole_read_to_8_ulp(monkeypatch):
+def test_ring_integral_blocks_agree_with_one_whole_read_bitwise(monkeypatch):
     # check's |grad M|^2 annuli on the hyperbolic paraboloid (1024 rays, read
     # on the full ring): up to 88 radii a density call, read 32 at a time,
-    # against one read per density call.  A block cut moves the last digit of
-    # the ODE states where a step is left with one point of a block (it is
-    # evaluated by a matrix-vector product); |grad M|^2, derived from those
-    # states, then moves by up to 2.2e-13 relative per ring, so no ulp bound
-    # follows from the arithmetic.  The annuli moved by at most 4.7 ulp: 8
-    # ulp is a margin over that measurement, not a derived bound.
+    # against one read per density call.  The dense ODE output is evaluated
+    # elementwise, each value from its own step, state row and radius, and
+    # every later field is elementwise or a sum along the ring, so where a
+    # block is cut changes no bit
     chart = build_chart("hyperbolic-paraboloid", {})
     schedule = chart.s_max * np.array([0.06, 0.12, 0.24, 0.48, 0.96])
 
@@ -177,7 +175,7 @@ def test_ring_integral_blocks_agree_with_one_whole_read_to_8_ulp(monkeypatch):
     blocked = annuli()
     monkeypatch.setattr(totals, "read_rings",
                         lambda chart, s, reduce, stride=1: reduce(chart.grid(s, stride=stride)))
-    np.testing.assert_allclose(blocked, annuli(), rtol=8 * np.finfo(float).eps, atol=0)
+    assert [float(v).hex() for v in blocked] == [float(v).hex() for v in annuli()]
 
 
 # check, totals and certify on the catalog's hyperbolic paraboloid, and on a
