@@ -37,7 +37,8 @@ SCHEMA = [
     _Key("surface.y0", "float", _UNSET, "elliptic paraboloid y half-axis"),
     _Key("surface.R", "float", _UNSET, "capped-cylinder radius"),
     _Key("surface.s_max", "float", _UNSET, "chart truncation radius (default per surface)"),
-    _Key("surface.theta_samples", "int", _UNSET, "fan ray count for graph surfaces"),
+    _Key("surface.theta_samples", "int", _UNSET, "fan ray count for graph surfaces",
+         minimum=4),
     _Key("layer.a", "float", 0.1, "layer half-width"),
     _Key("layer.force", "bool", False, "keep going when a >= rho_m (records the violation)"),
     _Key("solver.ode_tol", "float", 1e-10, "ODE local tolerance of fan shooting and height profiles"),

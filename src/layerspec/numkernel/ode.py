@@ -22,23 +22,14 @@ components of a large batched system pays only for those.  The interpolant
 is nested in x and 1 - x elementwise, so a value depends only on its own
 point and state row: how the points are split among calls changes no bit.
 
-A trajectory either stores every step's interpolant and start state as the
-steps are taken, or, with ``keep_interpolants=False``, is checkpointed: it
-stores the start state of every ``_CHECKPOINT_SPACING``-th step (8), of its
-last step and the end state, and no interpolant.  A read of another step's
-start walks forward from the nearest earlier start held, taking the
-accepted steps again with the stepper's arithmetic and their recorded
-``(t_old, h, t_f)``, and keeps the start it reads; a step's interpolant is
-built the same way from its start on its first read, and keeps the next
-step's start, which the same stages give, so reads in increasing order walk
-once per gap.  What is built is bitwise what the stored trajectory holds,
-and is kept.  This is the checkpoint/recompute trade of Griewank & Walther
-(*Algorithm 799: revolve*, ACM TOMS 26, 2000) at one fixed spacing: a large
-system read in a few steps holds about an eighth of its starts and none of
-the other interpolants, and pays a walk of 3.5 steps on average per read
-step.  ``states`` stays the full array; a checkpointed trajectory builds it
-on first access, and the exact node reads in :meth:`OdeTrajectory.eval`
-read the hit nodes only.
+A trajectory keeps every accepted step's start state (the array the
+stepper made for it, so nothing is copied) and the end state, from which
+``states`` is built on read.  Each step's interpolant is either built as
+the step is taken or, with ``keep_interpolants=False``, on its first read:
+the step is taken again from its start with the stepper's arithmetic and
+its recorded ``(t_old, h, t_f)``, which gives the interpolant bitwise
+as the default builds it, and kept.  A large system read in a few steps
+then holds only the interpolants it reads.
 """
 
 import numpy as np
@@ -174,91 +165,46 @@ _D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
      -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3],
 ]
 
-# a checkpointed trajectory stores the start state of every 8th step (and of
-# its last one), so a read of any other start walks at most 7 steps.  On the
-# monkey-saddle totals chart's fine level (55 steps of a 13 824-dim state)
-# total_gauss's 8 reads walk 17 steps in all, about 1.4 ms each, and leave 22
-# starts held (2.3 MiB) where storing them all takes 5.8 MiB.  That totals
-# run's main() (6 fresh runs per spacing, 2 vCPUs) took 0.270 / 0.284 /
-# 0.287 s at spacings 4 / 8 / 16 and peaked at 93.0 / 92.9 / 92.5 MB: no
-# spacing wins both, and certify never reads the fine level
-_CHECKPOINT_SPACING = 8
-
 
 class _DenseSteps:
-    """The accepted steps of one integration: abscissae ``ts``, one
-    :class:`_Step` per step in ``interpolants``, and the wrapped RHS ``fun``
-    that takes a step again."""
+    """The accepted steps of one integration, one :class:`_Step` each."""
 
-    __slots__ = ("ts", "interpolants", "fun")
+    __slots__ = ("interpolants",)
 
-    def __init__(self, fun):
-        self.ts = None
-        self.interpolants = []
-        self.fun = fun
-
-    def walk_to(self, j):
-        """Hold the start state of step ``j``.
-
-        Walks from the nearest earlier step that holds its start, taking
-        each step again with the stepper's arithmetic and ``(t_old, h,
-        t_f)``, so the start comes out bitwise the integrated one.  Only
-        step ``j``'s start is kept: the starts passed on the way are not.
-        """
-        steps = self.interpolants
-        c = j
-        while steps[c]._y_old is None:
-            c -= 1
-        y = steps[c]._y_old
-        f = self.fun(steps[c].t_f, y)
-        K = np.empty((_N_STAGES + 1, y.size))
-        for step in steps[c:j]:
-            y, f = _stages(self.fun, step.t_old, y, f, step.h, K)
-        steps[j]._y_old = y
+    def __init__(self, interpolants):
+        self.interpolants = interpolants
 
 
 class _Step:
     """Dense output of one accepted step: ``Q`` holds the rows of F (7, dim),
     and the state at the step fraction x is ``_nested(Q, x, y_old)``.
 
-    ``Q`` and the start state ``y_old`` are either stored at integration or
-    built on their first read and kept.  ``y_old`` is built by a walk (see
-    :meth:`_DenseSteps.walk_to`); ``Q`` by taking the step again from
-    ``y_old`` with the same arithmetic, so both are bitwise the stored ones,
-    and the same stages give the next step's start, which is kept too.  The
-    rebuild needs the step's start ``t_old``, its full size ``h`` (also
-    when a stop root cut it short), and ``t_f``, the abscissa at which the
-    stepper evaluated the step's first stage (the previous step's ``t_old +
-    h``, not always bitwise ``t_old``).
+    ``y_old`` is the step's start state.  ``Q`` is either stored at
+    integration or built on its first read, by taking the step again from
+    ``y_old`` with the stepper's arithmetic, and kept; both give the same
+    bits.  The rebuild needs the wrapped RHS ``fun``, the step's start
+    ``t_old``, its full size ``h`` (also when a stop root cut it short), and
+    ``t_f``, the abscissa at which the stepper evaluated the step's first
+    stage (the previous step's ``t_old + h``, not always bitwise ``t_old``).
     """
 
-    __slots__ = ("t_old", "h", "t_f", "_y_old", "_Q", "_steps", "_index")
+    __slots__ = ("fun", "t_old", "h", "y_old", "t_f", "_Q")
 
-    def __init__(self, t_old, h, y_old, t_f, steps, Q=None):
+    def __init__(self, fun, t_old, h, y_old, t_f, Q=None):
+        self.fun = fun
         self.t_old = t_old
         self.h = h
+        self.y_old = y_old
         self.t_f = t_f
-        self._y_old = y_old
         self._Q = Q
-        self._steps = steps
-        self._index = len(steps.interpolants)
-
-    @property
-    def y_old(self):
-        if self._y_old is None:
-            self._steps.walk_to(self._index)
-        return self._y_old
 
     @property
     def Q(self):
         if self._Q is None:
-            fun, y = self._steps.fun, self.y_old
+            fun, y = self.fun, self.y_old
             K = np.empty((_N_STAGES_EXTENDED, y.size))
             y_next, f_next = _stages(fun, self.t_old, y, fun(self.t_f, y), self.h, K)
             self._Q = _dense(fun, self.t_old, y, y_next, f_next, self.h, K)
-            steps, following = self._steps.interpolants, self._index + 1
-            if following < len(steps) and steps[following]._y_old is None:
-                steps[following]._y_old = y_next
         return self._Q
 
     def __call__(self, t):
@@ -276,12 +222,11 @@ class OdeTrajectory:
     stop condition ended integration (then also ``s_end``), or None.
     """
 
-    def __init__(self, abscissae, steps, end, stopped_at=None, states=None):
+    def __init__(self, abscissae, steps, end, stopped_at=None):
         self.abscissae = abscissae
         self.stopped_at = stopped_at
         self._sol = steps
         self._end = end  # the state at s_end
-        self._states = states
 
     @property
     def s_end(self):
@@ -289,20 +234,9 @@ class OdeTrajectory:
 
     @property
     def states(self):
-        """The state at every abscissa, shape ``(len(abscissae), dim)``.
-
-        A checkpointed trajectory builds it on the first access, walking to
-        every start it does not hold; each step's start then becomes a view
-        of its row.
-        """
-        if self._states is None:
-            states = np.empty((self.abscissae.size, self._end.size))
-            for step, row in zip(self._sol.interpolants, states):
-                row[:] = step.y_old
-                step._y_old = row
-            states[-1] = self._end
-            self._states = states
-        return self._states
+        """The state at every abscissa, shape ``(len(abscissae), dim)``: each
+        step's start and the end state, copied into a new array on each read."""
+        return np.array([*(step.y_old for step in self._sol.interpolants), self._end])
 
     def _node_state(self, i):
         steps = self._sol.interpolants
@@ -333,7 +267,7 @@ class OdeTrajectory:
         out = np.empty((rows.size, pts.size), order="F")
 
         order = np.argsort(pts)
-        seg = np.searchsorted(self._sol.ts, pts[order], side="left") - 1
+        seg = np.searchsorted(self.abscissae, pts[order], side="left") - 1
         np.clip(seg, 0, len(pieces) - 1, out=seg)
         starts = np.flatnonzero(np.diff(seg, prepend=-1))  # none for no points
         for a, b in zip(starts, np.r_[starts[1:], pts.size]):
@@ -490,13 +424,12 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
         direction -1; a rise through zero is ignored.  The root is recorded
         as the trajectory's ``stopped_at``.
     keep_interpolants : bool
-        Store every step's interpolant and start state (the default).  When
-        False the trajectory is checkpointed: it stores no interpolant and
-        the start state of every 8th step only, and builds what a read needs
-        (a step's interpolant, a walk to its start) on that read and keeps
-        it.  For a large system read in a few steps only, this trades 16 RHS
-        calls per read step, plus 12 per step walked (at most 7, 3.5 on
-        average), for the ``8 * dim`` floats of every step.
+        Build every step's interpolant as the step is taken (the default).
+        When False, a step builds its interpolant on its first read, from
+        its start state, and keeps it: for a large system read in a few
+        steps only, this trades 16 RHS calls per read step for the
+        ``7 * dim`` floats of every step not read.  The values are the same
+        bits either way.
 
     Raises
     ------
@@ -514,7 +447,7 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
         raise InvalidInputError(f"span must be finite, got ({s0!r}, {s1!r})")
     if not s1 > s0:
         raise InvalidInputError("span must satisfy s1 > s0")
-    y = np.atleast_1d(np.asarray(initial, dtype=float))
+    y = np.atleast_1d(np.array(initial, dtype=float))
     if not np.isfinite(y).all():
         raise InvalidInputError("initial state must be finite")
     rtol, atol = max(tol, 100 * _EPS), tol
@@ -530,17 +463,7 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
     stopped_at = None
 
     t = t_f = s0  # t_f: where the next step's first stage was evaluated
-    ts, dense = [t], _DenseSteps(fun)
-    steps = dense.interpolants
-    if keep_interpolants:
-        # each state is written once into an array grown by doubling, and
-        # each step's y_old is a view of its row, so no list of rows is kept
-        # or copied at the end; freeing the outgrown arrays also lets malloc
-        # keep later multi-MB temporaries on its heap instead of mapping
-        # fresh pages (monkey-saddle totals: 5k page faults after the build,
-        # 50k with a list of rows)
-        states = np.empty((16, y.size))
-        states[0] = y
+    ts, steps = [t], []
     while t < s1 and stopped_at is None:
         taken = _advance(fun, t, y, f, h_abs, K, s1, rtol, atol)
         if taken is None:
@@ -548,11 +471,8 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
         t_old, y_old = t, y
         t, y, f, h_abs = taken
         h = t - t_old
-        if keep_interpolants:
-            step = _Step(t_old, h, states[len(ts) - 1], t_f, dense,
-                         _dense(fun, t_old, y_old, y, f, h, K))
-        else:
-            step = _Step(t_old, h, y_old, t_f, dense)
+        Q = _dense(fun, t_old, y_old, y, f, h, K) if keep_interpolants else None
+        step = _Step(fun, t_old, h, y_old, t_f, Q)
         t_f = t_old + h
         steps.append(step)
 
@@ -570,21 +490,6 @@ def integrate_ode(rhs, initial, span, tol=1e-10, stop=None, keep_interpolants=Tr
             steps.pop()
             y = y_old
         else:
-            if keep_interpolants:
-                if len(ts) == len(states):
-                    grown = np.empty((2 * len(states), y.size))
-                    grown[: len(ts)] = states
-                    states = grown
-                    for step, row in zip(steps, states):
-                        step._y_old = row
-                states[len(ts)] = y
-            elif len(steps) > 1 and (len(steps) - 2) % _CHECKPOINT_SPACING:
-                # the newest step holds its start until the next one is kept,
-                # so a stop root on it walks nowhere and the last step holds
-                # its own
-                steps[-2]._y_old = None
             ts.append(t)
 
-    dense.ts = np.array(ts)
-    return OdeTrajectory(dense.ts, dense, y, stopped_at=stopped_at,
-                         states=states[: len(ts)] if keep_interpolants else None)
+    return OdeTrajectory(np.array(ts), _DenseSteps(steps), y, stopped_at=stopped_at)

@@ -8,19 +8,16 @@ level theta_nodes[::k], with k the power-of-two stride that thins the ring
 to about 768 rays (k = 1, a single level, on fans of up to 1535 rays), is
 shot at build; the fine level of all other rays is shot the first time a
 read needs one of them, and kept.  Which rays share a batch depends only on
-k, never on the order of reads.  The coarse level stores the dense
-interpolant and the start state of every step, since every consumer reads
-it at every radius.  The fine level is a checkpointed trajectory (see
-:mod:`layerspec.numkernel.ode`): it keeps the start state of every 8th
-step and its end state, and a read that falls in a step builds that step's
-start (a walk of at most 7 steps from the last one kept) and interpolant,
-and keeps both.  ``totals`` reads the fine level at 8 radii only: on the
-monkey-saddle totals chart (55 fine steps, a 13 824-dim state) it then
-holds 22 of the 55 starts (2.3 of 5.8 MiB) and 8 interpolants, for 17
-steps taken again.  Curvatures at arbitrary fan points are evaluated from
-the closed graph (Weingarten) formulas, with the upward normal (-f_x,
--f_y, 1)/W, which makes the mean curvature of an upward paraboloid
-positive.
+k, never on the order of reads.  Both levels keep the start state of
+every step.  The coarse level builds every step's dense interpolant as it
+is shot, since every consumer reads it at every radius; the fine level
+builds a step's interpolant only when a read falls in that step (see
+:mod:`layerspec.numkernel.ode`), and keeps it.  ``totals`` reads the fine
+level at 8 radii only: on the monkey-saddle totals chart (55 fine steps, a
+13 824-dim state) it then holds 8 of the 55 interpolants.  Curvatures at
+arbitrary fan points are evaluated from the closed graph (Weingarten)
+formulas, with the upward normal (-f_x, -f_y, 1)/W, which makes the mean
+curvature of an upward paraboloid positive.
 
 The angular tangent comes from the polar-chart identity d_theta p =
 r e_theta, with e_theta = n x e_s the unit normal-cross-ray direction, so
@@ -286,9 +283,8 @@ def _shoot(surf, dirs, s_max, tol, keep_interpolants):
     """Integrate the rays launched along ``dirs`` (n, 2) as one ODE system.
 
     Co-integrates r'' = -K r along every ray and stops at the first zero of
-    any ray's metric factor.  ``keep_interpolants=False`` checkpoints the
-    trajectory: a step builds its interpolant, and its start state unless
-    it is every 8th, on its first read.
+    any ray's metric factor.  With ``keep_interpolants=False`` a step builds
+    its interpolant on its first read.
     """
     x0, y0 = surf.pole
     nt = dirs.shape[0]

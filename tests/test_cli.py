@@ -235,6 +235,18 @@ def test_too_few_cells_or_eigenvalues_exit_four(tmp_path, command, line):
     assert not (out / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("command", ["describe", "totals"])
+@pytest.mark.parametrize("value", ["2", "0", "-8"])
+def test_too_few_theta_samples_exit_four_at_load(tmp_path, capsys, command, value):
+    # the fan needs 4 rays; fewer is a configuration error, caught before
+    # any chart is shot
+    cfg = write_cfg(tmp_path, f"surface.name = monkey-saddle\nsurface.theta_samples = {value}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "surface.theta_samples" in capsys.readouterr().err
+    assert not (out / f"{command}.json").exists()
+
+
 @pytest.mark.parametrize("S", ["0", "-1"])
 def test_non_positive_truncation_exit_three_naming_S(tmp_path, capsys, S):
     # S <= 0 used to reach the cell floor and exit with "need at least 16

@@ -30,7 +30,8 @@ def test_refinement_levels_below_one_rejected(value):
 
 
 @pytest.mark.parametrize("name,least", [("counterexample.n_u", 16), ("spectrum.n_s", 16),
-                                        ("spectrum.n_u", 16), ("spectrum.k", 1)])
+                                        ("spectrum.n_u", 16), ("spectrum.k", 1),
+                                        ("surface.theta_samples", 4)])
 def test_cell_counts_and_eigenvalue_count_below_their_floor_rejected(name, least):
     for value in (least - 1, 0, -1):
         with pytest.raises(ConfigError, match=rf"{name}: '{value}' \(at least {least}\)"):

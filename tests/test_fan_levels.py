@@ -166,26 +166,41 @@ def test_monkey_saddle_certify_shoots_only_the_coarse_level(monkeypatch, tmp_pat
     assert sizes == [6 * 768]
 
 
-def test_total_gauss_holds_few_fine_starts_and_only_the_read_interpolants():
-    # the totals chart at catalog defaults: the fine level keeps every 8th
-    # start, and a read builds its step's start and interpolant and keeps
-    # the next step's start
+def test_total_gauss_builds_only_the_read_fine_interpolants(monkeypatch):
+    # the totals chart at catalog defaults: total_gauss reads the fine level
+    # at 8 radii, and each step read builds its interpolant from its start
+    # once, for 16 RHS calls
+    rhs_calls = []  # per level: [calls while integrating, calls in all]
+
+    def spy(rhs, initial, span, tol, stop=None, keep_interpolants=True):
+        level = [0, 0]
+        rhs_calls.append(level)
+
+        def counted(s, y):
+            level[1] += 1
+            return rhs(s, y)
+
+        traj = integrate_ode(counted, initial, span, tol=tol, stop=stop,
+                             keep_interpolants=keep_interpolants)
+        level[0] = level[1]
+        return traj
+
+    monkeypatch.setattr(graph, "integrate_ode", spy)
     chart = build_chart("monkey-saddle", {})
     schedule = chart.s_max * np.geomspace(1.0 / 64.0, 1.0, 8)
     total_gauss(chart, schedule)
     fine = chart._fine_traj
-    steps = fine._sol.interpolants
     read = set(np.searchsorted(fine.abscissae, schedule, side="left") - 1)
-    starts = [i for i, p in enumerate(steps) if p._y_old is not None]
-    assert len(starts) <= -(-len(steps) // ode._CHECKPOINT_SPACING) + 2 * len(read) + 1
-    assert {i for i, p in enumerate(steps) if p._Q is not None} == read
-    assert fine._states is None
+    assert len(read) == 8
+    assert {i for i, p in enumerate(fine._sol.interpolants) if p._Q is not None} == read
+    _, (integrating, in_all) = rhs_calls
+    assert in_all - integrating == 16 * len(read)
 
 
 def test_tracer_dense_bytes_expression_on_the_fine_level(monkeypatch):
     # perfbench's integrate_ode after-hook reads every step's .Q and .y_old
-    # and then .states; on a checkpointed fine level that builds the whole
-    # level, value for value the level shot with everything stored
+    # and then .states; on the fine level that builds every interpolant,
+    # value for value those of the level shot with everything stored
     shots = []
 
     def spy(rhs, initial, span, tol, stop=None, keep_interpolants=True):

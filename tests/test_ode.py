@@ -258,11 +258,10 @@ def test_truncating_fan_matches_scipy(monkeypatch):
     assert traj.s_end == traj.stopped_at < span[1]
 
 
-# A checkpointed trajectory stores no interpolant and the start state of
-# every 8th step only: a read of another start walks to it from the last one
-# held, and a step builds its interpolant from its start, by taking the
-# steps again.  Every read path, in any order, must give the bits of the
-# stored trajectory and of scipy's DOP853.
+# With keep_interpolants=False a trajectory keeps every step's start state
+# and builds a step's interpolant from it on the step's first read, by
+# taking the step again.  Every read path, in any order, must give the bits
+# of the stored trajectory and of scipy's DOP853.
 
 
 def _same_bits(a, b):
@@ -270,15 +269,13 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _held(traj):
-    """The steps that hold their start state, and those that hold their interpolant."""
-    steps = traj._sol.interpolants
-    starts = [i for i, p in enumerate(steps) if p._y_old is not None]
-    return starts, [i for i, p in enumerate(steps) if p._Q is not None]
+def _built(traj):
+    """The steps that hold their interpolant."""
+    return [i for i, p in enumerate(traj._sol.interpolants) if p._Q is not None]
 
 
 def _assert_built_on_read_matches(rhs, initial, span, tol, stop=None):
-    def checkpointed():
+    def on_read():
         return integrate_ode(rhs, initial, span, tol=tol, stop=stop, keep_interpolants=False)
 
     kept = integrate_ode(rhs, initial, span, tol=tol, stop=stop)
@@ -287,54 +284,37 @@ def _assert_built_on_read_matches(rhs, initial, span, tol, stop=None):
     n = len(steps)
     assert n == len(ref.sol.interpolants) == kept.abscissae.size - 1 > 16
 
-    # as integrated: the start of every 8th step and of the last one, and
-    # only the interpolant that the stop read
-    traj = checkpointed()
+    # as integrated: every start, and only the interpolant that the stop read
+    traj = on_read()
     assert _same_bits(traj.abscissae, kept.abscissae) and traj.stopped_at == kept.stopped_at
-    starts, built = _held(traj)
-    assert starts == sorted({*range(0, n, ode._CHECKPOINT_SPACING), n - 1})
-    assert len(built) <= (stop is not None)
+    assert _same_bits(traj.states, kept.states)
+    assert len(_built(traj)) <= (stop is not None)
 
-    # dense evaluation off and on the nodes; node hits alone read the hit
-    # nodes' starts and never build the whole states array
+    # dense evaluation off and on the nodes
     s = np.linspace(span[0], kept.s_end, 301)
     nodes = kept.abscissae[::-7]
     for points in (s, np.r_[s, nodes], nodes):
-        traj = checkpointed()
+        traj = on_read()
         assert _same_bits(traj.eval(points), kept.eval(points))
         assert _same_bits(traj.eval(points, rows=[0]), kept.eval(points, rows=[0]))
-        assert traj._states is None
-    assert _same_bits(checkpointed().eval(nodes).T, kept.states[::-7])
+    assert _same_bits(on_read().eval(nodes).T, kept.states[::-7])
 
     # each step's own call, as the stop reads it
-    traj = checkpointed()
+    traj = on_read()
     for built, stored, scipy_step in zip(traj._sol.interpolants, steps, ref.sol.interpolants):
         t = stored.t_old + 0.375 * stored.h
         assert _same_bits(built(t), stored(t)) and _same_bits(stored(t), scipy_step(t))
 
     # starts and interpolants read one step at a time, in increasing,
-    # decreasing and random order; a read keeps its own start, its
-    # interpolant and the next step's start, and nothing else
+    # decreasing and random order; a read builds its own interpolant only
     rng = np.random.default_rng(n)
     for order in (range(n), range(n - 1, -1, -1), rng.permutation(n)[: n // 2]):
-        traj = checkpointed()
-        before, _ = _held(traj)
+        traj = on_read()
         for i in order:
             built, stored, scipy_step = traj._sol.interpolants[i], steps[i], ref.sol.interpolants[i]
             assert _same_bits(built.y_old, stored.y_old)
             assert _same_bits(built.Q, stored.Q) and _same_bits(stored.Q, scipy_step.F)
-        starts, built = _held(traj)
-        assert set(built) - set(order) <= {n - 1}
-        assert set(starts) <= set(before) | set(order) | {i + 1 for i in order}
-        assert traj._states is None
-
-    # the full states array, built on first access from the starts alone;
-    # each start is then a view of its row
-    traj = checkpointed()
-    assert _same_bits(traj.states, kept.states)
-    assert len(_held(traj)[1]) <= (stop is not None)
-    assert all(np.shares_memory(p.y_old, traj.states) for p in traj._sol.interpolants)
-    assert traj.states is traj.states
+        assert set(_built(traj)) - set(order) <= {n - 1}
     return kept
 
 
@@ -366,6 +346,19 @@ def test_truncating_fan_interpolants_built_on_read(monkeypatch):
     node = traj.abscissae[-2]
     on_node = _assert_built_on_read_matches(rhs, initial, span, tol, stop=lambda s, y: -abs(s - node))
     assert on_node.stopped_at == on_node.s_end == node
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_trajectory_is_independent_of_the_callers_initial_array(keep):
+    rhs = lambda s, y: np.array([y[1], -y[0]])
+    initial = np.array([0.0, 1.0])
+    traj = integrate_ode(rhs, initial, (0.0, 10.0), tol=1e-9, keep_interpolants=keep)
+    s = np.linspace(0.0, 10.0, 41)
+    before = traj.eval(s)
+    initial += 1.0
+    assert _same_bits(traj.eval(s), before)
+    fresh = integrate_ode(rhs, [0.0, 1.0], (0.0, 10.0), tol=1e-9, keep_interpolants=keep)
+    assert _same_bits(traj.states, fresh.states)
 
 
 def test_blowup_failure_matches_scipy():
