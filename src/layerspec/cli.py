@@ -230,7 +230,8 @@ def cmd_counterexample(config, writer):
             float(rep.cap_neumann.eigenvalues[0]),
             _eigen_error(rep.cap_neumann.eigenvalues[0], rep.cap_neumann.residuals[0]),
         ),
-        # every truncation's inertia at eps1_mesh counts no eigenvalue below it
+        # every truncation, factored just below eps1_mesh, the ground of its own
+        # u stencil on the cylinder, counts no eigenvalue below it
         "no_eigenvalue_below_eps1": all(res.count == 0 for res in rep.spectra),
         "note": "Dirichlet truncation gives upper bounds; absence evidence only",
     })

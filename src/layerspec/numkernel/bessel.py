@@ -9,9 +9,9 @@ Two fixed regimes with the switch at x = 2:
   the way down to the switch point where the truncated divergent series
   would lose digits.
 
-Both regimes are evaluated in exponentially scaled form e^x K_nu(x)
-internally, so the unscaled values only underflow (to 0.0) once e^{-x}
-itself leaves the double range around x ~ 746.
+The continued fraction gives the exponentially scaled e^x K_nu(x), so the
+values only underflow (to 0.0) once e^{-x} itself leaves the double range
+around x ~ 746.
 """
 
 import numpy as np
@@ -88,7 +88,7 @@ def _k01_cf2(x):
     return k0, k1
 
 
-def bessel_k(order, x, scaled=False):
+def bessel_k(order, x):
     """Modified Bessel function of the second kind, order 0 or 1.
 
     Parameters
@@ -97,14 +97,12 @@ def bessel_k(order, x, scaled=False):
         0 or 1.
     x : float or array_like
         Strictly positive argument(s).
-    scaled : bool
-        If True, return ``e^x K_order(x)`` (no overflow/underflow anywhere).
 
     Returns
     -------
     float or ndarray
-        Relative accuracy better than 1e-13 on x in [1e-8, 700].  Unscaled
-        values underflow to 0.0 once ``exp(-x)`` does (x >~ 746).
+        Relative accuracy better than 1e-13 on x in [1e-8, 700].  Values
+        underflow to 0.0 once ``exp(-x)`` does (x >~ 746).
     """
     if order not in (0, 1):
         raise InvalidInputError("order must be 0 or 1")
@@ -119,15 +117,9 @@ def bessel_k(order, x, scaled=False):
     with np.errstate(under="ignore"):
         if small.any():
             k0, k1 = _k01_series(x_arr[small])
-            val = k0 if order == 0 else k1
-            if scaled:
-                val = val * np.exp(x_arr[small])
-            out[small] = val
+            out[small] = k0 if order == 0 else k1
         large = ~small
         if large.any():
             k0, k1 = _k01_cf2(x_arr[large])
-            val = k0 if order == 0 else k1
-            if not scaled:
-                val = val * np.exp(-x_arr[large])
-            out[large] = val
+            out[large] = (k0 if order == 0 else k1) * np.exp(-x_arr[large])
     return float(out[0]) if scalar else out

@@ -72,8 +72,8 @@ _TOL = 1e-9  # bound on the scale-free residual of every returned pair
 # scale-free residual that lowest_eigenpairs tests against _TOL.  The Ritz
 # value errs by the square of the residual over the gap.  c = 1e-13 (about
 # 450 ulps) stays four orders under _TOL = 1e-9, and on the
-# counterexample's strips and intervals it moves eigenvalues by at most
-# 1.1e-14 relative against runs of a fixed 48 steps.
+# counterexample's strips and cap (a = 0.28 to 0.32) it moves eigenvalues by
+# at most 2.2e-16 relative against runs of a fixed 48 steps.
 _RITZ_TOL = 1e-13
 
 # largest relative asymmetry |M - M^T| / max|M| a stiffness or mass may carry

@@ -1,7 +1,7 @@
 """Finite-difference spectra of axisymmetric layers by partial waves."""
 
 from .mesh import build_mesh
-from .assemble import assemble_partial_wave
+from .assemble import assemble_partial_wave, transverse_ground
 from .solve import mesh_threshold, solve_spectrum, spectrum_with_refinement
 from .counterexample import (
     cap_neumann_ground,
@@ -13,6 +13,7 @@ from .counterexample import (
 __all__ = [
     "build_mesh",
     "assemble_partial_wave",
+    "transverse_ground",
     "mesh_threshold",
     "solve_spectrum",
     "spectrum_with_refinement",

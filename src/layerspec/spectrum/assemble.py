@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from ..errors import CapabilityError, HypothesisViolationError
 from ..numkernel import SparseSymmetricPair
@@ -79,6 +80,23 @@ def _stiffness(chart, mesh, neumann_outer):
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
     return sp.csr_matrix((vals[present], cols[present], indptr), shape=(n, n))
+
+
+def transverse_ground(layer, mesh, s):
+    """Lowest eigenvalue of the pencil's u stencil at radius s of a rotation-invariant layer.
+
+    The stiffness's element weights against the mass's node weights, scaled
+    by the mass into a symmetric tridiagonal.  Where the profile does not
+    vary with s (a cylinder) the pencil separates into an s part and this
+    u part, so this is where a long strip's discrete spectrum starts.
+    """
+    n = mesh.n_u
+    one_s, one_t, r = _profile_columns(layer.chart, [s], np.r_[mesh.u_midpoints, mesh.u_nodes])
+    w = (one_s * one_t * r)[0]
+    c, w = w[:n] / mesh.h_u**2, w[n:]  # element (stiffness) and node (mass) weights
+    diag = (c[:-1] + c[1:]) / w
+    off = -c[1:-1] / np.sqrt(w[:-1] * w[1:])
+    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0])
 
 
 def assemble_partial_wave(layer, m, mesh, neumann_outer=False):

@@ -9,23 +9,23 @@ vanish at both walls (Shen, SIAM J. Sci. Comput. 15, 1994); their count is
 doubled until two values agree, and the bar is the last change.  The
 hemispherical cap alone contributes the threshold itself: the full
 spherical shell's ground state is (pi/(2a))^2 in closed form.
-Truncated-domain eigensolves (FD on the strip, counted against eps_1 on
-the strip's own u grid) therefore must land at or above eps_1, and that is
-numerical evidence only: Dirichlet truncation yields upper bounds, never
-an existence proof.
+Truncated-domain eigensolves (FD on the strip) are counted against
+eps1_mesh, the ground of the strips' own u stencil on the cylinder, which
+is where a long strip's discrete spectrum starts.  They must land at or
+above it, and that is numerical evidence only: Dirichlet truncation yields
+upper bounds, never an existence proof.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from ..catalog import build_chart
 from ..errors import InvalidInputError
 from ..layer import LayerSpec
-from ..numkernel import SparseSymmetricPair, gauss_legendre, lowest_eigenpairs
-from .assemble import assemble_partial_wave
+from ..numkernel import gauss_legendre
+from .assemble import assemble_partial_wave, transverse_ground
 from .mesh import build_mesh
 from .solve import solve_spectrum
 
@@ -42,24 +42,6 @@ _RADIAL_ROUNDING = 1e-13
 _CAP_N_S, _CAP_N_U = 200, 40
 # eigenvalues solved on each truncation (the lowest two)
 _TRUNCATION_EIGS = 2
-
-
-def _interval_ground(R, a, n):
-    """Lowest Dirichlet eigenvalue of -f'' - f/(4 r^2) on (R-a, R+a), FD on n cells."""
-    h = 2.0 * a / n
-    nodes = R - a + h * np.arange(1, n)
-    main = 2.0 / h**2 - 0.25 / nodes**2
-    off = np.full(n - 2, -1.0 / h**2)
-    A = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    pair = SparseSymmetricPair.build(A, sp.identity(n - 1, format="csr"))
-    # row-wise Gershgorin bound: a true lower bound of the spectrum, and near
-    # enough to the ground state that one Lanczos run converges
-    radius = np.zeros(n - 1)
-    radius[1:] += np.abs(off)
-    radius[:-1] += np.abs(off)
-    shift = float((main - radius).min() - 1.0)
-    pairs, _ = lowest_eigenpairs(pair, 1, shift=shift)
-    return pairs[0].value
 
 
 def _radial_modes_ground(R, a, n):
@@ -115,7 +97,7 @@ class CounterexampleReport:
     a: float
     eps1: float
     eps1_error: float  # last change of eps1 under doubled modes
-    eps1_mesh: float  # same interval operator on the 2-d solve's u grid
+    eps1_mesh: float  # ground of the strips' u stencil on the cylinder
     bracket: tuple
     kappa1_sq: float
     shell_ground: float
@@ -142,36 +124,31 @@ def cap_neumann_ground(R, a):
     return solve_spectrum(op, 1)
 
 
-def _truncation_spectrum(R, a, S, n_s_per_R, n_u, shift):
-    """m = 0 spectrum of the capped strip truncated at S, junction face-aligned."""
-    mesh = build_mesh(S, a, int(n_s_per_R * S / R), n_u, align_face=np.pi * R / 2.0)
-    op = assemble_partial_wave(capped_layer(R, a, S), 0, mesh)
-    return solve_spectrum(op, _TRUNCATION_EIGS, shift=shift)
-
-
 def counterexample_full(R, a, S, n_s_per_R, n_u):
     """Full m = 0 pipeline on truncations S x {1, 2, 4}: eigenvalues vs eps_1.
 
     The curvature jump at the junction is face-aligned on every mesh.
     Reports the analytic bracket for eps_1, its Legendre-mode value and
-    bar, the shell and cap grounds, and the truncated spectra.  Each
-    truncation is shifted at ``eps1_mesh``, eps_1 measured on the strip's
-    own u grid, so its ``count`` is the number of eigenvalues below it: 0
-    is the absence claim.
+    bar, the shell and cap grounds, and the truncated spectra.  Every strip
+    is counted against ``eps1_mesh``, the ground of its own u stencil on
+    the cylinder, so its ``count`` is the number of eigenvalues below it:
+    0 is the absence claim.
     """
     if not 0.0 < a < R:
         raise InvalidInputError("need 0 < a < R")
     if not S > 0.0:
         raise InvalidInputError(f"need a truncation S > 0, got S = {S:g}")
-    if n_u < 16 or int(n_s_per_R * S / R) < 16:
-        # build_mesh's floor on the smallest strip, checked before any solve
-        raise InvalidInputError("need at least 16 cells per direction")
-    # the truncated 2-d eigenvalues inherit the transverse grid's O(h_u^2)
-    # bias; the honest bottom to count them against is the same interval
-    # operator discretized on that grid
-    eps1_mesh = _interval_ground(R, a, n_u)
-    spectra = [_truncation_spectrum(R, a, S * mult, n_s_per_R, n_u, eps1_mesh)
-               for mult in (1, 2, 4)]
+    # build_mesh refuses too few cells before any solve
+    meshes = [build_mesh(T, a, int(n_s_per_R * T / R), n_u, align_face=np.pi * R / 2.0)
+              for T in (S, 2 * S, 4 * S)]
+    # one layer for every strip, reaching the cylinder even when 4S ends on the cap
+    layer = capped_layer(R, a, max(4 * S, np.pi * R))
+    # the strips' pencil separates on the cylinder into an s part and the u
+    # stencil: the honest bottom to count them against is that stencil's
+    # ground, which carries their O(h_u^2) transverse bias
+    eps1_mesh = transverse_ground(layer, meshes[0], np.pi * R)
+    spectra = [solve_spectrum(assemble_partial_wave(layer, 0, mesh), _TRUNCATION_EIGS,
+                              threshold=eps1_mesh) for mesh in meshes]
     eps1, eps1_error = counterexample_radial(R, a)
     kap2 = (np.pi / (2.0 * a)) ** 2
     bracket = (kap2 - 1.0 / (4.0 * (R - a) ** 2), kap2 - 1.0 / (4.0 * (R + a) ** 2))

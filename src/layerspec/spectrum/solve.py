@@ -13,10 +13,10 @@ from .mesh import build_mesh
 def mesh_threshold(mesh):
     """Lowest eigenvalue (4 / h_u^2) sin^2(pi / (2 n_u)) of the u grid's second difference.
 
-    This is the mesh-consistent version of the continuum threshold: flags
-    for "below the essential spectrum" compare against it, otherwise the
-    O(h_u^2) discretization bias of the transverse energy would masquerade
-    as binding.
+    This is :func:`transverse_ground` of a flat cross-section in closed form,
+    the mesh-consistent version of the continuum threshold: flags for "below
+    the essential spectrum" compare against it, otherwise the O(h_u^2)
+    discretization bias of the transverse energy would masquerade as binding.
     """
     return float(4.0 / mesh.h_u**2 * np.sin(np.pi / (2 * mesh.n_u)) ** 2)
 
@@ -29,13 +29,12 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     residuals: np.ndarray
     threshold: float         # continuum kappa_1^2
-    threshold_mesh: float    # same operator discretized on the u grid
+    threshold_mesh: float    # the bottom on the u grid that the flags and count refer to
     S: float
     h_s: float
     h_u: float
     below_threshold: np.ndarray
-    shift: float             # where the pencil was factored
-    count: int               # eigenvalues below shift, by the factorization's inertia
+    count: int               # eigenvalues below the cut, by the factorization's inertia
     convergence: tuple = field(default_factory=tuple)  # (h_s, h_u, lambda_0, mesh thr) rows
 
     @property
@@ -56,24 +55,24 @@ class SpectrumResult:
         return float(np.log2(num / den))
 
 
-def solve_spectrum(op, k, shift=None):
+def solve_spectrum(op, k, threshold=None):
     """k lowest eigenvalues of a partial-wave operator with threshold flags.
 
-    One eigensolve, shifted at threshold_mesh (1 - 1e-10), the cut of
-    ``below_threshold``, so that ``count`` is the number of eigenvalues
-    below the mesh threshold; or at a given ``shift`` (the counterexample
-    passes eps_1 measured on the same u grid).
+    ``threshold`` is the bottom on the operator's own u grid, by default
+    :func:`mesh_threshold` (the counterexample passes its strips'
+    ``eps1_mesh``).  One eigensolve, factored at the cut threshold * (1 - 1e-10),
+    so that ``count`` is the number of eigenvalues below the cut and
+    ``below_threshold`` flags the same ones.
     """
-    thr_mesh = mesh_threshold(op.mesh)
-    cut = thr_mesh * (1.0 - 1e-10)
-    sigma = cut if shift is None else float(shift)
-    pairs, count = lowest_eigenpairs(op.pair, k, shift=sigma)
+    thr = mesh_threshold(op.mesh) if threshold is None else float(threshold)
+    cut = thr * (1.0 - 1e-10)
+    pairs, count = lowest_eigenpairs(op.pair, k, shift=cut)
     lam = np.array([p.value for p in pairs])
     res = np.array([p.residual for p in pairs])
     return SpectrumResult(
         m=op.m, eigenvalues=lam, residuals=res, threshold=op.kappa1_sq,
-        threshold_mesh=thr_mesh, S=op.mesh.S, h_s=op.mesh.h_s, h_u=op.mesh.h_u,
-        below_threshold=lam < cut, shift=sigma, count=count,
+        threshold_mesh=thr, S=op.mesh.S, h_s=op.mesh.h_s, h_u=op.mesh.h_u,
+        below_threshold=lam < cut, count=count,
     )
 
 

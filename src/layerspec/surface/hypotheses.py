@@ -162,6 +162,10 @@ def hypotheses_report(chart, probe_radii):
     if sign_definite:
         est1 = total_gauss(chart, probe_radii)
         est1 = replace(est1, value=abs(est1.value), partials=np.abs(est1.partials))
+        # total_gauss makes its own cut, which can keep fewer radii
+        if est1.partials.size < probe_radii.size:
+            listed = ", ".join(f"{r:g}" for r in probe_radii[:est1.partials.size])
+            notes.append(f"sigma1 partials from probe radii s = {listed} only")
     else:
         est1 = total_abs_gauss(chart, probe_radii, stride=stride)
     sigma1 = _integral_verdict(est1)

@@ -77,8 +77,8 @@ def _default_s0(layer):
 def _total_gauss_value(layer):
     # the sweep only needs the sign (and zero-detection) of the total Gauss
     # curvature; a moderate schedule keeps fan charts inside their angular
-    # resolution range, and the ring the forms read (about 768 rays) keeps a
-    # fan's fine ray level unshot
+    # resolution range, and a ring of about 768 rays, the fan's coarse level,
+    # keeps its fine ray level unshot
     S_end = min(layer.chart.s_max, 400.0)
     schedule = S_end * np.geomspace(1.0 / 32.0, 1.0, 6)
     return total_gauss(layer.chart, schedule, stride=layer.chart.theta_stride_for(768))

@@ -5,7 +5,6 @@ import pytest
 
 from layerspec.errors import InvalidInputError
 from layerspec.numkernel import eigensolve
-from layerspec.spectrum import counterexample as counterexample_module
 from layerspec.spectrum import solve as spectrum_solve
 from layerspec.spectrum import (
     assemble_partial_wave,
@@ -14,33 +13,31 @@ from layerspec.spectrum import (
     counterexample_radial,
     solve_spectrum,
     spherical_shell_ground,
+    transverse_ground,
 )
-from layerspec.spectrum.counterexample import (
-    _RADIAL_MODES_CAP,
-    _interval_ground,
-    _radial_modes_ground,
-    capped_layer,
-)
+from layerspec.spectrum.counterexample import _RADIAL_MODES_CAP, _radial_modes_ground, capped_layer
 
 KAP2 = (np.pi / 0.6) ** 2  # threshold for a = 0.3
 
 # Solves the counterexample's truncations at the S given as arguments, in
-# that order, at their eps1_mesh shift, and prints the growth (kB) of the
-# peak (VmHWM) over the resident memory before the first.
+# that order, counted against their eps1_mesh, and prints the growth (kB) of
+# the peak (VmHWM) over the resident memory before the first.
 _TRUNCATIONS_PROBE = """
-import json, sys
+import json, math, sys
 from layerspec.numkernel import eigensolve
-from layerspec.spectrum.counterexample import _interval_ground, _truncation_spectrum
+from layerspec.spectrum import assemble_partial_wave, solve_spectrum, transverse_ground
+from test_spectrum import _capped_strip
 
 def status_kb(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
 
-shift = _interval_ground(1.0, 0.29, 32)
+eps1_mesh = transverse_ground(*_capped_strip(10.0), math.pi)
 eigensolve._MALLOC_TRIM(0)
 rss0 = status_kb("VmRSS")
 for S in sys.argv[1:]:
-    _truncation_spectrum(1.0, 0.29, float(S), 50, 32, shift)
+    layer, mesh = _capped_strip(float(S))
+    solve_spectrum(assemble_partial_wave(layer, 0, mesh), 2, threshold=eps1_mesh)
 print(json.dumps({"peak_growth": status_kb("VmHWM") - rss0}))
 """
 
@@ -79,12 +76,15 @@ def test_shell_ground_is_the_threshold_at_every_radius(a):
 
 
 def _fd_richardson(R, a):
-    """eps_1 by second-order FD on 3200 and 6400 cells and one Richardson step.
+    """eps_1 from the strips' u stencil on the cylinder at 3200 and 6400 cells
+    and one Richardson step.
 
-    Returns the value and the step: the FD route that the Legendre modes
-    replaced, kept as an independent check of them.
+    Returns the value and the step: a second-order FD route, an independent
+    check of the Legendre modes.
     """
-    lam_h, lam_h2 = _interval_ground(R, a, 3200), _interval_ground(R, a, 6400)
+    layer = capped_layer(R, a, np.pi * R)
+    lam_h, lam_h2 = (transverse_ground(layer, build_mesh(1.0, a, 16, n), np.pi * R)
+                     for n in (3200, 6400))
     value = lam_h2 + (lam_h2 - lam_h) / 3.0
     return value, abs(value - lam_h2)
 
@@ -127,53 +127,43 @@ def test_eps1_near_the_axis_stops_at_the_mode_cap():
     assert abs(_radial_modes_ground(1.0, 0.99, 2 * n) - eps1) <= bar <= 1e-9 * eps1
 
 
-def test_interval_solves_do_not_restart(monkeypatch):
-    # the Gershgorin shift is a lower bound of the interval pencil, so the
-    # eps1_mesh solve converges in a single Lanczos run
-    runs = []
-    lanczos = eigensolve._lanczos_shift_invert
-
-    def counted(A, B, sigma, *args):
-        out = lanczos(A, B, sigma, *args)
-        runs.append((sigma, out[0][0]))
-        return out
-
-    monkeypatch.setattr(eigensolve, "_lanczos_shift_invert", counted)
-    _interval_ground(1.0, 0.3, 32)
-    assert len(runs) == 1
-    for sigma, lam in runs:
-        assert sigma < lam
+def test_long_strip_starts_at_eps1_mesh():
+    # the strip's pencil separates on the cylinder into an s part and the u
+    # stencil, so a long strip's ground approaches eps1_mesh from above: at
+    # S = 160 it reads 3.7e-4 above it
+    layer = capped_layer(1.0, 0.3, 160.0)
+    mesh = build_mesh(160.0, 0.3, 1600, 32, align_face=np.pi / 2.0)
+    eps1_mesh = transverse_ground(layer, mesh, np.pi)
+    res = solve_spectrum(assemble_partial_wave(layer, 0, mesh), 1, threshold=eps1_mesh)
+    assert res.count == 0
+    assert 0.0 < res.eigenvalues[0] - eps1_mesh <= 5e-4
 
 
-def test_interval_solves_stop_early(lu_solves):
-    # eps_1 and the shell ground factor nothing; the eps1_mesh interval
-    # solve, shifted under its ground state, converges well before the step
-    # cap of 320
+def test_eps1_shell_ground_and_eps1_mesh_factor_nothing(lu_solves):
     counterexample_radial(1.0, 0.3)
     spherical_shell_ground(1.0, 0.3)
+    transverse_ground(capped_layer(1.0, 0.3, np.pi), build_mesh(1.0, 0.3, 16, 32), np.pi)
     assert lu_solves == []
-    _interval_ground(1.0, 0.3, 32)
-    assert len(lu_solves) == 1
-    assert max(lu_solves) <= 16
 
 
 def test_full_pipeline_lu_work(lu_solves):
-    # 5 eigensolves, one factorization each: eps1_mesh, three truncations and
-    # the cap; early stopping and the strip shifts at eps1_mesh keep them to
-    # 55 solves
+    # 4 eigensolves, one factorization each: three truncations and the cap;
+    # early stopping and the strip shifts just below eps1_mesh keep them to
+    # 45 solves
     counterexample_full(1.0, 0.29, S=10, n_s_per_R=50, n_u=32)
-    assert len(lu_solves) == 5
+    assert len(lu_solves) == 4
     assert sum(lu_solves) <= 90
 
 
 def test_truncations_listed_ascending_as_standalone_solves():
-    # every truncation's spectrum is what a standalone solve at eps1_mesh gives
+    # every truncation's spectrum is what a standalone solve against
+    # eps1_mesh on the layer covering 4S gives
     rep = counterexample_full(1.0, 0.29, S=10, n_s_per_R=50, n_u=32)
     assert [res.S for res in rep.spectra] == pytest.approx([10.0, 20.0, 40.0], rel=0.01)
+    layer = capped_layer(1.0, 0.29, 40.0)
     for res, S in zip(rep.spectra, (10.0, 20.0, 40.0)):
         mesh = build_mesh(S, 0.29, int(50 * S), 32, align_face=np.pi / 2.0)
-        alone = solve_spectrum(assemble_partial_wave(capped_layer(1.0, 0.29, S), 0, mesh), 2,
-                               shift=rep.eps1_mesh)
+        alone = solve_spectrum(assemble_partial_wave(layer, 0, mesh), 2, threshold=rep.eps1_mesh)
         assert res.S == alone.S
         assert np.array_equal(res.eigenvalues, alone.eigenvalues)
         assert np.array_equal(res.residuals, alone.residuals)
@@ -201,12 +191,10 @@ def test_bad_geometry_rejected():
 
 @pytest.mark.parametrize("n_u,n_s_per_R", [(-1, 50), (0, 50), (1, 50), (15, 50), (32, 1.5)])
 def test_too_few_cells_rejected_before_any_solve(n_u, n_s_per_R, monkeypatch):
-    # n_u = 0 divided by zero and n_u = 1 failed in scipy inside the eps1_mesh
-    # interval solve; 2-15 made that solve before build_mesh refused the strip
+    # build_mesh refuses every strip before the first solve
     def no_solve(*args, **kw):
         raise AssertionError("an eigensolve ran")
 
-    monkeypatch.setattr(counterexample_module, "lowest_eigenpairs", no_solve)
     monkeypatch.setattr(spectrum_solve, "lowest_eigenpairs", no_solve)
     with pytest.raises(InvalidInputError, match="at least 16 cells"):
         counterexample_full(1.0, 0.3, S=10.0, n_s_per_R=n_s_per_R, n_u=n_u)
@@ -223,16 +211,17 @@ def test_full_pipeline_no_spectrum_below_eps1(monkeypatch):
     monkeypatch.setattr(spectrum_solve, "lowest_eigenpairs", recorded)
     rep = counterexample_full(1.0, 0.3, S=10.0, n_s_per_R=40, n_u=32)
     assert rep.bracket[0] < rep.eps1 < rep.bracket[1]
-    # truncated spectra: monotone in S, and each strip factored at the
-    # mesh-consistent eps1, where its inertia counts no eigenvalue below
+    # truncated spectra: monotone in S, and each strip factored just below
+    # the mesh-consistent eps1, where its inertia counts no eigenvalue below
     lams = [res.eigenvalues[0] for res in rep.spectra]
     assert lams[0] >= lams[1] >= lams[2]
     for res in rep.spectra:
-        assert res.shift == rep.eps1_mesh and res.count == 0
-        assert res.eigenvalues[0] > rep.eps1_mesh
+        assert res.threshold_mesh == rep.eps1_mesh and res.count == 0
+        assert res.eigenvalues[0] > rep.eps1_mesh and not res.below_threshold.any()
     # one eigensolve per truncation and one for the cap, which counts no
     # eigenvalue below its own mesh threshold
-    assert shifts == [rep.eps1_mesh] * 3 + [rep.cap_neumann.shift]
+    cut = 1.0 - 1e-10
+    assert shifts == [rep.eps1_mesh * cut] * 3 + [rep.cap_neumann.threshold_mesh * cut]
     assert rep.cap_neumann.count == 0
     # the S-limit approaches the cylinder bottom from above
     assert lams[2] - rep.eps1_mesh <= 0.05 * (rep.kappa1_sq - rep.eps1)

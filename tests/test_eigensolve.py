@@ -19,10 +19,9 @@ from layerspec.spectrum import assemble_partial_wave, build_mesh, mesh_threshold
 # call.  The peak is VmHWM, the process's own ru_maxrss: Linux carries the
 # launching process's peak into a child's ru_maxrss across exec.
 _FACTOR_PROBE = """
-import json
+import json, math
 from layerspec.numkernel import eigensolve
-from layerspec.spectrum import assemble_partial_wave
-from layerspec.spectrum.counterexample import _interval_ground
+from layerspec.spectrum import assemble_partial_wave, transverse_ground
 from test_spectrum import _capped_strip
 
 def peak_and_rss_kb():
@@ -40,8 +39,8 @@ class ReadingSpla:
         readings.append(peak_and_rss_kb())
         return lu
 
-shift = _interval_ground(1.0, 0.29, 32)
 layer, mesh = _capped_strip(40.0)
+shift = transverse_ground(layer, mesh, math.pi)
 pair = assemble_partial_wave(layer, 0, mesh).pair
 C = pair.stiffness - shift * pair.mass
 del layer, mesh, pair

@@ -104,10 +104,14 @@ def test_resolution_cuts_name_the_unresolved_radii_they_keep():
     assert resolved_prefix(*radial_gauss_partials(chart, radii)) == 3
     rep = hypotheses_report(chart, radii)
     assert np.array_equal(rep.annuli, radii)
-    fan, grad_m = rep.notes
+    fan, sigma1, grad_m = rep.notes
     assert "fan ring integrals" in fan and "grad-M" in grad_m
     assert f"s = {radii[3]:g}, {radii[4]:g} kept" in fan
     assert f"{radii[2]:g}" not in fan
+    # sigma1's total_gauss keeps the resolved radii only, and its note names them
+    assert rep.sigma1_partials.size == 3
+    listed = ", ".join(f"{r:g}" for r in radii[:rep.sigma1_partials.size])
+    assert sigma1 == f"sigma1 partials from probe radii s = {listed} only"
     # the grad-M rings kept unresolved are no integrability evidence
     assert rep.sigma2 == "undecided"
 

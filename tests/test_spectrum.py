@@ -13,6 +13,7 @@ from layerspec.spectrum import (
     mesh_threshold,
     solve_spectrum,
     spectrum_with_refinement,
+    transverse_ground,
 )
 from layerspec.numkernel import eigensolve
 from layerspec.spectrum.assemble import _profile_columns
@@ -200,9 +201,9 @@ def test_floor_above_a_bound_state_still_finds_it(hyperboloid_layer, monkeypatch
         return lanczos(*args)
 
     monkeypatch.setattr(eigensolve, "_lanczos_shift_invert", counted)
-    res = solve_spectrum(op, 1, shift=shift)
-    assert runs == [shift]
-    assert res.shift == shift and res.count == 1
+    res = solve_spectrum(op, 1, threshold=shift)
+    assert runs == [shift * (1.0 - 1e-10)]
+    assert res.threshold_mesh == shift and res.count == 1
     assert res.eigenvalues[0] == pytest.approx(ref.eigenvalues[0], rel=1e-12)
     assert res.below_threshold[0]
 
@@ -282,6 +283,13 @@ def test_mesh_threshold_matches_closed_form():
         h = mesh.h_u
         closed = (4.0 / h**2) * np.sin(np.pi * h / (2 * 0.6)) ** 2
         assert mesh_threshold(mesh) == pytest.approx(closed, rel=1e-15), n_u
+
+
+@pytest.mark.parametrize("n_u", [16, 32, 128])
+def test_mesh_threshold_is_the_flat_transverse_ground(plane_layer, n_u):
+    # a flat cross-section's u stencil is the plain second difference
+    mesh = build_mesh(10.0, 0.3, n_s=32, n_u=n_u)
+    assert transverse_ground(plane_layer, mesh, 5.0) == pytest.approx(mesh_threshold(mesh), rel=1e-12)
 
 
 @pytest.mark.parametrize("name,a,s_max,bound", [
